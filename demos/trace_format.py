@@ -46,6 +46,6 @@ for threshold in (1, 2, 4):
     print(f"threshold {threshold}: {kept.n} coflows remain")
 print()
 
-obj, dual, rat, _ = run_pipeline(inst, granularity="flow", kappa=0.5)
-print(f"flow-level pipeline on the miniature: objective {obj:g}, "
-      f"dual bound {dual:.2f}, ratio {rat:.3f}")
+out = run_pipeline(inst, granularity="flow", kappa=0.5)
+print(f"flow-level pipeline on the miniature: objective {out.objective:g}, "
+      f"dual bound {out.dual_cost:.2f}, ratio {out.ratio:.3f}")

@@ -4,24 +4,25 @@ The pipeline: build or load an :class:`Instance`, order its coflows with
 :func:`order_flow_level` or :func:`order_coflow_level` (each returns a dual
 lower bound alongside the permutation), place flows on cores with
 :func:`assign_fdls` or :func:`assign_cdls`, and :func:`simulate` the
-resulting list schedule. ``metrics`` turns results into ratios against the
-dual bound; ``oracle`` brute-forces small instances for ground truth.
+resulting list schedule. Every stage reads ``Instance.table``, the flow
+table compiled and validated once per instance; ``experiments.run_pipeline``
+runs all three stages at one granularity. ``metrics`` turns results into
+ratios against the dual bound; ``oracle`` brute-forces small instances for
+ground truth.
 """
 
 from .metrics import (
     ExperimentReport,
     ExperimentRow,
     SummaryStats,
-    objective,
     ratio,
     summarize,
 )
 from .model import (
     Coflow,
     FlowKey,
+    FlowTable,
     Instance,
-    PortLoadTable,
-    compute_loads,
     dump_instance,
     dumps_instance,
     instance_from_dict,
@@ -37,8 +38,6 @@ from .ordering import (
     Permutation,
     order_coflow_level,
     order_flow_level,
-    set_function_coflow,
-    set_function_flow,
 )
 from .scheduling import (
     Assignment,
@@ -70,18 +69,17 @@ __all__ = [
     "ExperimentReport",
     "ExperimentRow",
     "FlowKey",
+    "FlowTable",
     "Instance",
     "IterationRecord",
     "OracleResult",
     "Permutation",
-    "PortLoadTable",
     "ScheduleResult",
     "Segment",
     "SummaryStats",
     "assign_cdls",
     "assign_fdls",
     "audit_schedule",
-    "compute_loads",
     "default_config",
     "dump_instance",
     "dumps_instance",
@@ -94,14 +92,11 @@ __all__ = [
     "load_instance",
     "loads_instance",
     "mix_templates",
-    "objective",
     "order_coflow_level",
     "order_flow_level",
     "parse_trace",
     "ratio",
     "run_experiment",
-    "set_function_coflow",
-    "set_function_flow",
     "simulate",
     "summarize",
     "trivial_lower_bound",

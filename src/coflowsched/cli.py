@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import experiments, metrics, model, workload
 from .oracle import enumerate_best, trivial_lower_bound
-from .ordering import Permutation, order_coflow_level, order_flow_level
-from .scheduling import ScheduleResult, assign_cdls, assign_fdls, simulate
+from .ordering import order_coflow_level, order_flow_level
+from .scheduling import ScheduleResult
 
 
 def main(argv=None) -> int:
@@ -113,11 +113,6 @@ def _load(path: Path) -> model.Instance:
         return model.load_instance(fp)
 
 
-def _order(instance: model.Instance, granularity: str, kappa: float) -> Permutation:
-    fn = order_flow_level if granularity == "flow" else order_coflow_level
-    return fn(instance, kappa)
-
-
 def cmd_generate(args) -> int:
     if args.density is None:
         instance = workload.gen_mix(
@@ -135,7 +130,8 @@ def cmd_generate(args) -> int:
 
 def cmd_order(args) -> int:
     instance = _load(args.instance)
-    perm = _order(instance, args.granularity, args.kappa)
+    order_fn = order_flow_level if args.granularity == "flow" else order_coflow_level
+    perm = order_fn(instance, args.kappa)
     doc = {
         "granularity": args.granularity,
         "kappa": args.kappa,
@@ -167,17 +163,16 @@ def _result_dict(result: ScheduleResult) -> dict:
 
 def cmd_schedule(args) -> int:
     instance = _load(args.instance)
-    perm = _order(instance, args.granularity, args.kappa)
-    assignment = (
-        assign_fdls(instance, perm) if args.granularity == "flow" else assign_cdls(instance, perm)
+    out = experiments.run_pipeline(
+        instance, args.granularity, args.kappa, emit_timeline=args.emit_timeline
     )
-    result = simulate(instance, perm, assignment, emit_timeline=args.emit_timeline)
+    result = out.result
     doc = {
         "granularity": args.granularity,
         "kappa": args.kappa,
-        "order": perm.order,
-        "dual_cost": perm.dual_cost,
-        "ratio": metrics.ratio(result.objective, perm.dual_cost),
+        "order": out.perm.order,
+        "dual_cost": out.dual_cost,
+        "ratio": out.ratio,
         **_result_dict(result),
     }
     if args.emit_timeline:
@@ -232,17 +227,14 @@ def cmd_experiment(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     instance = _load(args.instance)
-    flow_perm = order_flow_level(instance, args.kappa)
-    coflow_perm = order_coflow_level(instance, args.kappa)
-    fdls = simulate(instance, flow_perm, assign_fdls(instance, flow_perm))
-    cdls = simulate(instance, coflow_perm, assign_cdls(instance, coflow_perm))
+    fdls = experiments.run_pipeline(instance, "flow", args.kappa)
+    cdls = experiments.run_pipeline(instance, "coflow", args.kappa)
     best_flow = enumerate_best(instance, "flow")
     best_coflow = enumerate_best(instance, "coflow")
     tol = 1e-9
     checks = {
-        "dual_flow_below_best_flow": flow_perm.dual_cost <= best_flow.best_cost + tol,
-        "dual_coflow_below_best_coflow": coflow_perm.dual_cost
-        <= best_coflow.best_cost + tol,
+        "dual_flow_below_best_flow": fdls.dual_cost <= best_flow.best_cost + tol,
+        "dual_coflow_below_best_coflow": cdls.dual_cost <= best_coflow.best_cost + tol,
         "trivial_bound_below_best_flow": best_flow.lower_bound
         <= best_flow.best_cost + tol,
         "best_flow_below_fdls": best_flow.best_cost <= fdls.objective + tol,
@@ -250,8 +242,8 @@ def cmd_oracle_check(args) -> int:
     }
     doc = {
         "kappa": args.kappa,
-        "dual_cost_flow": flow_perm.dual_cost,
-        "dual_cost_coflow": coflow_perm.dual_cost,
+        "dual_cost_flow": fdls.dual_cost,
+        "dual_cost_coflow": cdls.dual_cost,
         "trivial_lower_bound": trivial_lower_bound(instance),
         "best_cost_flow": best_flow.best_cost,
         "best_cost_coflow": best_coflow.best_cost,

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import metrics, workload
 from .model import Instance
-from .ordering import order_coflow_level, order_flow_level
-from .scheduling import assign_cdls, assign_fdls, simulate
+from .ordering import Permutation, order_coflow_level, order_flow_level
+from .scheduling import ScheduleResult, assign_cdls, assign_fdls, simulate
 
 KINDS = ("ratio-vs-coflows", "ratio-vs-cores", "density", "trace-threshold", "box", "cdf")
 GRANULARITIES = ("flow", "coflow")
@@ -78,17 +79,31 @@ def _validate(config: ExperimentConfig) -> None:
             raise ValueError("thresholds sweep must be nonempty")
 
 
-def run_pipeline(instance: Instance, granularity: str, kappa: float):
-    """(objective, dual_cost, ratio, schedule result) for one instance."""
+class PipelineResult(NamedTuple):
+    objective: float
+    dual_cost: float
+    ratio: float
+    result: ScheduleResult
+    perm: Permutation
+
+
+def run_pipeline(
+    instance: Instance, granularity: str, kappa: float, emit_timeline: bool = False
+) -> PipelineResult:
+    """Order, place and simulate one instance at one granularity.
+
+    Flow granularity pairs the flow-level dual with FDLS placement, coflow
+    granularity the coflow-level dual with CDLS.
+    """
     if granularity == "flow":
         perm = order_flow_level(instance, kappa)
         assignment = assign_fdls(instance, perm)
     else:
         perm = order_coflow_level(instance, kappa)
         assignment = assign_cdls(instance, perm)
-    result = simulate(instance, perm, assignment)
-    obj = metrics.objective(result, instance)
-    return obj, perm.dual_cost, metrics.ratio(obj, perm.dual_cost), result
+    result = simulate(instance, perm, assignment, emit_timeline=emit_timeline)
+    ratio = metrics.ratio(result.objective, perm.dual_cost)
+    return PipelineResult(result.objective, perm.dual_cost, ratio, result, perm)
 
 
 def run_experiment(
@@ -114,9 +129,11 @@ def run_experiment(
             )
             for threshold in config.thresholds:
                 kept = workload.filter_min_flows(parsed, threshold)
-                obj, dual, rat, _ = run_pipeline(kept, config.granularity, config.kappa)
+                out = run_pipeline(kept, config.granularity, config.kappa)
                 report.rows.append(
-                    metrics.ExperimentRow(threshold, seed, algo, obj, dual, rat)
+                    metrics.ExperimentRow(
+                        threshold, seed, algo, out.objective, out.dual_cost, out.ratio
+                    )
                 )
         report.rows.sort(key=lambda row: config.thresholds.index(row.point))
     else:
@@ -125,12 +142,14 @@ def run_experiment(
             for idx in range(config.instances):
                 seed = child_seed(config.seed, p_idx, idx)
                 instance = _generate(config, label, n, m, seed)
-                obj, dual, rat, result = run_pipeline(
-                    instance, config.granularity, config.kappa
+                out = run_pipeline(instance, config.granularity, config.kappa)
+                report.rows.append(
+                    metrics.ExperimentRow(
+                        label, seed, algo, out.objective, out.dual_cost, out.ratio
+                    )
                 )
-                report.rows.append(metrics.ExperimentRow(label, seed, algo, obj, dual, rat))
                 if config.kind == "cdf":
-                    completions.extend(result.coflow_completion.values())
+                    completions.extend(out.result.coflow_completion.values())
 
     report.aggregate()
     if config.kind == "cdf":

@@ -1,4 +1,4 @@
-"""Objectives, approximation ratios, and experiment summaries."""
+"""Approximation ratios and experiment summaries."""
 
 from __future__ import annotations
 
@@ -9,19 +9,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .model import Instance
-from .scheduling import ScheduleResult
-
-
-def objective(result: ScheduleResult, instance: Instance) -> float:
-    """Total weighted completion time of the schedule."""
-    total = 0.0
-    for c in instance.coflows:
-        if c.id not in result.coflow_completion:
-            raise ValueError(f"result has no completion time for coflow {c.id}")
-        total += c.weight * result.coflow_completion[c.id]
-    return total
 
 
 def ratio(objective_value: float, dual_cost: float) -> float:

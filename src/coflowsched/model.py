@@ -1,4 +1,4 @@
-"""Domain model: coflows, instances, port load tables, JSON round-trip.
+"""Domain model: coflows, instances, the compiled flow table, JSON round-trip.
 
 Ports, coflow ids, and core ids are 1-based everywhere they cross a module
 boundary or a file format. Internal arrays pad index 0 so that external ids
@@ -8,7 +8,9 @@ index them directly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Any, NamedTuple
 
 import numpy as np
@@ -48,10 +50,6 @@ class Coflow:
     def max_demand(self) -> int:
         return max(self.demands.values(), default=0)
 
-    @property
-    def total_demand(self) -> int:
-        return sum(self.demands.values())
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -79,49 +77,72 @@ class Instance:
             raise ValueError(f"coflow ids out of order: expected {k}, found {c.id}")
         return c
 
-    def flow_keys(self) -> list[FlowKey]:
-        return [FlowKey(i, j, c.id) for c in self.coflows for (i, j) in sorted(c.demands)]
+    @cached_property
+    def table(self) -> FlowTable:
+        """The validated, compiled flow table, built on first use.
+
+        Raises ValueError if the instance is invalid. The table is computed
+        once, so the instance must not be mutated afterwards.
+        """
+        require_valid(self)
+        keys: list[FlowKey] = []
+        size: list[int] = []
+        release: list[int] = []
+        first = [0]
+        for c in self.coflows:
+            for i, j, d in c.flows():
+                keys.append(FlowKey(i, j, c.id))
+                size.append(d)
+                release.append(c.release)
+            first.append(len(keys))
+        load_in = np.zeros((self.n + 1, self.ports + 1), dtype=np.int64)
+        load_out = np.zeros_like(load_in)
+        if keys:
+            i, j, k = np.array(keys, dtype=np.int64).T
+            d = np.array(size, dtype=np.int64)
+            np.add.at(load_in, (k, i), d)
+            np.add.at(load_out, (k, j), d)
+        return FlowTable(keys, size, release, first, load_in, load_out)
 
 
 @dataclass(frozen=True)
-class PortLoadTable:
-    """Per-coflow and aggregate port loads.
+class FlowTable:
+    """An instance compiled once into the flat form every stage reads.
 
-    Arrays are indexed [k, i] / [k, j] with row 0 and column 0 unused, so
-    1-based ids index directly. Totals are summed over all coflows.
+    Flows are listed in (coflow, i, j) order, and coflow k's flows are
+    ``keys[first[k - 1]:first[k]]``. ``load_in[k, i]`` and
+    ``load_out[k, j]`` are coflow k's total size at a port; row 0 and
+    column 0 are unused, so 1-based ids index directly.
     """
 
-    input_by_coflow: np.ndarray
-    output_by_coflow: np.ndarray
-    input_total: np.ndarray
-    output_total: np.ndarray
-
-    def input_load(self, i: int, k: int) -> int:
-        return int(self.input_by_coflow[k, i])
-
-    def output_load(self, j: int, k: int) -> int:
-        return int(self.output_by_coflow[k, j])
+    keys: list[FlowKey]
+    size: list[int]
+    release: list[int]
+    first: list[int]
+    load_in: np.ndarray
+    load_out: np.ndarray
 
 
-def compute_loads(instance: Instance) -> PortLoadTable:
-    """Aggregate demands into port load vectors (referentially transparent)."""
-    n, ports = instance.n, instance.ports
-    inp = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    out = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    for c in instance.coflows:
-        for (i, j), d in c.demands.items():
-            inp[c.id, i] += d
-            out[c.id, j] += d
-    return PortLoadTable(
-        input_by_coflow=inp,
-        output_by_coflow=out,
-        input_total=inp.sum(axis=0),
-        output_total=out.sum(axis=0),
-    )
+# Largest total size any one port may carry, summed over all coflows:
+# floor(sqrt(2**63 - 1)). A sum of squares is at most the square of the sum,
+# so every int64 port load, squared load and squared-size aggregate stays
+# exact below it.
+MAX_PORT_TOTAL = 3_037_000_499
+# Largest release + total size: every simulated event time is at most this,
+# and float64 holds every integer up to 2**53 exactly.
+MAX_HORIZON = 2**53
 
 
 def _is_int(x: Any) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_real(x: Any) -> bool:
+    return (
+        isinstance(x, (int, float, np.integer, np.floating))
+        and not isinstance(x, bool)
+        and math.isfinite(x)
+    )
 
 
 def validate(instance: Instance) -> list[str]:
@@ -129,22 +150,29 @@ def validate(instance: Instance) -> list[str]:
     bad: list[str] = []
     if not _is_int(instance.cores) or instance.cores < 1:
         bad.append(f"cores must be a positive integer, got {instance.cores!r}")
-    if not _is_int(instance.ports) or instance.ports < 1:
+    ports_ok = _is_int(instance.ports) and instance.ports >= 1
+    if not ports_ok:
         bad.append(f"ports must be a positive integer, got {instance.ports!r}")
+    port_in: dict[int, int] = {}
+    port_out: dict[int, int] = {}
+    total_size = 0
+    max_release = 0
     for pos, c in enumerate(instance.coflows, start=1):
         where = f"coflow {c.id}"
-        if c.id != pos:
-            bad.append(f"coflow ids must be 1..n in order: position {pos} holds id {c.id}")
+        if not _is_int(c.id) or c.id != pos:
+            bad.append(f"coflow ids must be 1..n in order: position {pos} holds id {c.id!r}")
         if not _is_int(c.release) or c.release < 0:
             bad.append(f"{where}: release must be a nonnegative integer, got {c.release!r}")
-        if not (c.weight > 0):
-            bad.append(f"{where}: weight must be positive, got {c.weight!r}")
+        else:
+            max_release = max(max_release, c.release)
+        if not (_is_finite_real(c.weight) and c.weight > 0):
+            bad.append(f"{where}: weight must be positive and finite, got {c.weight!r}")
         for (i, j), d in c.demands.items():
             spot = f"{where} flow ({i},{j})"
             if not (_is_int(i) and _is_int(j)):
                 bad.append(f"{spot}: ports must be integers")
                 continue
-            if not (1 <= i <= instance.ports and 1 <= j <= instance.ports):
+            if ports_ok and not (1 <= i <= instance.ports and 1 <= j <= instance.ports):
                 bad.append(f"{spot}: port out of range 1..{instance.ports}")
             if not _is_int(d):
                 bad.append(f"{spot}: size must be an integer, got {d!r}")
@@ -152,6 +180,22 @@ def validate(instance: Instance) -> list[str]:
                 bad.append(f"{spot}: zero demand must be absent")
             elif d < 0:
                 bad.append(f"{spot}: size must be positive, got {d}")
+            else:
+                port_in[i] = port_in.get(i, 0) + d
+                port_out[j] = port_out.get(j, 0) + d
+                total_size += d
+    for side, totals in (("input", port_in), ("output", port_out)):
+        port = max(totals, key=totals.__getitem__, default=None)
+        if port is not None and totals[port] > MAX_PORT_TOTAL:
+            bad.append(
+                f"{side} port {port} carries {totals[port]} in total, "
+                f"above the limit {MAX_PORT_TOTAL}"
+            )
+    if max_release + total_size > MAX_HORIZON:
+        bad.append(
+            f"latest release {max_release} plus total size {total_size} "
+            f"exceeds the time horizon limit 2**53"
+        )
     return bad
 
 
@@ -178,12 +222,20 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
     }
 
 
+def _objects(value: Any, what: str) -> list[dict[str, Any]]:
+    if not (isinstance(value, list) and all(isinstance(x, dict) for x in value)):
+        raise ValueError(f"instance JSON: {what} must be a list of objects")
+    return value
+
+
 def instance_from_dict(data: dict[str, Any]) -> Instance:
+    if not isinstance(data, dict):
+        raise ValueError("instance JSON must be an object")
     try:
         coflows = []
-        for entry in data["coflows"]:
+        for entry in _objects(data["coflows"], "coflows"):
             demands: dict[tuple[int, int], int] = {}
-            for f in entry["flows"]:
+            for f in _objects(entry["flows"], "flows"):
                 key = (f["i"], f["j"])
                 if key in demands:
                     raise ValueError(

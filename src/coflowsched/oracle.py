@@ -19,9 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-import numpy as np
-
-from .model import FlowKey, Instance, compute_loads, require_valid
+from .model import FlowKey, Instance
 from .scheduling import Assignment, simulate
 
 
@@ -40,15 +38,14 @@ def trivial_lower_bound(instance: Instance) -> float:
     Coflow k cannot finish before its release plus its largest flow, nor
     before its most loaded port drains at aggregate rate m.
     """
-    require_valid(instance)
-    loads = compute_loads(instance)
+    table = instance.table
     m = instance.cores
     total = 0.0
     for c in instance.coflows:
         floor = max(
             c.release + c.max_demand,
-            float(loads.input_by_coflow[c.id].max()) / m,
-            float(loads.output_by_coflow[c.id].max()) / m,
+            float(table.load_in[c.id].max()) / m,
+            float(table.load_out[c.id].max()) / m,
         )
         total += c.weight * floor
     return total
@@ -68,7 +65,7 @@ def enumerate_best(
     minimizer in lexicographic (permutation, assignment) order, so results
     are deterministic.
     """
-    require_valid(instance)
+    keys = instance.table.keys
     if granularity not in ("flow", "coflow"):
         raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
     n, m = instance.n, instance.cores
@@ -77,9 +74,6 @@ def enumerate_best(
             f"instance exceeds enumeration caps n<={max_coflows}, "
             f"N<={max_ports}, m<={max_cores}"
         )
-    keys = instance.flow_keys()
-    ports = instance.ports
-    zero = np.zeros((ports + 1, m + 1), dtype=np.int64)
 
     best_cost = float("inf")
     best_order: list[int] = []
@@ -93,11 +87,11 @@ def enumerate_best(
         for cores in choices:
             if granularity == "flow":
                 placement = dict(zip(keys, cores))
-                assignment = Assignment("flow", placement, None, zero, zero)
+                assignment = Assignment("flow", placement, None)
             else:
                 by_coflow = dict(zip(range(1, n + 1), cores))
                 placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment("coflow", placement, by_coflow, zero, zero)
+                assignment = Assignment("coflow", placement, by_coflow)
             result = simulate(instance, list(perm), assignment)
             examined += 1
             if result.objective < best_cost - 1e-12:

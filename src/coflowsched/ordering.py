@@ -21,27 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .model import Instance, require_valid
-
-
-def set_function_flow(sizes, cores: int) -> float:
-    """(d(S)^2 + d2(S))/(2m) over a collection of flow sizes.
-
-    d(S) is the total size and d2(S) the sum of squared sizes. This is the
-    price of processing the set S serially at one port, averaged over m
-    cores: always at least d(S)^2/(2m).
-    """
-    total = 0.0
-    sq = 0.0
-    for d in sizes:
-        total += d
-        sq += d * d
-    return (total * total + sq) / (2.0 * cores)
-
-
-def set_function_coflow(loads, cores: int) -> float:
-    """Same shape as set_function_flow but over per-coflow port loads."""
-    return set_function_flow(loads, cores)
+from .model import Instance
 
 
 @dataclass
@@ -89,10 +69,6 @@ class Permutation:
     dual_cost: float
     trace: DualTrace
 
-    def position(self) -> dict[int, int]:
-        """coflow id -> 0-based position in the processing order."""
-        return {k: pos for pos, k in enumerate(self.order)}
-
 
 def order_flow_level(instance: Instance, kappa: float = 0.5) -> Permutation:
     """Order coflows with dual increments priced on individual flow sizes."""
@@ -104,39 +80,33 @@ def order_coflow_level(instance: Instance, kappa: float = 0.5) -> Permutation:
     return _permute(instance, kappa, coflow_level=True)
 
 
-def _demand_arrays(instance: Instance):
-    """Per-coflow port aggregates, padded so 1-based ids index directly."""
-    n, ports = instance.n, instance.ports
-    load_in = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    load_out = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    sq_in = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    sq_out = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    max_in = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    max_out = np.zeros((n + 1, ports + 1), dtype=np.int64)
-    for c in instance.coflows:
-        k = c.id
-        for (i, j), d in c.demands.items():
-            load_in[k, i] += d
-            load_out[k, j] += d
-            sq_in[k, i] += d * d
-            sq_out[k, j] += d * d
-            if d > max_in[k, i]:
-                max_in[k, i] = d
-            if d > max_out[k, j]:
-                max_out[k, j] = d
-    return load_in, load_out, sq_in, sq_out, max_in, max_out
+def _flow_aggregates(instance: Instance):
+    """Per-coflow squared-size sums and largest flow at each port."""
+    table = instance.table
+    sq_in = np.zeros_like(table.load_in)
+    sq_out = np.zeros_like(sq_in)
+    max_in = np.zeros_like(sq_in)
+    max_out = np.zeros_like(sq_in)
+    if table.keys:
+        i, j, k = np.array(table.keys, dtype=np.int64).T
+        d = np.array(table.size, dtype=np.int64)
+        np.add.at(sq_in, (k, i), d * d)
+        np.add.at(sq_out, (k, j), d * d)
+        np.maximum.at(max_in, (k, i), d)
+        np.maximum.at(max_out, (k, j), d)
+    return sq_in, sq_out, max_in, max_out
 
 
 def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutation:
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    require_valid(instance)
+    load_in, load_out = instance.table.load_in, instance.table.load_out
     n, m = instance.n, instance.cores
     trace = DualTrace(kappa=kappa)
     if n == 0:
         return Permutation(order=[], dual_cost=0.0, trace=trace)
 
-    load_in, load_out, sq_in, sq_out, max_in, max_out = _demand_arrays(instance)
+    sq_in, sq_out, max_in, max_out = _flow_aggregates(instance)
     weights = np.zeros(n + 1)
     releases = np.full(n + 1, -1, dtype=np.int64)
     for c in instance.coflows:

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import FlowKey, Instance, require_valid
+from .model import FlowKey, Instance
 from .ordering import Permutation
 
 
@@ -32,13 +32,11 @@ class Segment(NamedTuple):
 
 @dataclass
 class Assignment:
-    """Flow-to-core placement plus the projected loads that produced it."""
+    """Flow-to-core placement; coflow_to_core is set under coflow granularity."""
 
     granularity: str
     flow_to_core: dict[FlowKey, int]
     coflow_to_core: dict[int, int] | None
-    input_load: np.ndarray
-    output_load: np.ndarray
 
 
 @dataclass
@@ -64,20 +62,22 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     already projected on input i plus output j of h; ties take the lowest
     core id.
     """
-    require_valid(instance)
+    table = instance.table
     seq = _order_list(order, instance.n)
     m, ports = instance.cores, instance.ports
     load_in = np.zeros((ports + 1, m + 1), dtype=np.int64)
     load_out = np.zeros((ports + 1, m + 1), dtype=np.int64)
     placement: dict[FlowKey, int] = {}
+    keys, size = table.keys, table.size
     for k in seq:
-        c = instance.coflow(k)
-        for i, j, d in sorted(c.flows(), key=lambda f: (-f[2], f[0], f[1])):
-            h = int(np.argmin(load_in[i, 1:] + load_out[j, 1:])) + 1
-            placement[FlowKey(i, j, k)] = h
-            load_in[i, h] += d
-            load_out[j, h] += d
-    return Assignment("flow", placement, None, load_in, load_out)
+        flows = range(table.first[k - 1], table.first[k])
+        for idx in sorted(flows, key=lambda x: -size[x]):
+            key = keys[idx]
+            h = int(np.argmin(load_in[key.i, 1:] + load_out[key.j, 1:])) + 1
+            placement[key] = h
+            load_in[key.i, h] += size[idx]
+            load_out[key.j, h] += size[idx]
+    return Assignment("flow", placement, None)
 
 
 def assign_cdls(instance: Instance, order) -> Assignment:
@@ -88,7 +88,7 @@ def assign_cdls(instance: Instance, order) -> Assignment:
     taken only over ports where k actually has traffic. Empty coflows score
     the same everywhere and land on core 1.
     """
-    require_valid(instance)
+    table = instance.table
     seq = _order_list(order, instance.n)
     m, ports = instance.cores, instance.ports
     load_in = np.zeros((ports + 1, m + 1), dtype=np.int64)
@@ -96,12 +96,8 @@ def assign_cdls(instance: Instance, order) -> Assignment:
     placement: dict[FlowKey, int] = {}
     coflow_core: dict[int, int] = {}
     for k in seq:
-        c = instance.coflow(k)
-        own_in = np.zeros(ports + 1, dtype=np.int64)
-        own_out = np.zeros(ports + 1, dtype=np.int64)
-        for (i, j), d in c.demands.items():
-            own_in[i] += d
-            own_out[j] += d
+        own_in = table.load_in[k]
+        own_out = table.load_out[k]
         used_in = np.nonzero(own_in)[0]
         used_out = np.nonzero(own_out)[0]
         if used_in.size:
@@ -112,11 +108,11 @@ def assign_cdls(instance: Instance, order) -> Assignment:
         else:
             h = 1
         coflow_core[k] = h
-        for i, j, _ in c.flows():
-            placement[FlowKey(i, j, k)] = h
+        for key in table.keys[table.first[k - 1] : table.first[k]]:
+            placement[key] = h
         load_in[:, h] += own_in
         load_out[:, h] += own_out
-    return Assignment("coflow", placement, coflow_core, load_in, load_out)
+    return Assignment("coflow", placement, coflow_core)
 
 
 def simulate(
@@ -133,19 +129,11 @@ def simulate(
     of a coflow is the completion of its last flow; a flowless coflow
     completes at its release.
     """
-    require_valid(instance)
+    table = instance.table
     seq = _order_list(order, instance.n)
     pos = {k: p for p, k in enumerate(seq)}
     m = instance.cores
-
-    keys: list[FlowKey] = []
-    sizes: list[int] = []
-    rel: list[int] = []
-    for c in instance.coflows:
-        for i, j, d in c.flows():
-            keys.append(FlowKey(i, j, c.id))
-            sizes.append(d)
-            rel.append(c.release)
+    keys, sizes, rel = table.keys, table.size, table.release
 
     known = set(keys)
     for key, h in assignment.flow_to_core.items():
@@ -230,10 +218,8 @@ def simulate(
     coflow_completion: dict[int, float] = {}
     objective = 0.0
     for c in instance.coflows:
-        if c.flow_count:
-            done = max(finish[idx] for idx in range(total) if keys[idx].k == c.id)
-        else:
-            done = float(c.release)
+        own = finish[table.first[c.id - 1] : table.first[c.id]]
+        done = max(own) if own else float(c.release)
         coflow_completion[c.id] = done
         objective += c.weight * done
     # Unit rates over integer demands keep every event on the integer grid.
@@ -266,31 +252,26 @@ def audit_schedule(
         raise ValueError("audit requires a result simulated with emit_timeline=True")
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
+    table = instance.table
     release_of = {c.id: c.release for c in instance.coflows}
-    size_of = {
-        FlowKey(i, j, c.id): d for c in instance.coflows for i, j, d in c.flows()
-    }
 
-    transmitted: dict[FlowKey, float] = {key: 0.0 for key in size_of}
+    transmitted: dict[FlowKey, float] = dict.fromkeys(table.keys, 0.0)
     for seg in result.timeline:
         if seg.end <= seg.start:
             bad.append(f"empty or reversed segment {seg}")
         transmitted[seg.flow] += seg.end - seg.start
-    for key, d in size_of.items():
+    for key, d, r in zip(table.keys, table.size, table.release):
         if abs(transmitted[key] - d) > 1e-6:
             bad.append(f"flow {tuple(key)} transmitted {transmitted[key]}, size {d}")
         comp = result.flow_completion.get(key)
         if comp is None:
             bad.append(f"flow {tuple(key)} has no completion time")
-        elif comp < release_of[key.k] + d - 1e-9:
+        elif comp < r + d - 1e-9:
             bad.append(f"flow {tuple(key)} completed at {comp}, before release + size")
 
     for c in instance.coflows:
-        expect = (
-            max(result.flow_completion[k] for k in size_of if k.k == c.id)
-            if c.flow_count
-            else float(c.release)
-        )
+        own = table.keys[table.first[c.id - 1] : table.first[c.id]]
+        expect = max(result.flow_completion[k] for k in own) if own else float(c.release)
         got = result.coflow_completion.get(c.id)
         if got is None or abs(got - expect) > 1e-9:
             bad.append(f"coflow {c.id} completion {got}, expected {expect}")

@@ -11,19 +11,17 @@ placement), minus the double-counted share of its own transmission.
 
 import numpy as np
 
-from coflowsched.model import compute_loads
-
 
 def _prefix_walk(instance, order):
     """Yield (coflow, cumulative in/out port loads, release ceiling)."""
-    loads = compute_loads(instance)
+    table = instance.table
     cum_in = np.zeros(instance.ports + 1, dtype=np.int64)
     cum_out = np.zeros(instance.ports + 1, dtype=np.int64)
     max_r = 0
     for k in order:
         c = instance.coflow(k)
-        cum_in += loads.input_by_coflow[k]
-        cum_out += loads.output_by_coflow[k]
+        cum_in += table.load_in[k]
+        cum_out += table.load_out[k]
         max_r = max(max_r, c.release)
         yield c, cum_in, cum_out, max_r
 

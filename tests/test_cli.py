@@ -191,3 +191,47 @@ def test_corrupt_instance_error(tmp_path, capsys):
     code, _, err = run(capsys, "schedule", str(bad))
     assert code == 1
     assert "missing field" in json.loads(err)["error"]
+
+
+def _one_coflow_doc(**fields):
+    coflow = {"id": 1, "release": 0, "weight": 1, "flows": [{"i": 1, "j": 1, "size": 2}]}
+    coflow.update(fields)
+    return {"cores": 1, "ports": 2, "coflows": [coflow]}
+
+
+BIG_FLOWS = [{"i": 1, "j": 1, "size": 3 * 10**9}, {"i": 1, "j": 2, "size": 3 * 10**9}]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        pytest.param(_one_coflow_doc(weight="3"), "weight must be", id="weight-string"),
+        pytest.param(_one_coflow_doc(weight=None), "weight must be", id="weight-null"),
+        pytest.param(_one_coflow_doc(weight=True), "weight must be", id="weight-true"),
+        pytest.param(_one_coflow_doc(weight=float("inf")), "weight must be", id="weight-inf"),
+        pytest.param(_one_coflow_doc(weight=float("nan")), "weight must be", id="weight-nan"),
+        pytest.param(_one_coflow_doc(flows=[[1, 1, 2]]), "list of objects", id="flow-arrays"),
+        pytest.param([_one_coflow_doc()], "must be an object", id="top-level-list"),
+        pytest.param(_one_coflow_doc(id=True), "ids must be 1..n", id="id-true"),
+        pytest.param(_one_coflow_doc(flows=BIG_FLOWS), "input port 1 carries", id="in-total"),
+        pytest.param(
+            _one_coflow_doc(flows=[dict(f, i=f["j"], j=1) for f in BIG_FLOWS]),
+            "output port 1 carries",
+            id="out-total",
+        ),
+        pytest.param(
+            _one_coflow_doc(flows=[{"i": 1, "j": 1, "size": 10**19}]),
+            "above the limit",
+            id="size-1e19",
+        ),
+        pytest.param(_one_coflow_doc(release=2**63), "time horizon", id="release-2e63"),
+    ],
+)
+def test_bad_instance_exits_with_one_json_line(tmp_path, capsys, doc, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "schedule", str(path))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert message in json.loads(lines[0])["error"]

@@ -45,13 +45,16 @@ def test_child_seed_is_stable_and_spread():
 
 def test_run_pipeline_shape():
     inst = gen_mix(6, 8, 12, cores=2)
-    obj, dual, rat, result = run_pipeline(inst, "flow", 0.5)
-    assert obj == pytest.approx(result.objective)
+    obj, dual, rat, result, perm = run_pipeline(inst, "flow", 0.5)
+    assert obj == result.objective
+    assert dual == perm.dual_cost
     assert rat == pytest.approx(obj / dual)
     assert rat >= 1 - 1e-9
-    cobj, cdual, crat, _ = run_pipeline(inst, "coflow", 0.5)
+    assert result.timeline is None
+    cobj, cdual, crat, _, cperm = run_pipeline(inst, "coflow", 0.5, emit_timeline=True)
     assert crat >= 1 - 1e-9
     assert (cobj, cdual) != (obj, dual)
+    assert cperm.order == perm.order
 
 
 def small(kind, **overrides):

@@ -10,15 +10,14 @@ from coflowsched.metrics import (
     ExperimentReport,
     ExperimentRow,
     aggregates_dict,
-    objective,
     ratio,
     summarize,
     write_aggregates_json,
     write_cdf_csv,
     write_rows_csv,
 )
-from coflowsched.model import Coflow, FlowKey, Instance
-from coflowsched.scheduling import ScheduleResult, assign_fdls, simulate
+from coflowsched.model import Coflow, Instance
+from coflowsched.scheduling import assign_fdls, simulate
 
 UNIT_PAIR = Instance(
     cores=1,
@@ -30,38 +29,9 @@ UNIT_PAIR = Instance(
 )
 
 
-def result_for(completions):
-    return ScheduleResult(flow_completion={}, coflow_completion=completions, objective=0.0)
-
-
-def test_objective_single_coflow():
-    inst = Instance(
-        cores=1, ports=1, coflows=(Coflow(id=1, release=0, weight=3, demands={(1, 1): 6}),)
-    )
-    assert objective(result_for({1: 6.0}), inst) == pytest.approx(18.0)
-
-
-def test_objective_two_coflows():
-    inst = Instance(
-        cores=1,
-        ports=2,
-        coflows=(
-            Coflow(id=1, release=0, weight=2, demands={(1, 1): 1}),
-            Coflow(id=2, release=0, weight=1, demands={(2, 2): 2}),
-        ),
-    )
-    assert objective(result_for({1: 1.0, 2: 2.0}), inst) == pytest.approx(4.0)
-
-
 def test_objective_on_simulated_unit_pair():
     res = simulate(UNIT_PAIR, [2, 1], assign_fdls(UNIT_PAIR, [2, 1]))
-    assert objective(res, UNIT_PAIR) == pytest.approx(4.0)
     assert res.objective == pytest.approx(4.0)
-
-
-def test_objective_missing_coflow():
-    with pytest.raises(ValueError, match="coflow 2"):
-        objective(result_for({1: 1.0}), UNIT_PAIR)
 
 
 def test_ratio_conventions():

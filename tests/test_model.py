@@ -1,13 +1,15 @@
-"""Domain types, load tables, validation, and the instance JSON format."""
+"""Domain types, the compiled flow table, validation, and the instance JSON format."""
 
 import numpy as np
 import pytest
 
+from coflowsched.experiments import run_pipeline
 from coflowsched.model import (
     Coflow,
     FlowKey,
+    MAX_HORIZON,
+    MAX_PORT_TOTAL,
     Instance,
-    compute_loads,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
@@ -30,32 +32,32 @@ def test_coflow_accessors():
     c = Coflow(id=1, release=0, weight=2, demands={(1, 2): 3, (1, 1): 5})
     assert c.flow_count == 2
     assert c.max_demand == 5
-    assert c.total_demand == 8
     # flows() is the canonical (i, j) ordering used by serialization
     assert c.flows() == [(1, 1, 5), (1, 2, 3)]
 
 
 def test_empty_instance_loads_are_zero():
-    table = compute_loads(make())
-    assert table.input_total.sum() == 0
-    assert table.output_total.sum() == 0
+    table = make().table
+    assert table.keys == [] and table.first == [0]
+    assert table.load_in.shape == table.load_out.shape == (1, 3)
+    assert table.load_in.sum() == 0
+    assert table.load_out.sum() == 0
 
 
 def test_single_flow_loads():
-    inst = make(coflows=[Coflow(id=1, release=0, weight=1, demands={(1, 1): 4})])
-    table = compute_loads(inst)
-    assert table.input_load(1, 1) == 4
-    assert table.output_load(1, 1) == 4
-    assert table.input_total[1] == 4
-    assert table.output_total[1] == 4
+    inst = make(coflows=[Coflow(id=1, release=3, weight=1, demands={(1, 1): 4})])
+    table = inst.table
+    assert table.load_in[1, 1] == 4
+    assert table.load_out[1, 1] == 4
+    assert (table.size, table.release, table.first) == ([4], [3], [0, 1])
 
 
 def test_two_flow_loads():
     inst = make(coflows=[Coflow(id=1, release=0, weight=1, demands={(1, 1): 2, (1, 2): 3})])
-    table = compute_loads(inst)
-    assert table.input_total[1] == 5
-    assert table.output_total[1] == 2
-    assert table.output_total[2] == 3
+    table = inst.table
+    assert table.load_in[1, 1] == 5
+    assert table.load_out[1, 1] == 2
+    assert table.load_out[1, 2] == 3
 
 
 def test_load_consistency_random():
@@ -72,12 +74,15 @@ def test_load_consistency_random():
                 demands[pair] = int(rng.integers(1, 50))
             total += sum(demands.values())
             coflows.append(Coflow(id=k, release=0, weight=1, demands=demands))
-        table = compute_loads(make(ports=ports, coflows=coflows))
-        assert table.input_total[1:].sum() == total
-        assert table.output_total[1:].sum() == total
-        # totals are the coflow-wise sums
-        assert np.array_equal(table.input_by_coflow.sum(axis=0), table.input_total)
-        assert np.array_equal(table.output_by_coflow.sum(axis=0), table.output_total)
+        table = make(ports=ports, coflows=coflows).table
+        assert table.load_in.sum() == table.load_out.sum() == total == sum(table.size)
+        # each coflow's row sums to its own demand, in its own key slice
+        for c in coflows:
+            own = slice(table.first[c.id - 1], table.first[c.id])
+            assert table.load_in[c.id].sum() == sum(c.demands.values())
+            assert table.load_out[c.id].sum() == sum(table.size[own])
+            assert table.keys[own] == [FlowKey(i, j, c.id) for i, j, _ in c.flows()]
+        assert table.first[-1] == len(table.keys)
 
 
 def test_validate_ok():
@@ -115,10 +120,26 @@ def test_validate_bad_scalars():
     assert "size must be an integer" in problems
 
 
+def test_validate_accepts_the_stated_limits():
+    inst = make(
+        coflows=[
+            Coflow(id=1, release=0, weight=1, demands={(1, 1): MAX_PORT_TOTAL}),
+            Coflow(id=2, release=MAX_HORIZON - 2 * MAX_PORT_TOTAL, weight=1,
+                   demands={(2, 2): MAX_PORT_TOTAL}),
+        ]
+    )
+    assert validate(inst) == []
+    for granularity in ("flow", "coflow"):
+        out = run_pipeline(inst, granularity, 0.5)
+        assert out.dual_cost <= out.objective
+
+
 def test_require_valid_raises():
     inst = make(coflows=[Coflow(id=1, release=0, weight=1, demands={(1, 1): -2})])
     with pytest.raises(ValueError, match="invalid instance"):
         require_valid(inst)
+    with pytest.raises(ValueError, match="invalid instance"):
+        inst.table
 
 
 def test_roundtrip_preserves_integers_exactly():
@@ -167,6 +188,8 @@ def test_instance_accessors():
     assert inst.n == 2
     assert inst.flow_count == 3
     assert inst.coflow(2).id == 2
-    assert inst.flow_keys() == [FlowKey(1, 1, 1), FlowKey(1, 2, 2), FlowKey(2, 2, 2)]
+    assert inst.table.keys == [FlowKey(1, 1, 1), FlowKey(1, 2, 2), FlowKey(2, 2, 2)]
+    assert inst.table.first == [0, 1, 3]
+    assert inst.table is inst.table
     with pytest.raises(IndexError):
         inst.coflow(3)

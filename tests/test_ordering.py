@@ -6,16 +6,10 @@ hand: each assertion pins one branch decision or one dual increment.
 
 import time
 
-import numpy as np
 import pytest
 
 from coflowsched.model import Coflow, Instance
-from coflowsched.ordering import (
-    order_coflow_level,
-    order_flow_level,
-    set_function_coflow,
-    set_function_flow,
-)
+from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.workload import gen_density, gen_mix
 
 KAPPA = 0.5
@@ -28,32 +22,6 @@ def single(demands, release=0, weight=1, cores=1, ports=None):
         ports=ports,
         coflows=(Coflow(id=1, release=release, weight=weight, demands=demands),),
     )
-
-
-# --- set functions ---------------------------------------------------------
-
-
-def test_set_function_flow_values():
-    assert set_function_flow([], 3) == 0
-    assert set_function_flow([4], 1) == 16  # (16 + 16) / 2
-    assert set_function_flow([1, 2], 2) == 3.5  # (9 + 5) / 4
-
-
-def test_set_function_coflow_values():
-    assert set_function_coflow([], 1) == 0
-    assert set_function_coflow([4], 1) == 16
-    assert set_function_coflow([3, 1], 1) == 13  # (10 + 16) / 2
-
-
-def test_set_function_observation_bound():
-    # d(S)^2 <= 2m * f(S) holds by construction; spot-check both forms
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        sizes = rng.integers(1, 40, size=rng.integers(1, 9)).tolist()
-        m = int(rng.integers(1, 5))
-        total = sum(sizes)
-        assert total**2 <= 2 * m * set_function_flow(sizes, m) + 1e-9
-        assert total**2 <= 2 * m * set_function_coflow(sizes, m) + 1e-9
 
 
 # --- worked single-coflow runs ---------------------------------------------

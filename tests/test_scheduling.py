@@ -240,16 +240,14 @@ def test_completion_times_are_integral():
 
 def test_simulate_rejects_incomplete_assignment():
     inst = one_coflow({(1, 1): 2, (1, 2): 2}, cores=2)
-    zero = np.zeros((inst.ports + 1, inst.cores + 1), dtype=np.int64)
-    partial = Assignment("flow", {FlowKey(1, 1, 1): 1}, None, zero, zero)
+    partial = Assignment("flow", {FlowKey(1, 1, 1): 1}, None)
     with pytest.raises(ValueError):
         simulate(inst, [1], partial)
 
 
 def test_simulate_rejects_core_out_of_range():
     inst = one_coflow({(1, 1): 2})
-    zero = np.zeros((inst.ports + 1, inst.cores + 1), dtype=np.int64)
-    bad = Assignment("flow", {FlowKey(1, 1, 1): 2}, None, zero, zero)
+    bad = Assignment("flow", {FlowKey(1, 1, 1): 2}, None)
     with pytest.raises(ValueError):
         simulate(inst, [1], bad)
 
