@@ -86,12 +86,16 @@ class Instance:
         """
         require_valid(self)
         keys: list[FlowKey] = []
+        fi: list[int] = []
+        fj: list[int] = []
         size: list[int] = []
         release: list[int] = []
         first = [0]
         for c in self.coflows:
             for i, j, d in c.flows():
                 keys.append(FlowKey(i, j, c.id))
+                fi.append(i)
+                fj.append(j)
                 size.append(d)
                 release.append(c.release)
             first.append(len(keys))
@@ -102,7 +106,7 @@ class Instance:
             d = np.array(size, dtype=np.int64)
             np.add.at(load_in, (k, i), d)
             np.add.at(load_out, (k, j), d)
-        return FlowTable(keys, size, release, first, load_in, load_out)
+        return FlowTable(keys, fi, fj, size, release, first, load_in, load_out)
 
 
 @dataclass(frozen=True)
@@ -110,12 +114,16 @@ class FlowTable:
     """An instance compiled once into the flat form every stage reads.
 
     Flows are listed in (coflow, i, j) order, and coflow k's flows are
-    ``keys[first[k - 1]:first[k]]``. ``load_in[k, i]`` and
+    ``keys[first[k - 1]:first[k]]``. ``fi`` and ``fj`` hold each flow's
+    input and output port, ``size`` and ``release`` its size and its
+    coflow's release. ``load_in[k, i]`` and
     ``load_out[k, j]`` are coflow k's total size at a port; row 0 and
     column 0 are unused, so 1-based ids index directly.
     """
 
     keys: list[FlowKey]
+    fi: list[int]
+    fj: list[int]
     size: list[int]
     release: list[int]
     first: list[int]
@@ -131,6 +139,11 @@ MAX_PORT_TOTAL = 3_037_000_499
 # Largest release + total size: every simulated event time is at most this,
 # and float64 holds every integer up to 2**53 exactly.
 MAX_HORIZON = 2**53
+# Largest port and core counts. Placement keeps two int64 arrays of
+# (ports + 1) x (cores + 1) entries, about 41 MB at both limits; the flow
+# table and the ordering keep several of (coflows + 1) x (ports + 1).
+MAX_PORTS = 10_000
+MAX_CORES = 256
 
 
 def _is_int(x: Any) -> bool:
@@ -150,9 +163,13 @@ def validate(instance: Instance) -> list[str]:
     bad: list[str] = []
     if not _is_int(instance.cores) or instance.cores < 1:
         bad.append(f"cores must be a positive integer, got {instance.cores!r}")
+    elif instance.cores > MAX_CORES:
+        bad.append(f"cores {instance.cores} above the limit {MAX_CORES}")
     ports_ok = _is_int(instance.ports) and instance.ports >= 1
     if not ports_ok:
         bad.append(f"ports must be a positive integer, got {instance.ports!r}")
+    elif instance.ports > MAX_PORTS:
+        bad.append(f"ports {instance.ports} above the limit {MAX_PORTS}")
     port_in: dict[int, int] = {}
     port_out: dict[int, int] = {}
     total_size = 0
@@ -237,7 +254,14 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
             demands: dict[tuple[int, int], int] = {}
             for f in _objects(entry["flows"], "flows"):
                 key = (f["i"], f["j"])
-                if key in demands:
+                try:
+                    duplicate = key in demands
+                except TypeError:  # an unhashable port value, such as a list
+                    raise ValueError(
+                        f"coflow {entry['id']} flow ({key[0]!r},{key[1]!r}): "
+                        "ports must be integers"
+                    ) from None
+                if duplicate:
                     raise ValueError(
                         f"coflow {entry['id']}: duplicate flow on port pair {key}"
                     )

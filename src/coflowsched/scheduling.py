@@ -2,17 +2,22 @@
 
 Both assignment policies walk coflows in the given processing order and
 balance projected port loads across the m cores. The simulator then runs a
-preemptive list schedule per core: at every event (a release, or a flow
-completing on any core) each core rebuilds its set of transmitting flows by
-scanning its priority list greedily, starting each flow whose input and
-output ports are still free on that core. Rates are unit, so with integer
-demands and releases every event time is an integer.
+preemptive list schedule per core: at every instant a core transmits the
+greedy set of its priority list, each flow whose input and output ports
+are not taken by a better-ranked flow on that core. Cores share no port,
+so each core runs its own event loop and advances only at its own
+completions and releases. A completion or a preemption frees two ports,
+and only the flows waiting at those ports are re-examined, in rank order.
+Rates are unit, so with integer demands and releases every event time is
+an integer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import attrgetter, neg
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,6 +52,9 @@ class ScheduleResult:
     timeline: list[Segment] | None = None
 
 
+_CORE_ID_TYPES = (int, np.integer)
+
+
 def _order_list(order, n: int) -> list[int]:
     seq = list(order.order) if isinstance(order, Permutation) else list(order)
     if sorted(seq) != list(range(1, n + 1)):
@@ -68,15 +76,15 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     load_in = np.zeros((ports + 1, m + 1), dtype=np.int64)
     load_out = np.zeros((ports + 1, m + 1), dtype=np.int64)
     placement: dict[FlowKey, int] = {}
-    keys, size = table.keys, table.size
+    keys, size, fi, fj = table.keys, table.size, table.fi, table.fj
     for k in seq:
         flows = range(table.first[k - 1], table.first[k])
         for idx in sorted(flows, key=lambda x: -size[x]):
-            key = keys[idx]
-            h = int(np.argmin(load_in[key.i, 1:] + load_out[key.j, 1:])) + 1
-            placement[key] = h
-            load_in[key.i, h] += size[idx]
-            load_out[key.j, h] += size[idx]
+            i, j = fi[idx], fj[idx]
+            h = int(np.argmin(load_in[i, 1:] + load_out[j, 1:])) + 1
+            placement[keys[idx]] = h
+            load_in[i, h] += size[idx]
+            load_out[j, h] += size[idx]
     return Assignment("flow", placement, None)
 
 
@@ -125,113 +133,177 @@ def simulate(
 
     Priority on a core is (coflow position in the order, then size
     non-increasing under flow granularity or port-pair order under coflow
-    granularity, then (i, j)). Preemption happens only at events. Completion
-    of a coflow is the completion of its last flow; a flowless coflow
-    completes at its release.
+    granularity, then (i, j)). At every instant each core transmits the
+    greedy set of its priority list: a released, unfinished flow runs
+    exactly when no better-ranked running flow on that core shares one of
+    its ports. Cores share no port, so each core is simulated on its own,
+    and the set changes only at that core's own completions and releases.
+    Completion of a coflow is the completion of its last flow; a flowless
+    coflow completes at its release.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
     pos = {k: p for p, k in enumerate(seq)}
     m = instance.cores
     keys, sizes, rel = table.keys, table.size, table.release
+    fi, fj = table.fi, table.fj
 
     known = set(keys)
     for key, h in assignment.flow_to_core.items():
         if key not in known:
             raise ValueError(f"assignment references unknown flow {tuple(key)}")
-        if not (isinstance(h, (int, np.integer)) and 1 <= h <= m):
+        if not (isinstance(h, _CORE_ID_TYPES) and 1 <= h <= m):
             raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
-    missing = known - set(assignment.flow_to_core)
+    missing = known.difference(assignment.flow_to_core)
     if missing:
         raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
 
     total = len(keys)
-    core_of = [assignment.flow_to_core[key] for key in keys]
-    by_coflow = assignment.granularity == "coflow"
-    per_core: list[list[int]] = [[] for _ in range(m + 1)]
-    for idx in range(total):
-        per_core[core_of[idx]].append(idx)
-    for lst in per_core:
-        if by_coflow:
-            lst.sort(key=lambda idx: (pos[keys[idx].k], keys[idx].i, keys[idx].j))
-        else:
-            lst.sort(key=lambda idx: (pos[keys[idx].k], -sizes[idx], keys[idx].i, keys[idx].j))
-
-    remaining = [float(d) for d in sizes]
+    core_of = list(map(assignment.flow_to_core.__getitem__, keys))
+    rank_of = list(map(pos.__getitem__, map(attrgetter("k"), keys)))
+    if assignment.granularity == "coflow":
+        ranked = sorted(zip(core_of, rank_of, fi, fj, range(total)))
+    else:
+        ranked = sorted(zip(core_of, rank_of, map(neg, sizes), fi, fj, range(total)))
     finish = [0.0] * total
-    release_times = sorted({c.release for c in instance.coflows})
-    fi = [key.i for key in keys]
-    fj = [key.j for key in keys]
+    segs: list[tuple[float, float, int]] | None = [] if emit_timeline else None
+    _list_schedule(ranked, sizes, rel, finish, segs)
 
-    segs: list[list[float]] = []  # [start, end, flow idx]
-    open_seg = [-1] * total
-    ports = instance.ports
-    left = total
-    t = 0.0
-
-    while left:
-        running: list[int] = []
-        for h in range(1, m + 1):
-            occ_in = bytearray(ports + 1)
-            occ_out = bytearray(ports + 1)
-            for idx in per_core[h]:
-                if rel[idx] > t:
-                    continue
-                i = fi[idx]
-                j = fj[idx]
-                if occ_in[i] or occ_out[j]:
-                    continue
-                occ_in[i] = 1
-                occ_out[j] = 1
-                running.append(idx)
-        nxt = bisect_right(release_times, t)
-        next_release = release_times[nxt] if nxt < len(release_times) else None
-        if not running:
-            if next_release is None:
-                raise RuntimeError("no runnable flow and no pending release")
-            t = float(next_release)
-            continue
-        t_end = t + min(remaining[idx] for idx in running)
-        if next_release is not None and next_release < t_end:
-            t_end = float(next_release)
-        span = t_end - t
-        done_cores = set()
-        for idx in running:
-            if emit_timeline:
-                s = open_seg[idx]
-                if s >= 0 and segs[s][1] == t:
-                    segs[s][1] = t_end
-                else:
-                    open_seg[idx] = len(segs)
-                    segs.append([t, t_end, idx])
-            remaining[idx] -= span
-            if remaining[idx] <= 1e-9:
-                remaining[idx] = 0.0
-                finish[idx] = t_end
-                left -= 1
-                done_cores.add(core_of[idx])
-        for h in done_cores:
-            per_core[h] = [idx for idx in per_core[h] if remaining[idx] > 0.0]
-        t = t_end
-
-    flow_completion = {keys[idx]: finish[idx] for idx in range(total)}
+    flow_completion = dict(zip(keys, finish))
     coflow_completion: dict[int, float] = {}
     objective = 0.0
-    for c in instance.coflows:
-        own = finish[table.first[c.id - 1] : table.first[c.id]]
-        done = max(own) if own else float(c.release)
+    for c, lo, hi in zip(instance.coflows, table.first, table.first[1:]):
+        done = max(finish[lo:hi]) if hi > lo else float(c.release)
         coflow_completion[c.id] = done
         objective += c.weight * done
     # Unit rates over integer demands keep every event on the integer grid.
-    for idx in range(total):
-        assert abs(finish[idx] - round(finish[idx])) <= 1e-9
+    for done in finish:
+        assert abs(done - round(done)) <= 1e-9
 
     timeline = None
-    if emit_timeline:
+    if segs is not None:
         timeline = sorted(
             Segment(s, e, keys[idx], core_of[idx]) for s, e, idx in segs
         )
     return ScheduleResult(flow_completion, coflow_completion, objective, timeline)
+
+
+def _list_schedule(ranked, sizes, rel, finish, segs) -> None:
+    """Run each core's event loop in turn.
+
+    ``ranked`` rows end in (input port, output port, flow index) and list
+    the flows core by core, best first; a flow is named by its rank g, its
+    row. Every port keeps one list, ``queue[port]``: the rank of the flow
+    holding it (``free`` when none), then the rank-sorted released,
+    unfinished flows on it. Input port i is keyed i and output port j is
+    keyed -j. A core ends with every port free and every list empty, so the
+    next core reuses them. At an event time t, every completion and release
+    of the core at t is applied first. Then a heap yields candidates in
+    rank order: a released flow, or the next flow waiting at a port that a
+    departing holder freed. Because candidates come best first, every
+    better-ranked flow already has its final state for t, so a candidate
+    starts exactly when neither port is held by a better-ranked flow,
+    preempting worse-ranked holders. A preempted flow lost a port to a
+    better flow that keeps it for the rest of t, so no flow stops and
+    restarts at the same instant, and a flow's run never splits into two
+    touching segments.
+    Writes ``finish`` and appends (start, end, flow index) to ``segs``.
+    """
+    total = len(ranked)
+    if not total:
+        return
+    free = total  # holder value of a free port: above every rank, never "better"
+    cols = list(zip(*ranked))
+    cores, port_a, flows = cols[0], cols[-3], cols[-1]
+    port_b = tuple(map(neg, cols[-2]))
+    queue = {port: [free] for port in {*port_a, *port_b}}
+    queue_a = list(map(queue.__getitem__, port_a))
+    queue_b = list(map(queue.__getitem__, port_b))
+    rem = list(map(sizes.__getitem__, flows))  # remaining size at the last start
+    end = [-1.0] * total  # finish time while running, -1 otherwise
+    arrive = list(map(float, map(rel.__getitem__, flows)))
+    never = float("inf")
+    arrive.append(never)  # rank ``total`` ends every core's arrival list
+    running: list[tuple[float, int]] = []  # heap of (finish time, rank)
+    cand: list[tuple[int, int]] = []  # heap of (rank, scanned port or 0 for none)
+
+    lo = 0
+    while lo < total:
+        hi = bisect_right(cores, cores[lo], lo)
+        arrivals = sorted(range(lo, hi), key=arrive.__getitem__)
+        arrivals.append(total)
+        nxt = 0
+        t_rel = arrive[arrivals[0]]
+        left = hi - lo
+        lo = hi
+        while left:
+            if running and running[0][0] <= t_rel:
+                t = running[0][0]
+            elif t_rel < never:
+                t = t_rel
+            else:
+                raise RuntimeError("no runnable flow and no pending release")
+
+            while running and running[0][0] == t:
+                g = heappop(running)[1]
+                end[g] = -1.0
+                finish[flows[g]] = t
+                if segs is not None:
+                    segs.append((t - rem[g], t, flows[g]))
+                left -= 1
+                for port in (port_a[g], port_b[g]):
+                    lst = queue[port]
+                    lst[0] = free
+                    p = bisect_left(lst, g, 1)
+                    del lst[p]
+                    if p < len(lst):
+                        cand.append((lst[p], port))
+            if t == t_rel:
+                while arrive[arrivals[nxt]] == t:
+                    g = arrivals[nxt]
+                    nxt += 1
+                    insort(queue_a[g], g, 1)
+                    insort(queue_b[g], g, 1)
+                    cand.append((g, 0))
+                t_rel = arrive[arrivals[nxt]]
+            heapify(cand)
+
+            while cand:
+                q, scan = heappop(cand)
+                if end[q] >= 0.0:
+                    continue  # already running; a scan stops, as q holds the port
+                qa, qb = queue_a[q], queue_b[q]
+                ha, hb = qa[0], qb[0]
+                if ha < q or hb < q:
+                    # Blocked by a better holder. A port scan goes on to the
+                    # next waiting flow, unless the scanned port is the block.
+                    if scan:
+                        lst = queue[scan]
+                        if lst[0] > q:
+                            p = bisect_right(lst, q, 1)
+                            if p < len(lst):
+                                heappush(cand, (lst[p], scan))
+                    continue
+                if ha != free or hb != free:
+                    # Preempt the worse holders; each frees its other port.
+                    worse = ((ha, queue_b, port_b), (hb, queue_a, port_a))
+                    for v, other_queue, other_port in worse:
+                        if v == free or end[v] < 0.0:
+                            continue  # no holder, or already preempted via the other port
+                        running.remove((end[v], v))
+                        heapify(running)
+                        if segs is not None:
+                            segs.append((end[v] - rem[v], t, flows[v]))
+                        rem[v] = end[v] - t
+                        end[v] = -1.0
+                        lst = other_queue[v]
+                        lst[0] = free
+                        p = bisect_right(lst, v, 1)
+                        if p < len(lst):
+                            heappush(cand, (lst[p], other_port[v]))
+                qa[0] = qb[0] = q
+                end[q] = t + rem[q]
+                heappush(running, (end[q], q))
 
 
 def audit_schedule(
@@ -276,11 +348,22 @@ def audit_schedule(
         if got is None or abs(got - expect) > 1e-9:
             bad.append(f"coflow {c.id} completion {got}, expected {expect}")
 
+    # Bucket the segments by core, and their spans by (core, side, port).
+    segs_of: dict[int, list[Segment]] = {}
+    spans_of: dict[tuple[int, int], dict[int, list[tuple[float, float]]]] = {}
+    for seg in result.timeline:
+        segs_of.setdefault(seg.core, []).append(seg)
+        for side, port in ((0, seg.flow.i), (1, seg.flow.j)):
+            spans_of.setdefault((seg.core, side), {}).setdefault(port, []).append(
+                (seg.start, seg.end)
+            )
+    placed_on: dict[int, set[FlowKey]] = {}
+    for key, h in assignment.flow_to_core.items():
+        placed_on.setdefault(h, set()).add(key)
+
     for h in range(1, m + 1):
-        flows_h = sorted(
-            {seg.flow for seg in result.timeline if seg.core == h}
-            | {k for k, hh in assignment.flow_to_core.items() if hh == h}
-        )
+        segs_h = segs_of.get(h, [])
+        flows_h = sorted({seg.flow for seg in segs_h} | placed_on.get(h, set()))
         if not flows_h:
             continue
         local = {key: p for p, key in enumerate(flows_h)}
@@ -288,19 +371,17 @@ def audit_schedule(
         arr_j = np.array([key.j for key in flows_h])
         arr_rel = np.array([release_of[key.k] for key in flows_h], dtype=float)
         arr_comp = np.array([result.flow_completion[key] for key in flows_h])
-        segs_h = [seg for seg in result.timeline if seg.core == h]
 
-        for side in ("input", "output"):
-            for p in range(1, ports + 1):
-                spans = sorted(
-                    (seg.start, seg.end)
-                    for seg in segs_h
-                    if (seg.flow.i if side == "input" else seg.flow.j) == p
-                )
+        for side, name in enumerate(("input", "output")):
+            by_port = spans_of.get((h, side), {})
+            for p in sorted(by_port):
+                if not 1 <= p <= ports:
+                    continue
+                spans = sorted(by_port[p])
                 for (_, e1), (s2, _) in zip(spans, spans[1:]):
                     if s2 < e1 - 1e-9:
                         bad.append(
-                            f"core {h} {side} port {p}: overlap at {s2} before {e1}"
+                            f"core {h} {name} port {p}: overlap at {s2} before {e1}"
                         )
 
         bounds = np.unique(

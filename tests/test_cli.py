@@ -225,6 +225,15 @@ BIG_FLOWS = [{"i": 1, "j": 1, "size": 3 * 10**9}, {"i": 1, "j": 2, "size": 3 * 1
             id="size-1e19",
         ),
         pytest.param(_one_coflow_doc(release=2**63), "time horizon", id="release-2e63"),
+        pytest.param(
+            _one_coflow_doc(flows=[{"i": [1], "j": 1, "size": 2}]),
+            "ports must be integers",
+            id="port-list",
+        ),
+        pytest.param(
+            dict(_one_coflow_doc(), ports=10**13), "ports 10000000000000 above", id="ports-1e13"
+        ),
+        pytest.param(dict(_one_coflow_doc(), cores=10**6), "cores 1000000 above", id="cores-1e6"),
     ],
 )
 def test_bad_instance_exits_with_one_json_line(tmp_path, capsys, doc, message):

@@ -7,8 +7,10 @@ from coflowsched.experiments import run_pipeline
 from coflowsched.model import (
     Coflow,
     FlowKey,
+    MAX_CORES,
     MAX_HORIZON,
     MAX_PORT_TOTAL,
+    MAX_PORTS,
     Instance,
     dumps_instance,
     instance_from_dict,
@@ -132,6 +134,20 @@ def test_validate_accepts_the_stated_limits():
     for granularity in ("flow", "coflow"):
         out = run_pipeline(inst, granularity, 0.5)
         assert out.dual_cost <= out.objective
+
+
+def test_port_and_core_limits():
+    top = Coflow(id=1, release=0, weight=1, demands={(MAX_PORTS, 1): 3})
+    inst = make(cores=MAX_CORES, ports=MAX_PORTS, coflows=[top])
+    assert validate(inst) == []
+    for granularity in ("flow", "coflow"):
+        assert run_pipeline(inst, granularity, 0.5).objective == 3.0
+    assert validate(make(cores=MAX_CORES + 1, ports=MAX_PORTS, coflows=[top])) == [
+        f"cores {MAX_CORES + 1} above the limit {MAX_CORES}"
+    ]
+    assert validate(make(cores=1, ports=MAX_PORTS + 1, coflows=[top])) == [
+        f"ports {MAX_PORTS + 1} above the limit {MAX_PORTS}"
+    ]
 
 
 def test_require_valid_raises():
