@@ -1,12 +1,15 @@
 """Exhaustive baselines for small instances.
 
-enumerate_best tries every coflow permutation crossed with every core
-placement (per flow or per coflow, depending on granularity) and simulates
-each, so its best_cost is the cheapest list schedule and an upper bound on
-the optimum of that granularity. trivial_lower_bound is the opposite side:
-a per-coflow floor no schedule can beat. Both exist to sandwich-check the
-dual bound and the two assignment policies on instances small enough to
-enumerate.
+enumerate_best scores every coflow permutation crossed with every core
+placement (per flow or per coflow, depending on granularity), so its
+best_cost is the cheapest list schedule and an upper bound on the optimum of
+that granularity. Cores share no port, so a core's schedule depends only on
+the flows placed on it, in priority order; each distinct such sequence is
+simulated once per call, and every pair is scored from those per-core
+finish times with the same fold ``simulate`` uses. trivial_lower_bound is
+the opposite side: a per-coflow floor no schedule can beat. Both exist to
+sandwich-check the dual bound and the two assignment policies on instances
+small enough to enumerate.
 
 The granularities are not interchangeable here. A coflow-level dual cost
 can legitimately exceed the best flow-level schedule (splitting a coflow
@@ -19,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations, product
 
-from .model import FlowKey, Instance
-from .scheduling import Assignment, simulate
+from .model import FlowKey, FlowTable, Instance
+from .scheduling import _fold_completions, _list_schedule, _priority_rows
 
 
 @dataclass
@@ -51,6 +54,15 @@ def trivial_lower_bound(instance: Instance) -> float:
     return total
 
 
+def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
+    """Finish times of ``rows``, one core's flows best first, alone on a core."""
+    finish = [0.0] * len(table.keys)
+    _list_schedule(
+        [(1, table.fi[r], table.fj[r], r) for r in rows], table.size, table.release, finish, None
+    )
+    return [finish[r] for r in rows]
+
+
 def enumerate_best(
     instance: Instance,
     granularity: str = "flow",
@@ -60,12 +72,16 @@ def enumerate_best(
 ) -> OracleResult:
     """Brute-force the best list schedule at the given granularity.
 
+    Every (permutation, placement) pair is scored, and counted in
+    ``schedules_examined``, with the objective ``simulate`` would return for
+    it; a core's flow sequence that repeats is simulated only once per call.
     Refuses instances beyond the caps: the search is factorial in n and
     exponential in the flow (or coflow) count. The witness is the first
     minimizer in lexicographic (permutation, assignment) order, so results
     are deterministic.
     """
-    keys = instance.table.keys
+    table = instance.table
+    keys = table.keys
     if granularity not in ("flow", "coflow"):
         raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
     n, m = instance.n, instance.cores
@@ -75,29 +91,33 @@ def enumerate_best(
             f"N<={max_ports}, m<={max_cores}"
         )
 
+    owner = [key.k - 1 for key in keys]
+    # Finish times per core flow tuple (rows in priority order); an idle
+    # core has none.
+    core_runs: dict[tuple[int, ...], list[float]] = {(): []}
+    finish = [0.0] * len(keys)
     best_cost = float("inf")
     best_order: list[int] = []
     best_assignment: dict[FlowKey, int] = {}
     examined = 0
+    slots = len(keys) if granularity == "flow" else n
     for perm in permutations(range(1, n + 1)):
-        if granularity == "flow":
-            choices = product(range(1, m + 1), repeat=len(keys))
-        else:
-            choices = product(range(1, m + 1), repeat=n)
-        for cores in choices:
-            if granularity == "flow":
-                placement = dict(zip(keys, cores))
-                assignment = Assignment("flow", placement, None)
-            else:
-                by_coflow = dict(zip(range(1, n + 1), cores))
-                placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment("coflow", placement, by_coflow)
-            result = simulate(instance, list(perm), assignment)
+        ranked = _priority_rows(table, perm, granularity)
+        for cores in product(range(1, m + 1), repeat=slots):
+            core_of = cores if granularity == "flow" else [cores[o] for o in owner]
+            for h in range(1, m + 1):
+                rows = tuple(r for r in ranked if core_of[r] == h)
+                times = core_runs.get(rows)
+                if times is None:
+                    times = core_runs[rows] = _run_core(table, rows)
+                for r, t in zip(rows, times):
+                    finish[r] = t
+            cost = _fold_completions(instance.coflows, table.first, finish)[1]
             examined += 1
-            if result.objective < best_cost - 1e-12:
-                best_cost = result.objective
+            if cost < best_cost - 1e-12:
+                best_cost = cost
                 best_order = list(perm)
-                best_assignment = placement
+                best_assignment = dict(zip(keys, core_of))
     return OracleResult(
         best_cost=best_cost,
         lower_bound=trivial_lower_bound(instance),

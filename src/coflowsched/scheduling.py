@@ -17,12 +17,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import attrgetter, neg
+from operator import neg
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .model import FlowKey, Instance
+from .model import Coflow, FlowKey, FlowTable, Instance
 from .ordering import Permutation
 
 
@@ -123,6 +123,41 @@ def assign_cdls(instance: Instance, order) -> Assignment:
     return Assignment("coflow", placement, coflow_core)
 
 
+def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> list[int]:
+    """Flow rows best first: the list-schedule priority of every core.
+
+    Rows go by coflow position in ``seq``, then by size non-increasing under
+    flow granularity, then by (i, j). A coflow's rows are already in (i, j)
+    order, and a stable sort keeps that order among equal sizes.
+    """
+    first, size = table.first, table.size
+    rows: list[int] = []
+    for k in seq:
+        own = range(first[k - 1], first[k])
+        if granularity == "flow":
+            own = sorted(own, key=size.__getitem__, reverse=True)
+        rows.extend(own)
+    return rows
+
+
+def _fold_completions(
+    coflows: Sequence[Coflow], first: Sequence[int], finish: Sequence[float]
+) -> tuple[list[float], float]:
+    """Coflow completions and the weighted objective, in coflow id order.
+
+    A coflow completes with its last flow, a flowless one at its release.
+    The objective adds weight x completion one coflow at a time, so every
+    caller gets the same float.
+    """
+    done_of: list[float] = []
+    objective = 0.0
+    for c, lo, hi in zip(coflows, first, first[1:]):
+        done = max(finish[lo:hi]) if hi > lo else float(c.release)
+        done_of.append(done)
+        objective += c.weight * done
+    return done_of, objective
+
+
 def simulate(
     instance: Instance,
     order,
@@ -143,7 +178,6 @@ def simulate(
     """
     table = instance.table
     seq = _order_list(order, instance.n)
-    pos = {k: p for p, k in enumerate(seq)}
     m = instance.cores
     keys, sizes, rel = table.keys, table.size, table.release
     fi, fj = table.fi, table.fj
@@ -158,27 +192,16 @@ def simulate(
     if missing:
         raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
 
-    total = len(keys)
     core_of = list(map(assignment.flow_to_core.__getitem__, keys))
-    rank_of = list(map(pos.__getitem__, map(attrgetter("k"), keys)))
-    if assignment.granularity == "coflow":
-        ranked = sorted(zip(core_of, rank_of, fi, fj, range(total)))
-    else:
-        ranked = sorted(zip(core_of, rank_of, map(neg, sizes), fi, fj, range(total)))
-    finish = [0.0] * total
+    # A stable sort by core keeps the priority order within each core.
+    ranked = sorted(_priority_rows(table, seq, assignment.granularity), key=core_of.__getitem__)
+    finish = [0.0] * len(keys)
     segs: list[tuple[float, float, int]] | None = [] if emit_timeline else None
-    _list_schedule(ranked, sizes, rel, finish, segs)
+    _list_schedule([(core_of[r], fi[r], fj[r], r) for r in ranked], sizes, rel, finish, segs)
 
     flow_completion = dict(zip(keys, finish))
-    coflow_completion: dict[int, float] = {}
-    objective = 0.0
-    for c, lo, hi in zip(instance.coflows, table.first, table.first[1:]):
-        done = max(finish[lo:hi]) if hi > lo else float(c.release)
-        coflow_completion[c.id] = done
-        objective += c.weight * done
-    # Unit rates over integer demands keep every event on the integer grid.
-    for done in finish:
-        assert abs(done - round(done)) <= 1e-9
+    done, objective = _fold_completions(instance.coflows, table.first, finish)
+    coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
 
     timeline = None
     if segs is not None:
@@ -191,9 +214,9 @@ def simulate(
 def _list_schedule(ranked, sizes, rel, finish, segs) -> None:
     """Run each core's event loop in turn.
 
-    ``ranked`` rows end in (input port, output port, flow index) and list
-    the flows core by core, best first; a flow is named by its rank g, its
-    row. Every port keeps one list, ``queue[port]``: the rank of the flow
+    ``ranked`` rows are (core, input port, output port, flow index) and
+    list the flows core by core, best first; a flow is named by its rank g,
+    its row. Every port keeps one list, ``queue[port]``: the rank of the flow
     holding it (``free`` when none), then the rank-sorted released,
     unfinished flows on it. Input port i is keyed i and output port j is
     keyed -j. A core ends with every port free and every list empty, so the
@@ -247,6 +270,8 @@ def _list_schedule(ranked, sizes, rel, finish, segs) -> None:
             while running and running[0][0] == t:
                 g = heappop(running)[1]
                 end[g] = -1.0
+                # Unit rates over integer demands keep every event on the integer grid.
+                assert abs(t - round(t)) <= 1e-9
                 finish[flows[g]] = t
                 if segs is not None:
                     segs.append((t - rem[g], t, flows[g]))

@@ -12,7 +12,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .model import Coflow, Instance, require_valid
+from .model import MAX_HORIZON, Coflow, Instance, require_valid
 
 # Arrival time units per millisecond: 128 MBps links, 1 unit = 1 MB.
 UNITS_PER_SECOND = 128
@@ -179,6 +179,10 @@ def parse_trace(
             raise ValueError(f"trace line {lineno}: {exc}") from exc
         if arrival_ms < 0:
             raise ValueError(f"trace line {lineno}: negative arrival {arrival_ms}")
+        if arrival_ms > MAX_HORIZON:
+            raise ValueError(f"trace line {lineno}: arrival {arrival_ms} ms above the limit 2**53")
+        if n_red and not n_map:
+            raise ValueError(f"trace line {lineno}: {n_red} reducers but no mappers")
         demands: dict[tuple[int, int], int] = {}
         for rack in mappers:
             if not 1 <= rack <= rack_count:
@@ -198,6 +202,8 @@ def parse_trace(
                 )
             if not megabytes > 0:
                 raise ValueError(f"trace line {lineno}: megabytes must be positive, got {mb_txt}")
+            if megabytes == math.inf:
+                raise ValueError(f"trace line {lineno}: megabytes must be finite, got {mb_txt}")
             share = max(1, math.ceil(megabytes / n_map))
             for mapper in mappers:
                 key = (mapper, rack)

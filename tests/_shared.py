@@ -1,4 +1,7 @@
-"""Helpers shared by scheduling and acceptance tests.
+"""Helpers shared by scheduling, oracle and acceptance tests.
+
+``tiny_instance`` builds the 200 acceptance instances small enough to
+enumerate exhaustively.
 
 Per-coflow completion caps that the greedy list schedules must satisfy.
 Both caps walk the processing order, accumulate per-port prefix loads, and
@@ -10,6 +13,9 @@ placement), minus the double-counted share of its own transmission.
 """
 
 import numpy as np
+
+from coflowsched.experiments import child_seed
+from coflowsched.model import Coflow, Instance
 
 
 def _prefix_walk(instance, order):
@@ -69,3 +75,25 @@ def cdls_bound(instance, order, completions, tol=1e-9):
         if completions[c.id] > bound + tol:
             bad.append(f"coflow {c.id}: C={completions[c.id]} > {bound}")
     return bad
+
+
+def tiny_instance(idx: int) -> Instance:
+    """Tiny acceptance instance idx of 0..199, from seed 0."""
+    rng = np.random.default_rng(child_seed(0, 88, idx))
+    if idx % 40 == 0:
+        n, max_flows = 5, 1
+    else:
+        n, max_flows = 1 + idx % 4, 2
+    m = 1 + idx % 2
+    coflows = []
+    for k in range(1, n + 1):
+        count = int(rng.integers(1, max_flows + 1))
+        demands: dict[tuple[int, int], int] = {}
+        while len(demands) < count:
+            pair = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+            demands[pair] = int(rng.integers(1, 5))
+        release = int(rng.integers(0, 7)) if idx % 2 else 0
+        coflows.append(
+            Coflow(id=k, release=release, weight=int(rng.integers(1, 11)), demands=demands)
+        )
+    return Instance(cores=m, ports=3, coflows=tuple(coflows))

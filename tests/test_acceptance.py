@@ -11,12 +11,11 @@ in acceptance_report.txt at the repository root.
 import os
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from _shared import cdls_bound, fdls_bound
+from _shared import cdls_bound, fdls_bound, tiny_instance
 from coflowsched.experiments import child_seed, default_config, run_experiment
-from coflowsched.model import Coflow, Instance
+from coflowsched.model import Instance
 from coflowsched.oracle import enumerate_best
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import assign_cdls, assign_fdls, audit_schedule, simulate
@@ -114,27 +113,6 @@ def corpus_audit():
             out["runs"] += 1
         out["instances"] += 1
     return out
-
-
-def tiny_instance(idx: int) -> Instance:
-    rng = np.random.default_rng(child_seed(SEED, 88, idx))
-    if idx % 40 == 0:
-        n, max_flows = 5, 1
-    else:
-        n, max_flows = 1 + idx % 4, 2
-    m = 1 + idx % 2
-    coflows = []
-    for k in range(1, n + 1):
-        count = int(rng.integers(1, max_flows + 1))
-        demands: dict[tuple[int, int], int] = {}
-        while len(demands) < count:
-            pair = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-            demands[pair] = int(rng.integers(1, 5))
-        release = int(rng.integers(0, 7)) if idx % 2 else 0
-        coflows.append(
-            Coflow(id=k, release=release, weight=int(rng.integers(1, 11)), demands=demands)
-        )
-    return Instance(cores=m, ports=3, coflows=tuple(coflows))
 
 
 @pytest.fixture(scope="module")

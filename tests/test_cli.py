@@ -234,12 +234,39 @@ BIG_FLOWS = [{"i": 1, "j": 1, "size": 3 * 10**9}, {"i": 1, "j": 2, "size": 3 * 1
             dict(_one_coflow_doc(), ports=10**13), "ports 10000000000000 above", id="ports-1e13"
         ),
         pytest.param(dict(_one_coflow_doc(), cores=10**6), "cores 1000000 above", id="cores-1e6"),
+        pytest.param(_one_coflow_doc(weight=10**400), "weight must be", id="weight-1e400"),
+        pytest.param(
+            {
+                "cores": 1,
+                "ports": 10_000,
+                "coflows": [_one_coflow_doc(id=k)["coflows"][0] for k in range(1, 101)],
+            },
+            "100 coflows x 10000 ports: 1010101 table cells above the limit",
+            id="table-cells",
+        ),
     ],
 )
 def test_bad_instance_exits_with_one_json_line(tmp_path, capsys, doc, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "schedule", str(path))
+    assert_one_json_error(*run(capsys, "schedule", str(path)), message)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        pytest.param("1 0 0 1 2:5", "1 reducers but no mappers", id="no-mappers"),
+        pytest.param("1 0 1 3 1 2:inf", "megabytes must be finite", id="megabytes-inf"),
+        pytest.param("1 1" + "0" * 400 + " 1 3 1 2:5", "above the limit 2**53", id="arrival-1e400"),
+    ],
+)
+def test_bad_trace_exits_with_one_json_line(tmp_path, capsys, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"9 1\n{line}\n")
+    assert_one_json_error(*run(capsys, "trace-import", str(path), "--ports", "3"), message)
+
+
+def assert_one_json_error(code, out, err, message):
     assert code == 1 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1

@@ -11,6 +11,7 @@ from coflowsched.model import (
     MAX_HORIZON,
     MAX_PORT_TOTAL,
     MAX_PORTS,
+    MAX_TABLE_CELLS,
     Instance,
     dumps_instance,
     instance_from_dict,
@@ -147,6 +148,16 @@ def test_port_and_core_limits():
     ]
     assert validate(make(cores=1, ports=MAX_PORTS + 1, coflows=[top])) == [
         f"ports {MAX_PORTS + 1} above the limit {MAX_PORTS}"
+    ]
+
+
+def test_table_cell_limit():
+    # (99 + 1) x (9,999 + 1) cells is exactly the limit; one more coflow is over.
+    coflows = [Coflow(id=k, release=0, weight=1, demands={(1, 1): 1}) for k in range(1, 101)]
+    assert MAX_TABLE_CELLS == 100 * 10_000
+    assert validate(make(ports=9_999, coflows=coflows[:99])) == []
+    assert validate(make(ports=9_999, coflows=coflows)) == [
+        f"100 coflows x 9999 ports: 1010000 table cells above the limit {MAX_TABLE_CELLS}"
     ]
 
 

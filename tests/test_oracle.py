@@ -1,8 +1,16 @@
-"""Brute-force baselines: enumeration and the per-coflow floor."""
+"""Brute-force baselines: enumeration and the per-coflow floor.
+
+enumerate_best is also checked field by field against the loop it replaced
+(``_reference_oracle.py``), which simulates the whole instance for every
+(permutation, placement) pair.
+"""
 
 import numpy as np
 import pytest
 
+from _reference_oracle import enumerate_best as reference_best
+from _shared import tiny_instance
+from coflowsched import oracle, scheduling
 from coflowsched.model import Coflow, Instance
 from coflowsched.oracle import enumerate_best, trivial_lower_bound
 from coflowsched.ordering import order_coflow_level, order_flow_level
@@ -120,3 +128,101 @@ def test_dual_below_best_matched_granularity():
         assert (
             order_coflow_level(instance, 0.5).dual_cost <= best_coflow.best_cost + 1e-9
         )
+
+
+# --- differential check against the loop that simulates every pair ----------
+# Distinct per-core runs enumerate_best makes on the 200 tiny acceptance
+# instances at both granularities; the reference makes 110,362 whole-instance
+# simulate calls there.
+TINY_CORE_RUNS = 33_530
+
+
+def assert_same(got, want):
+    assert got == want
+    assert repr(got.best_cost) == repr(want.best_cost)
+
+
+def assert_matches_reference(instance):
+    for granularity in ("flow", "coflow"):
+        assert_same(enumerate_best(instance, granularity), reference_best(instance, granularity))
+
+
+@pytest.fixture(scope="module")
+def tiny_results():
+    """enumerate_best on the tiny corpus, counting per-core runs, no simulate."""
+    runs = []
+    run_core = oracle._run_core
+
+    def counted(table, rows):
+        runs.append(rows)
+        return run_core(table, rows)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumerate_best called simulate")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_run_core", counted)
+        mp.setattr(scheduling, "simulate", forbidden)
+        mp.setattr(oracle, "simulate", forbidden, raising=False)
+        results = [
+            {g: enumerate_best(tiny_instance(idx), g) for g in ("flow", "coflow")}
+            for idx in range(200)
+        ]
+    return results, len(runs)
+
+
+def test_matches_reference_on_tiny_corpus(tiny_results):
+    results, _ = tiny_results
+    for idx, by_granularity in enumerate(results):
+        instance = tiny_instance(idx)
+        for granularity, got in by_granularity.items():
+            assert_same(got, reference_best(instance, granularity))
+
+
+def test_each_core_subproblem_runs_once(tiny_results):
+    results, core_runs = tiny_results
+    examined = sum(r.schedules_examined for by_g in results for r in by_g.values())
+    assert examined == 110_362
+    assert core_runs == TINY_CORE_RUNS
+
+
+def test_matches_reference_on_random_tiny():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        assert_matches_reference(random_tiny(rng))
+
+
+NINE_FLOWS = [
+    (0, 2, {(1, 1): 3, (1, 2): 1, (2, 3): 2}),
+    (0, 5, {(2, 1): 4, (3, 3): 1}),
+    (0, 1, {(1, 3): 2, (3, 1): 3}),
+    (0, 3, {(2, 2): 1, (3, 2): 4}),
+]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        pytest.param(inst(NINE_FLOWS, cores=1, ports=3), id="one-core-nine-flows"),
+        pytest.param(
+            # A late coflow first in the order: which core it shares decides
+            # whether the early ones run ahead of it.
+            inst(
+                [(6, 9, {(1, 1): 2, (2, 2): 2}), (0, 1, {(1, 2): 5}), (1, 2, {(2, 1): 3})],
+                cores=2,
+                ports=2,
+            ),
+            id="releases-reorder-cores",
+        ),
+        pytest.param(
+            inst([(0, 1, {(1, 1): 2, (1, 2): 2, (1, 3): 2}), (0, 1, {(2, 1): 2})], cores=2),
+            id="equal-sizes",
+        ),
+        pytest.param(
+            inst([(0, 2, {(1, 1): 3}), (4, 3, {}), (0, 1, {(1, 2): 1})], cores=2, ports=2),
+            id="empty-coflow",
+        ),
+    ],
+)
+def test_matches_reference_on_hand_built(instance):
+    assert_matches_reference(instance)
