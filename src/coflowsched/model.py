@@ -287,7 +287,7 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
         instance = Instance(cores=data["cores"], ports=data["ports"], coflows=tuple(coflows))
     except KeyError as exc:
         raise ValueError(f"instance JSON missing field {exc}") from exc
-    require_valid(instance)
+    instance.table  # validates once and compiles the table every stage reads
     return instance
 
 

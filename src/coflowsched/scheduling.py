@@ -343,65 +343,86 @@ def audit_schedule(
     release + size lower bound on every flow completion, coflow completions
     being the max over their flows, and work conservation: no released,
     incomplete flow may sit idle while both of its ports are free on its
-    core. Returns a list of violation descriptions, empty when clean.
+    core. A segment or a placement of a flow that is not in the instance,
+    and a flow without a completion time or with a NaN one, are reported
+    too; such a flow is left out of the checks that need it.
+
+    Work conservation is checked per core on a grid: the sorted distinct
+    segment starts and ends, releases and completions on that core, each
+    cell running from one grid point to the next. The segments of each
+    port are merged into sorted, disjoint busy runs of cells. A flow is
+    eligible from the cell of its release up to the cell of its
+    completion, and it starved in every eligible cell that neither of its
+    ports' runs covers (its own segments are among those runs). One sweep
+    over the starved pieces reports, for every cell that any of them
+    covers, the starved flow first in (i, j, k) order. The cost per core
+    is O((segments + flows) log segments), plus a step for each busy run
+    that overlaps a flow's window and for each cell reported. Returns a
+    list of violation descriptions, empty when clean.
     """
     if result.timeline is None:
         raise ValueError("audit requires a result simulated with emit_timeline=True")
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
     table = instance.table
-    release_of = {c.id: c.release for c in instance.coflows}
+    keys = table.keys
+    row_of = {key: r for r, key in enumerate(keys)}
 
-    transmitted: dict[FlowKey, float] = dict.fromkeys(table.keys, 0.0)
+    transmitted = [0.0] * len(keys)
+    segs_of: dict[int, list[tuple[float, float, int]]] = {}
     for seg in result.timeline:
         if seg.end <= seg.start:
             bad.append(f"empty or reversed segment {seg}")
-        transmitted[seg.flow] += seg.end - seg.start
-    for key, d, r in zip(table.keys, table.size, table.release):
-        if abs(transmitted[key] - d) > 1e-6:
-            bad.append(f"flow {tuple(key)} transmitted {transmitted[key]}, size {d}")
-        comp = result.flow_completion.get(key)
+        r = row_of.get(seg.flow)
+        if r is None:
+            bad.append(f"segment {seg} of a flow not in the instance")
+            continue
+        transmitted[r] += seg.end - seg.start
+        segs_of.setdefault(seg.core, []).append((seg.start, seg.end, r))
+    # A missing or NaN completion becomes None: every check that needs the
+    # completion skips that flow.
+    completion = [result.flow_completion.get(key) for key in keys]
+    for row, (key, d, rel, sent) in enumerate(zip(keys, table.size, table.release, transmitted)):
+        comp = completion[row]
+        if abs(sent - d) > 1e-6:
+            bad.append(f"flow {tuple(key)} transmitted {sent}, size {d}")
         if comp is None:
             bad.append(f"flow {tuple(key)} has no completion time")
-        elif comp < r + d - 1e-9:
+        elif comp != comp:
+            bad.append(f"flow {tuple(key)} completion is not a number")
+            completion[row] = None
+        elif comp < rel + d - 1e-9:
             bad.append(f"flow {tuple(key)} completed at {comp}, before release + size")
 
     for c in instance.coflows:
-        own = table.keys[table.first[c.id - 1] : table.first[c.id]]
-        expect = max(result.flow_completion[k] for k in own) if own else float(c.release)
+        own = completion[table.first[c.id - 1] : table.first[c.id]]
+        if None in own:
+            continue  # already reported for the flow
+        expect = max(own) if own else float(c.release)
         got = result.coflow_completion.get(c.id)
         if got is None or abs(got - expect) > 1e-9:
             bad.append(f"coflow {c.id} completion {got}, expected {expect}")
 
-    # Bucket the segments by core, and their spans by (core, side, port).
-    segs_of: dict[int, list[Segment]] = {}
-    spans_of: dict[tuple[int, int], dict[int, list[tuple[float, float]]]] = {}
-    for seg in result.timeline:
-        segs_of.setdefault(seg.core, []).append(seg)
-        for side, port in ((0, seg.flow.i), (1, seg.flow.j)):
-            spans_of.setdefault((seg.core, side), {}).setdefault(port, []).append(
-                (seg.start, seg.end)
-            )
-    placed_on: dict[int, set[FlowKey]] = {}
+    placed_on: dict[int, set[int]] = {}
     for key, h in assignment.flow_to_core.items():
-        placed_on.setdefault(h, set()).add(key)
+        r = row_of.get(key)
+        if r is None:
+            bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
+        else:
+            placed_on.setdefault(h, set()).add(r)
 
+    fi = np.array(table.fi, dtype=np.int64)
+    fj = np.array(table.fj, dtype=np.int64)
     for h in range(1, m + 1):
         segs_h = segs_of.get(h, [])
-        flows_h = sorted({seg.flow for seg in segs_h} | placed_on.get(h, set()))
-        if not flows_h:
+        rows_h = {r for _, _, r in segs_h} | placed_on.get(h, set())
+        if not rows_h:
             continue
-        local = {key: p for p, key in enumerate(flows_h)}
-        arr_i = np.array([key.i for key in flows_h])
-        arr_j = np.array([key.j for key in flows_h])
-        arr_rel = np.array([release_of[key.k] for key in flows_h], dtype=float)
-        arr_comp = np.array([result.flow_completion[key] for key in flows_h])
-
-        for side, name in enumerate(("input", "output")):
-            by_port = spans_of.get((h, side), {})
+        for name, port_of in (("input", table.fi), ("output", table.fj)):
+            by_port: dict[int, list[tuple[float, float]]] = {}
+            for s, e, r in segs_h:
+                by_port.setdefault(port_of[r], []).append((s, e))
             for p in sorted(by_port):
-                if not 1 <= p <= ports:
-                    continue
                 spans = sorted(by_port[p])
                 for (_, e1), (s2, _) in zip(spans, spans[1:]):
                     if s2 < e1 - 1e-9:
@@ -409,36 +430,116 @@ def audit_schedule(
                             f"core {h} {name} port {p}: overlap at {s2} before {e1}"
                         )
 
-        bounds = np.unique(
-            np.concatenate(
-                [
-                    [seg.start for seg in segs_h],
-                    [seg.end for seg in segs_h],
-                    arr_rel,
-                    arr_comp,
-                ]
-            )
-        )
+        # Flows in (i, j, k) order; one without a completion has no window.
+        flows_h = [r for r in sorted(rows_h, key=keys.__getitem__) if completion[r] is not None]
+        span_start = np.array([s for s, _, _ in segs_h], dtype=float)
+        span_end = np.array([e for _, e, _ in segs_h], dtype=float)
+        span_row = np.array([r for _, _, r in segs_h], dtype=np.int64)
+        flow_row = np.array(flows_h, dtype=np.int64)
+        release = np.array([table.release[r] for r in flows_h], dtype=float)
+        done = np.array([completion[r] for r in flows_h], dtype=float)
+        bounds = np.unique(np.concatenate([span_start, span_end, release, done]))
         if bounds.size < 2:
             continue
-        n_iv = bounds.size - 1
-        running = np.zeros((n_iv, len(flows_h)), dtype=bool)
-        for seg in segs_h:
-            a = int(np.searchsorted(bounds, seg.start))
-            b = int(np.searchsorted(bounds, seg.end))
-            running[a:b, local[seg.flow]] = True
-        for e in range(n_iv):
-            a = bounds[e]
-            row = running[e]
-            occ_in = np.zeros(ports + 1, dtype=bool)
-            occ_out = np.zeros(ports + 1, dtype=bool)
-            occ_in[arr_i[row]] = True
-            occ_out[arr_j[row]] = True
-            idle = ~row & (arr_rel <= a + 1e-9) & (arr_comp > a + 1e-9)
-            starved = idle & ~(occ_in[arr_i] | occ_out[arr_j])
-            if starved.any():
-                key = flows_h[int(np.nonzero(starved)[0][0])]
-                bad.append(
-                    f"core {h}: flow {tuple(key)} idle at t={a} with both ports free"
-                )
+        for cell, pos in _starved_cells(
+            bounds,
+            np.searchsorted(bounds, span_start),
+            np.searchsorted(bounds, span_end),
+            fi[span_row],
+            fj[span_row] + ports,
+            # A flow is eligible in the cells starting at t with
+            # release <= t + 1e-9 < completion.
+            np.searchsorted(bounds + 1e-9, release),
+            np.searchsorted(bounds + 1e-9, done),
+            fi[flow_row],
+            fj[flow_row] + ports,
+        ):
+            key = keys[flows_h[pos]]
+            bad.append(
+                f"core {h}: flow {tuple(key)} idle at t={bounds[cell]} with both ports free"
+            )
     return bad
+
+
+def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, disjoint runs [start, end) covering the spans [lo, hi).
+
+    Touching spans merge into one run, and so do empty spans at a run's
+    edge.
+    """
+    if not lo.size:
+        return lo, hi
+    by_start = np.argsort(lo, kind="stable")
+    lo, hi = lo[by_start], hi[by_start]
+    reach = np.maximum.accumulate(hi)
+    head = np.ones(lo.size, dtype=bool)
+    head[1:] = lo[1:] > reach[:-1]
+    heads = np.flatnonzero(head)
+    return lo[heads], reach[np.append(heads[1:], lo.size) - 1]
+
+
+def _starved_cells(
+    bounds, span_a, span_b, span_in, span_out, flow_lo, flow_hi, flow_in, flow_out
+):
+    """Yield (cell, flow position) for every cell where some flow starved.
+
+    Segment spans cover cells [span_a, span_b) of the grid ``bounds`` on the
+    ports ``span_in`` and ``span_out``; flow p is eligible in cells
+    [flow_lo[p], flow_hi[p]) and uses ports flow_in[p] and flow_out[p].
+    Input and output ports come as distinct ids. Each port's runs are merged
+    in one pass by shifting port q's cells to [q * width, (q + 1) * width),
+    and each flow's covered cells likewise to flow p's own stretch. A cell
+    is reported with its smallest starved flow position, cells in order.
+    """
+    width = bounds.size  # above every cell index and every window end
+    live = span_a < span_b
+    port_base = np.concatenate([span_in[live], span_out[live]]) * width
+    span_a, span_b = np.tile(span_a[live], 2), np.tile(span_b[live], 2)
+    run_lo, run_hi = _union(span_a + port_base, span_b + port_base)
+
+    (pos,) = np.nonzero(flow_lo < flow_hi)
+    lo, hi = flow_lo[pos], flow_hi[pos]
+    # Per flow: an empty run at each end of its window, so that gaps at the
+    # edges show too, and the busy runs of its two ports that overlap the
+    # window, clipped to it. Flow f's cells shift to [f * width, ...).
+    owner, cover_lo, cover_hi = [np.arange(pos.size)] * 2, [lo, hi], [lo, hi]
+    for ports_of in (flow_in, flow_out):
+        base = ports_of[pos] * width
+        first = np.searchsorted(run_hi, base + lo, "right")
+        count = np.searchsorted(run_lo, base + hi, "left") - first
+        who = np.repeat(np.arange(pos.size), count)
+        run = np.arange(who.size) + np.repeat(first - (np.cumsum(count) - count), count)
+        owner.append(who)
+        cover_lo.append(np.maximum(run_lo[run] - base[who], lo[who]))
+        cover_hi.append(np.minimum(run_hi[run] - base[who], hi[who]))
+    flow_base = np.concatenate(owner) * width
+    run_lo, run_hi = _union(
+        np.concatenate(cover_lo) + flow_base, np.concatenate(cover_hi) + flow_base
+    )
+    # Every gap between two runs of the same flow is a starved piece.
+    who = run_lo // width
+    gap = np.flatnonzero(who[1:] == who[:-1])
+    base = who[gap] * width
+    pieces = sorted(
+        zip(
+            (run_hi[gap] - base).tolist(),
+            pos[who[gap]].tolist(),
+            (run_lo[gap + 1] - base).tolist(),
+        )
+    )
+    # Sweep the pieces in cell order with a heap of (flow position, end).
+    active: list[tuple[int, int]] = []
+    k = 0
+    cell = 0
+    while k < len(pieces) or active:
+        if not active:
+            cell = max(cell, pieces[k][0])
+        while k < len(pieces) and pieces[k][0] <= cell:
+            _, p, b = pieces[k]
+            heappush(active, (p, b))
+            k += 1
+        while active and active[0][1] <= cell:
+            heappop(active)
+        if active:
+            yield cell, active[0][0]
+            cell += 1

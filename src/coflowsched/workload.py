@@ -12,7 +12,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .model import MAX_HORIZON, Coflow, Instance, require_valid
+from .model import MAX_HORIZON, Coflow, Instance
 
 # Arrival time units per millisecond: 128 MBps links, 1 unit = 1 MB.
 UNITS_PER_SECOND = 128
@@ -83,7 +83,7 @@ def gen_mix(
         weight = int(rng.integers(1, 101))
         coflows.append(Coflow(k, release, weight, demands))
     instance = Instance(cores, ports, tuple(coflows))
-    require_valid(instance)
+    instance.table  # validates once and compiles the table every stage reads
     return instance
 
 
@@ -122,7 +122,7 @@ def gen_density(
         weight = int(rng.integers(1, 101))
         coflows.append(Coflow(k, release, weight, demands))
     instance = Instance(cores, ports, tuple(coflows))
-    require_valid(instance)
+    instance.table  # validates once and compiles the table every stage reads
     return instance
 
 
@@ -212,7 +212,7 @@ def parse_trace(
         weight = int(rng.integers(1, 101))
         coflows.append(Coflow(len(coflows) + 1, release, weight, demands))
     instance = Instance(cores, rack_count, tuple(coflows))
-    require_valid(instance)
+    instance.table  # validates once and compiles the table every stage reads
     return instance
 
 

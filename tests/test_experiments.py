@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from coflowsched import model
 from coflowsched.experiments import (
     ExperimentConfig,
     child_seed,
@@ -11,7 +12,7 @@ from coflowsched.experiments import (
     run_experiment,
     run_pipeline,
 )
-from coflowsched.workload import gen_mix
+from coflowsched.workload import gen_density, gen_mix, parse_trace
 
 
 def test_default_config_sweeps():
@@ -55,6 +56,27 @@ def test_run_pipeline_shape():
     assert crat >= 1 - 1e-9
     assert (cobj, cdual) != (obj, dual)
     assert cperm.order == perm.order
+
+
+@pytest.mark.parametrize("granularity", ["flow", "coflow"])
+def test_each_instance_is_validated_once(monkeypatch, granularity):
+    text = model.dumps_instance(gen_mix(5, 6, 3, cores=2, release_max=9))
+    makers = {
+        "gen_mix": lambda: gen_mix(6, 5, 1, cores=2),
+        "gen_density": lambda: gen_density(5, 4, "combined", 2, cores=3, release_max=10),
+        "parse_trace": lambda: parse_trace(
+            "9 2\n1 0 2 1 2 2 1:6 3:6\n2 500 1 3 1 2:9\n", rack_count=3, weight_seed=0, cores=2
+        ),
+        "loads_instance": lambda: model.loads_instance(text),
+    }
+    calls = []
+    validate = model.validate
+    monkeypatch.setattr(model, "validate", lambda inst: calls.append(inst) or validate(inst))
+    for name, make in makers.items():
+        calls.clear()
+        inst = make()
+        run_pipeline(inst, granularity, 0.5, emit_timeline=True)
+        assert len(calls) == 1 and calls[0] is inst, name
 
 
 def small(kind, **overrides):

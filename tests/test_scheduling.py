@@ -292,7 +292,10 @@ def test_audit_flags_tampered_timeline():
     asg = assign_fdls(inst, [1])
     res = simulate(inst, [1], asg, emit_timeline=True)
     res.timeline[0] = res.timeline[0]._replace(end=res.timeline[0].end - 1)
-    assert audit_schedule(inst, [1], asg, res) != []
+    assert audit_schedule(inst, [1], asg, res) == [
+        "flow (1, 1, 1) transmitted 3.0, size 4",
+        "core 1: flow (1, 1, 1) idle at t=3.0 with both ports free",
+    ]
 
 
 def test_weak_duality_on_small_corpus():
