@@ -11,6 +11,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import IO, Any, NamedTuple
 
 import numpy as np
@@ -72,6 +74,8 @@ class Instance:
         return sum(c.flow_count for c in self.coflows)
 
     def coflow(self, k: int) -> Coflow:
+        if not 1 <= k <= len(self.coflows):
+            raise IndexError(f"coflow {k} out of range 1..{len(self.coflows)}")
         c = self.coflows[k - 1]
         if c.id != k:
             raise ValueError(f"coflow ids out of order: expected {k}, found {c.id}")
@@ -85,27 +89,28 @@ class Instance:
         once, so the instance must not be mutated afterwards.
         """
         require_valid(self)
-        keys: list[FlowKey] = []
-        fi: list[int] = []
-        fj: list[int] = []
+        pairs: list[tuple[int, int]] = []
         size: list[int] = []
+        owner: list[int] = []
         release: list[int] = []
         first = [0]
         for c in self.coflows:
-            for i, j, d in c.flows():
-                keys.append(FlowKey(i, j, c.id))
-                fi.append(i)
-                fj.append(j)
-                size.append(d)
-                release.append(c.release)
-            first.append(len(keys))
+            own = sorted(c.demands)
+            pairs += own
+            size += map(c.demands.__getitem__, own)
+            owner += [c.id] * len(own)
+            release += [c.release] * len(own)
+            first.append(len(pairs))
+        fi = list(map(itemgetter(0), pairs))
+        fj = list(map(itemgetter(1), pairs))
+        # tuple.__new__ is what FlowKey._make calls, minus a Python frame per flow.
+        keys = list(map(tuple.__new__, repeat(FlowKey), zip(fi, fj, owner)))
         load_in = np.zeros((self.n + 1, self.ports + 1), dtype=np.int64)
         load_out = np.zeros_like(load_in)
-        if keys:
-            i, j, k = np.array(keys, dtype=np.int64).T
-            d = np.array(size, dtype=np.int64)
-            np.add.at(load_in, (k, i), d)
-            np.add.at(load_out, (k, j), d)
+        k = np.array(owner, dtype=np.int64)
+        d = np.array(size, dtype=np.int64)
+        np.add.at(load_in, (k, np.array(fi, dtype=np.int64)), d)
+        np.add.at(load_out, (k, np.array(fj, dtype=np.int64)), d)
         return FlowTable(keys, fi, fj, size, release, first, load_in, load_out)
 
 
@@ -139,8 +144,8 @@ MAX_PORT_TOTAL = 3_037_000_499
 # Largest release + total size: every simulated event time is at most this,
 # and float64 holds every integer up to 2**53 exactly.
 MAX_HORIZON = 2**53
-# Largest port and core counts. Placement keeps two int64 arrays of
-# (ports + 1) x (cores + 1) entries, about 41 MB at both limits.
+# Largest port and core counts. Whole-coflow placement keeps two int64
+# arrays of (ports + 1) x (cores + 1) entries, about 41 MB at both limits.
 MAX_PORTS = 10_000
 MAX_CORES = 256
 # Largest (coflows + 1) x (ports + 1). The flow table and the ordering keep
@@ -163,21 +168,26 @@ def _is_finite_real(x: Any) -> bool:
 
 
 def validate(instance: Instance) -> list[str]:
-    """Return a list of violations, empty when the instance is well formed."""
+    """Return a list of violations, empty when the instance is well formed.
+
+    The per-flow checks test ``type(x) is int`` before the general integer
+    test and format a flow's location only for a message they write.
+    """
     bad: list[str] = []
+    ports = instance.ports
     if not _is_int(instance.cores) or instance.cores < 1:
         bad.append(f"cores must be a positive integer, got {instance.cores!r}")
     elif instance.cores > MAX_CORES:
         bad.append(f"cores {instance.cores} above the limit {MAX_CORES}")
-    ports_ok = _is_int(instance.ports) and instance.ports >= 1
+    ports_ok = _is_int(ports) and ports >= 1
     if not ports_ok:
-        bad.append(f"ports must be a positive integer, got {instance.ports!r}")
-    elif instance.ports > MAX_PORTS:
-        bad.append(f"ports {instance.ports} above the limit {MAX_PORTS}")
-    elif (instance.n + 1) * (instance.ports + 1) > MAX_TABLE_CELLS:
+        bad.append(f"ports must be a positive integer, got {ports!r}")
+    elif ports > MAX_PORTS:
+        bad.append(f"ports {ports} above the limit {MAX_PORTS}")
+    elif (instance.n + 1) * (ports + 1) > MAX_TABLE_CELLS:
         bad.append(
-            f"{instance.n} coflows x {instance.ports} ports: "
-            f"{(instance.n + 1) * (instance.ports + 1)} table cells "
+            f"{instance.n} coflows x {ports} ports: "
+            f"{(instance.n + 1) * (ports + 1)} table cells "
             f"above the limit {MAX_TABLE_CELLS}"
         )
     port_in: dict[int, int] = {}
@@ -195,18 +205,17 @@ def validate(instance: Instance) -> list[str]:
         if not (_is_finite_real(c.weight) and c.weight > 0):
             bad.append(f"{where}: weight must be positive and finite, got {c.weight!r}")
         for (i, j), d in c.demands.items():
-            spot = f"{where} flow ({i},{j})"
-            if not (_is_int(i) and _is_int(j)):
-                bad.append(f"{spot}: ports must be integers")
+            if not ((type(i) is int or _is_int(i)) and (type(j) is int or _is_int(j))):
+                bad.append(f"{where} flow ({i},{j}): ports must be integers")
                 continue
-            if ports_ok and not (1 <= i <= instance.ports and 1 <= j <= instance.ports):
-                bad.append(f"{spot}: port out of range 1..{instance.ports}")
-            if not _is_int(d):
-                bad.append(f"{spot}: size must be an integer, got {d!r}")
+            if ports_ok and not (1 <= i <= ports and 1 <= j <= ports):
+                bad.append(f"{where} flow ({i},{j}): port out of range 1..{ports}")
+            if not (type(d) is int or _is_int(d)):
+                bad.append(f"{where} flow ({i},{j}): size must be an integer, got {d!r}")
             elif d == 0:
-                bad.append(f"{spot}: zero demand must be absent")
+                bad.append(f"{where} flow ({i},{j}): zero demand must be absent")
             elif d < 0:
-                bad.append(f"{spot}: size must be positive, got {d}")
+                bad.append(f"{where} flow ({i},{j}): size must be positive, got {d}")
             else:
                 port_in[i] = port_in.get(i, 0) + d
                 port_out[j] = port_out.get(j, 0) + d

@@ -17,7 +17,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from operator import neg
+from operator import add, neg
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -68,23 +68,27 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     Coflows are visited in processing order, flows within a coflow by
     non-increasing size. The score of core h for flow (i, j) is the load
     already projected on input i plus output j of h; ties take the lowest
-    core id.
+    core id. Each port that carries a flow keeps a Python list of its m
+    projected loads per side, so the scores are exact ints and
+    ``index(min(...))`` finds the first minimum.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
-    m, ports = instance.cores, instance.ports
-    load_in = np.zeros((ports + 1, m + 1), dtype=np.int64)
-    load_out = np.zeros((ports + 1, m + 1), dtype=np.int64)
-    placement: dict[FlowKey, int] = {}
+    m = instance.cores
     keys, size, fi, fj = table.keys, table.size, table.fi, table.fj
+    load_in = {i: [0] * m for i in set(fi)}
+    load_out = {j: [0] * m for j in set(fj)}
+    placement: dict[FlowKey, int] = {}
     for k in seq:
         flows = range(table.first[k - 1], table.first[k])
-        for idx in sorted(flows, key=lambda x: -size[x]):
-            i, j = fi[idx], fj[idx]
-            h = int(np.argmin(load_in[i, 1:] + load_out[j, 1:])) + 1
-            placement[keys[idx]] = h
-            load_in[i, h] += size[idx]
-            load_out[j, h] += size[idx]
+        # A stable sort, so equal sizes keep their (i, j) order.
+        for idx in sorted(flows, key=size.__getitem__, reverse=True):
+            row_in, row_out = load_in[fi[idx]], load_out[fj[idx]]
+            score = list(map(add, row_in, row_out))
+            best = score.index(min(score))
+            placement[keys[idx]] = best + 1
+            row_in[best] += size[idx]
+            row_out[best] += size[idx]
     return Assignment("flow", placement, None)
 
 

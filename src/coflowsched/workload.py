@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import IO, Iterable
 
 import numpy as np
@@ -41,9 +42,15 @@ def mix_templates(ports: int) -> tuple[CoflowTemplate, ...]:
     )
 
 
-def _release(rng: np.random.Generator, release_max: int) -> int:
+def _check_counts(n: int, release_max: int) -> None:
+    """Reject a negative coflow count or release spread before any draw."""
+    if n < 0:
+        raise ValueError(f"coflow count must be >= 0, got {n}")
     if release_max < 0:
         raise ValueError(f"release_max must be >= 0, got {release_max}")
+
+
+def _release(rng: np.random.Generator, release_max: int) -> int:
     return int(rng.integers(0, release_max + 1)) if release_max else 0
 
 
@@ -59,9 +66,11 @@ def gen_mix(
     Each coflow draws a template, then independent input and output widths
     w1, w2 in the template's range, picks that many distinct ports per side,
     and places a flow on every (input, output) pair of the grid with a size
-    uniform in the template's range. Weights are uniform integers in
-    [1, 100]. Releases are 0 unless release_max spreads them.
+    uniform in the template's range. The w1 * w2 sizes come from one draw,
+    input-major. Weights are uniform integers in [1, 100]. Releases are 0
+    unless release_max spreads them.
     """
+    _check_counts(n, release_max)
     if ports < 4:
         raise ValueError(f"the template mix needs at least 4 ports, got {ports}")
     rng = np.random.default_rng(seed)
@@ -74,11 +83,8 @@ def gen_mix(
         w2 = int(rng.integers(t.width_min, t.width_max + 1))
         inputs = sorted(int(p) + 1 for p in rng.choice(ports, size=w1, replace=False))
         outputs = sorted(int(p) + 1 for p in rng.choice(ports, size=w2, replace=False))
-        demands = {
-            (i, j): int(rng.integers(t.size_min, t.size_max + 1))
-            for i in inputs
-            for j in outputs
-        }
+        sizes = rng.integers(t.size_min, t.size_max + 1, size=w1 * w2).tolist()
+        demands = dict(zip(product(inputs, outputs), sizes))
         release = _release(rng, release_max)
         weight = int(rng.integers(1, 101))
         coflows.append(Coflow(k, release, weight, demands))
@@ -99,8 +105,12 @@ def gen_density(
 
     dense coflows have uniform {N..N^2} flows, sparse ones uniform {1..N};
     combined flips a fair coin per coflow. Flows land on distinct port pairs
-    with sizes uniform in {1..100}; weights are uniform in [1, 100].
+    with sizes uniform in {1..100}, drawn in one call per coflow; weights are
+    uniform in [1, 100].
     """
+    _check_counts(n, release_max)
+    if ports < 1:
+        raise ValueError(f"ports must be >= 1, got {ports}")
     if mode not in DENSITY_MODES:
         raise ValueError(f"density mode must be one of {DENSITY_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
@@ -113,10 +123,10 @@ def gen_density(
             count = int(rng.integers(ports, ports * ports + 1))
         else:
             count = int(rng.integers(1, ports + 1))
-        cells = rng.choice(ports * ports, size=count, replace=False)
+        cells = rng.choice(ports * ports, size=count, replace=False).tolist()
+        sizes = rng.integers(1, 101, size=count).tolist()
         demands = {
-            (int(cell) // ports + 1, int(cell) % ports + 1): int(rng.integers(1, 101))
-            for cell in cells
+            (cell // ports + 1, cell % ports + 1): d for cell, d in zip(cells, sizes)
         }
         release = _release(rng, release_max)
         weight = int(rng.integers(1, 101))

@@ -45,6 +45,11 @@ def test_generate_reruns_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_rejects_negative_coflow_count(capsys):
+    code, out, err = run(capsys, "generate", "--coflows", "-3")
+    assert_one_json_error(code, out, err, "coflow count must be >= 0, got -3")
+
+
 def test_generate_density_flag(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys, "--density", "sparse")
     with open(path) as fp:

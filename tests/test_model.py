@@ -218,5 +218,6 @@ def test_instance_accessors():
     assert inst.table.keys == [FlowKey(1, 1, 1), FlowKey(1, 2, 2), FlowKey(2, 2, 2)]
     assert inst.table.first == [0, 1, 3]
     assert inst.table is inst.table
-    with pytest.raises(IndexError):
-        inst.coflow(3)
+    for k in (0, -1, 3):
+        with pytest.raises(IndexError, match=f"coflow {k} out of range 1..2"):
+            inst.coflow(k)

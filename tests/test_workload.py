@@ -1,5 +1,6 @@
 """Synthetic generators and the shuffle-trace reader."""
 
+import hashlib
 import io
 
 import pytest
@@ -35,6 +36,29 @@ def test_mix_seed_changes_output():
 def test_mix_rejects_tiny_port_count():
     with pytest.raises(ValueError):
         gen_mix(5, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: gen_mix(-3, 10, 0), "coflow count must be >= 0", id="mix-n"),
+        pytest.param(
+            lambda: gen_mix(0, 10, 0, release_max=-1), "release_max must be >= 0", id="mix-rel"
+        ),
+        pytest.param(
+            lambda: gen_density(-1, 3, "dense", 0), "coflow count must be >= 0", id="density-n"
+        ),
+        pytest.param(lambda: gen_density(2, 0, "sparse", 0), "ports must be >= 1", id="ports-0"),
+        pytest.param(
+            lambda: gen_density(0, 3, "combined", 0, release_max=-1),
+            "release_max must be >= 0",
+            id="density-rel",
+        ),
+    ],
+)
+def test_generators_reject_bad_arguments_up_front(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
 
 
 def test_mix_coflows_are_port_grids():
@@ -119,6 +143,31 @@ def test_density_rejects_unknown_mode():
     with pytest.raises(ValueError, match="mode"):
         gen_density(5, 5, "chunky", 0)
     assert set(DENSITY_MODES) == {"dense", "sparse", "combined"}
+
+
+# sha256 of dumps_instance, computed before the generators drew each coflow's
+# sizes in one call. Equal digests mean the same random stream, byte for byte.
+PINNED_BYTES = {
+    "box-seeds-0-19": "92349e8fbd4fd1dd960532f8db68be39c2389aba4a8b18eedb597532870950c0",
+    "mix-releases": "0082bf0b61beaa4ac071f05ead8475ba583745b95db2c0939d4bd0a2424c2acf",
+    "dense": "d13db78253d8174f30a97e4a27daf363253d03694fa6865f1ff554cba8915ac1",
+    "sparse": "b29e60c0bbd12334ec86dbce4152764da56e077f2d4d7fd20adefac8bde8d8ad",
+    "combined": "881217a4bd644ca970de9d30fc3407995fb425c9f72e93dbf44cfee92ca22910",
+}
+
+
+def _pinned_instances(name):
+    if name == "box-seeds-0-19":
+        return [gen_mix(25, 10, seed, cores=5) for seed in range(20)]
+    if name == "mix-releases":
+        return [gen_mix(40, 20, 7, cores=3, release_max=500)]
+    return [gen_density(25, 10, name, 3, cores=5, release_max=100 if name == "combined" else 0)]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_generator_bytes_are_pinned(name):
+    text = "".join(dumps_instance(inst) for inst in _pinned_instances(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_BYTES[name]
 
 
 def test_mix_templates_cover_probability_one():
