@@ -56,11 +56,7 @@ def trivial_lower_bound(instance: Instance) -> float:
 
 def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
     """Finish times of ``rows``, one core's flows best first, alone on a core."""
-    finish = [0.0] * len(table.keys)
-    _list_schedule(
-        [(1, table.fi[r], table.fj[r], r) for r in rows], table.size, table.release, finish, None
-    )
-    return [finish[r] for r in rows]
+    return _list_schedule(rows, table.fi, table.fj, table.size, table.release, None)
 
 
 def enumerate_best(

@@ -4,20 +4,21 @@ Both assignment policies walk coflows in the given processing order and
 balance projected port loads across the m cores. The simulator then runs a
 preemptive list schedule per core: at every instant a core transmits the
 greedy set of its priority list, each flow whose input and output ports
-are not taken by a better-ranked flow on that core. Cores share no port,
-so each core runs its own event loop and advances only at its own
-completions and releases. A completion or a preemption frees two ports,
-and only the flows waiting at those ports are re-examined, in rank order.
-Rates are unit, so with integer demands and releases every event time is
-an integer.
+are not taken by a better-ranked flow on that core. A flow never gives way
+to a worse-ranked one, so its transmission depends only on the
+better-ranked flows of its core. The simulator therefore places the flows
+once each, best first: a flow fills the free time of its two ports from
+its release on, and what it takes becomes busy time for the flows after
+it. Rates are unit, so with integer demands and releases every time is an
+integer.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from operator import add, neg
+from heapq import heappop, heappush
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -52,6 +53,7 @@ class ScheduleResult:
     timeline: list[Segment] | None = None
 
 
+# A bool is an int, but not a core id; np.bool_ is no np.integer.
 _CORE_ID_TYPES = (int, np.integer)
 
 
@@ -175,33 +177,38 @@ def simulate(
     granularity, then (i, j)). At every instant each core transmits the
     greedy set of its priority list: a released, unfinished flow runs
     exactly when no better-ranked running flow on that core shares one of
-    its ports. Cores share no port, so each core is simulated on its own,
-    and the set changes only at that core's own completions and releases.
-    Completion of a coflow is the completion of its last flow; a flowless
-    coflow completes at its release.
+    its ports. So a flow's transmission depends only on the better-ranked
+    flows of its core, and ``_list_schedule`` places the flows one at a
+    time, best first, into the free time of their two ports. Completion of
+    a coflow is the completion of its last flow; a flowless coflow
+    completes at its release.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
     m = instance.cores
-    keys, sizes, rel = table.keys, table.size, table.release
-    fi, fj = table.fi, table.fj
+    keys = table.keys
 
     known = set(keys)
     for key, h in assignment.flow_to_core.items():
         if key not in known:
             raise ValueError(f"assignment references unknown flow {tuple(key)}")
-        if not (isinstance(h, _CORE_ID_TYPES) and 1 <= h <= m):
+        if not (isinstance(h, _CORE_ID_TYPES) and not isinstance(h, bool) and 1 <= h <= m):
             raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
     missing = known.difference(assignment.flow_to_core)
     if missing:
         raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
 
     core_of = list(map(assignment.flow_to_core.__getitem__, keys))
-    # A stable sort by core keeps the priority order within each core.
-    ranked = sorted(_priority_rows(table, seq, assignment.granularity), key=core_of.__getitem__)
-    finish = [0.0] * len(keys)
+    # Each (core, port) gets its own key, so the cores share no busy runs.
+    stride = instance.ports + 1
+    key_in = [h * stride + i for h, i in zip(core_of, table.fi)]
+    key_out = [h * stride + j for h, j in zip(core_of, table.fj)]
+    ranked = _priority_rows(table, seq, assignment.granularity)
     segs: list[tuple[float, float, int]] | None = [] if emit_timeline else None
-    _list_schedule([(core_of[r], fi[r], fj[r], r) for r in ranked], sizes, rel, finish, segs)
+    finish = [0.0] * len(keys)
+    times = _list_schedule(ranked, key_in, key_out, table.size, table.release, segs)
+    for r, t in zip(ranked, times):
+        finish[r] = t
 
     flow_completion = dict(zip(keys, finish))
     done, objective = _fold_completions(instance.coflows, table.first, finish)
@@ -215,124 +222,79 @@ def simulate(
     return ScheduleResult(flow_completion, coflow_completion, objective, timeline)
 
 
-def _list_schedule(ranked, sizes, rel, finish, segs) -> None:
-    """Run each core's event loop in turn.
+def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
+    """Place the flow rows ``ranked``, best first, into their ports' free time.
 
-    ``ranked`` rows are (core, input port, output port, flow index) and
-    list the flows core by core, best first; a flow is named by its rank g,
-    its row. Every port keeps one list, ``queue[port]``: the rank of the flow
-    holding it (``free`` when none), then the rank-sorted released,
-    unfinished flows on it. Input port i is keyed i and output port j is
-    keyed -j. A core ends with every port free and every list empty, so the
-    next core reuses them. At an event time t, every completion and release
-    of the core at t is applied first. Then a heap yields candidates in
-    rank order: a released flow, or the next flow waiting at a port that a
-    departing holder freed. Because candidates come best first, every
-    better-ranked flow already has its final state for t, so a candidate
-    starts exactly when neither port is held by a better-ranked flow,
-    preempting worse-ranked holders. A preempted flow lost a port to a
-    better flow that keeps it for the rest of t, so no flow stops and
-    restarts at the same instant, and a flow's run never splits into two
-    touching segments.
-    Writes ``finish`` and appends (start, end, flow index) to ``segs``.
+    Flow r uses the input port keyed ``key_in[r]`` and the output port keyed
+    ``key_out[r]``. Each port keeps its busy time as one flat sorted list
+    ``s0, e0, s1, e1, ..., inf`` of disjoint runs [s, e) that do not touch,
+    so an odd ``bisect_right`` position means the time lies inside a run. A
+    flow starts at its release, skips every run of either port that covers
+    the current time, and transmits until the next run start on either port
+    or until its size is sent, and so on. Each piece is one timeline
+    segment; it is then merged into both ports' runs, so the flows after it
+    see it as busy; inserting or removing a run shifts the later runs of
+    that port's list, so a piece costs O(log runs) compares plus O(runs)
+    moves on each port. Returns the finish times in ``ranked`` order and
+    appends (start, end, flow row) to ``segs``. Unit rates over integer
+    sizes and releases below ``MAX_HORIZON`` keep every time an exact
+    integer.
     """
-    total = len(ranked)
-    if not total:
-        return
-    free = total  # holder value of a free port: above every rank, never "better"
-    cols = list(zip(*ranked))
-    cores, port_a, flows = cols[0], cols[-3], cols[-1]
-    port_b = tuple(map(neg, cols[-2]))
-    queue = {port: [free] for port in {*port_a, *port_b}}
-    queue_a = list(map(queue.__getitem__, port_a))
-    queue_b = list(map(queue.__getitem__, port_b))
-    rem = list(map(sizes.__getitem__, flows))  # remaining size at the last start
-    end = [-1.0] * total  # finish time while running, -1 otherwise
-    arrive = list(map(float, map(rel.__getitem__, flows)))
     never = float("inf")
-    arrive.append(never)  # rank ``total`` ends every core's arrival list
-    running: list[tuple[float, int]] = []  # heap of (finish time, rank)
-    cand: list[tuple[int, int]] = []  # heap of (rank, scanned port or 0 for none)
+    busy_in: dict = {}
+    busy_out: dict = {}
+    finish: list[float] = []
+    for r in ranked:
+        runs_a = busy_in.get(key_in[r])
+        if runs_a is None:
+            runs_a = busy_in[key_in[r]] = [never]
+        runs_b = busy_out.get(key_out[r])
+        if runs_b is None:
+            runs_b = busy_out[key_out[r]] = [never]
+        t = float(rel[r])
+        left = sizes[r]
+        while True:
+            pa = bisect_right(runs_a, t)
+            if pa & 1:
+                t = runs_a[pa]
+                pa += 1
+            pb = bisect_right(runs_b, t)
+            if pb & 1:
+                t = runs_b[pb]
+                continue
+            stop = runs_a[pa]
+            if runs_b[pb] < stop:
+                stop = runs_b[pb]
+            end = t + left
+            if end < stop:
+                stop = end
+            _occupy(runs_a, pa, t, stop)
+            _occupy(runs_b, pb, t, stop)
+            if segs is not None:
+                segs.append((t, stop, r))
+            if stop == end:
+                break
+            left = end - stop
+            t = stop
+        if not end < never:
+            raise RuntimeError("no runnable flow and no pending release")
+        # Unit rates over integer demands keep every completion on the integer grid.
+        assert abs(end - round(end)) <= 1e-9
+        finish.append(end)
+    return finish
 
-    lo = 0
-    while lo < total:
-        hi = bisect_right(cores, cores[lo], lo)
-        arrivals = sorted(range(lo, hi), key=arrive.__getitem__)
-        arrivals.append(total)
-        nxt = 0
-        t_rel = arrive[arrivals[0]]
-        left = hi - lo
-        lo = hi
-        while left:
-            if running and running[0][0] <= t_rel:
-                t = running[0][0]
-            elif t_rel < never:
-                t = t_rel
-            else:
-                raise RuntimeError("no runnable flow and no pending release")
 
-            while running and running[0][0] == t:
-                g = heappop(running)[1]
-                end[g] = -1.0
-                # Unit rates over integer demands keep every event on the integer grid.
-                assert abs(t - round(t)) <= 1e-9
-                finish[flows[g]] = t
-                if segs is not None:
-                    segs.append((t - rem[g], t, flows[g]))
-                left -= 1
-                for port in (port_a[g], port_b[g]):
-                    lst = queue[port]
-                    lst[0] = free
-                    p = bisect_left(lst, g, 1)
-                    del lst[p]
-                    if p < len(lst):
-                        cand.append((lst[p], port))
-            if t == t_rel:
-                while arrive[arrivals[nxt]] == t:
-                    g = arrivals[nxt]
-                    nxt += 1
-                    insort(queue_a[g], g, 1)
-                    insort(queue_b[g], g, 1)
-                    cand.append((g, 0))
-                t_rel = arrive[arrivals[nxt]]
-            heapify(cand)
-
-            while cand:
-                q, scan = heappop(cand)
-                if end[q] >= 0.0:
-                    continue  # already running; a scan stops, as q holds the port
-                qa, qb = queue_a[q], queue_b[q]
-                ha, hb = qa[0], qb[0]
-                if ha < q or hb < q:
-                    # Blocked by a better holder. A port scan goes on to the
-                    # next waiting flow, unless the scanned port is the block.
-                    if scan:
-                        lst = queue[scan]
-                        if lst[0] > q:
-                            p = bisect_right(lst, q, 1)
-                            if p < len(lst):
-                                heappush(cand, (lst[p], scan))
-                    continue
-                if ha != free or hb != free:
-                    # Preempt the worse holders; each frees its other port.
-                    worse = ((ha, queue_b, port_b), (hb, queue_a, port_a))
-                    for v, other_queue, other_port in worse:
-                        if v == free or end[v] < 0.0:
-                            continue  # no holder, or already preempted via the other port
-                        running.remove((end[v], v))
-                        heapify(running)
-                        if segs is not None:
-                            segs.append((end[v] - rem[v], t, flows[v]))
-                        rem[v] = end[v] - t
-                        end[v] = -1.0
-                        lst = other_queue[v]
-                        lst[0] = free
-                        p = bisect_right(lst, v, 1)
-                        if p < len(lst):
-                            heappush(cand, (lst[p], other_port[v]))
-                qa[0] = qb[0] = q
-                end[q] = t + rem[q]
-                heappush(running, (end[q], q))
+def _occupy(runs: list[float], p: int, a: float, b: float) -> None:
+    """Merge the free span [a, b) into ``runs``, where p = bisect_right(runs, a)."""
+    if p and runs[p - 1] == a:
+        if runs[p] == b:
+            del runs[p - 1 : p + 1]
+        else:
+            runs[p - 1] = b
+    elif runs[p] == b:
+        runs[p] = a
+    else:
+        runs[p:p] = (a, b)
 
 
 def audit_schedule(

@@ -7,6 +7,7 @@ same instance, byte for byte after serialization.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import IO, Iterable
@@ -75,10 +76,13 @@ def gen_mix(
         raise ValueError(f"the template mix needs at least 4 ports, got {ports}")
     rng = np.random.default_rng(seed)
     templates = mix_templates(ports)
-    probs = [t.probability for t in templates]
+    # rng.choice(4, p=probs) as numpy computes it: the same normalised cdf
+    # and the same single double from the stream, without its per-call checks.
+    cdf = np.cumsum([t.probability for t in templates])
+    cdf = (cdf / cdf[-1]).tolist()
     coflows = []
     for k in range(1, n + 1):
-        t = templates[int(rng.choice(len(templates), p=probs))]
+        t = templates[bisect_right(cdf, rng.random())]
         w1 = int(rng.integers(t.width_min, t.width_max + 1))
         w2 = int(rng.integers(t.width_min, t.width_max + 1))
         inputs = sorted(int(p) + 1 for p in rng.choice(ports, size=w1, replace=False))

@@ -1,4 +1,11 @@
-"""Core assignment policies and the event-driven port simulator."""
+"""Core assignment policies and the one-pass list-schedule simulator.
+
+The simulator places each core's flows best first into the free time of
+their two ports; these tests pin its schedules on hand-built cases and its
+checks on the assignment it is given.
+"""
+
+import re
 
 import numpy as np
 import pytest
@@ -250,6 +257,24 @@ def test_simulate_rejects_core_out_of_range():
     bad = Assignment("flow", {FlowKey(1, 1, 1): 2}, None)
     with pytest.raises(ValueError):
         simulate(inst, [1], bad)
+
+
+@pytest.mark.parametrize("core", [True, np.True_])
+def test_simulate_rejects_bool_core(core):
+    # True equals 1, but a bool is not a core id.
+    inst = one_coflow({(1, 1): 2, (1, 2): 3})
+    bad = Assignment("flow", {FlowKey(1, 1, 1): 1, FlowKey(1, 2, 1): core}, None)
+    message = f"flow (1, 2, 1) assigned to core {core!r}, valid range 1..1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate(inst, [1], bad)
+
+
+def test_simulate_accepts_numpy_integer_core():
+    inst = one_coflow({(1, 1): 2, (1, 2): 3}, cores=2)
+    asg = Assignment("flow", {FlowKey(1, 1, 1): np.int64(2), FlowKey(1, 2, 1): 1}, None)
+    res = simulate(inst, [1], asg, emit_timeline=True)
+    assert res.flow_completion == {FlowKey(1, 1, 1): 2.0, FlowKey(1, 2, 1): 3.0}
+    assert [s.core for s in res.timeline] == [2, 1]
 
 
 def test_simulate_rejects_bad_order():

@@ -1,11 +1,14 @@
-"""The event-driven simulator against the rescanning reference, exactly.
+"""The one-pass simulator against the rescanning reference, exactly.
 
-``_reference_sim.simulate`` is the simulator the per-core event loop
-replaced: it rebuilds every core's transmitting set at every event. Both
-run the same greedy list-schedule rule, so flow completions, coflow
+``_reference_sim.simulate`` is the first simulator: it rebuilds every
+core's transmitting set at every event. ``simulate`` instead places each
+core's flows best first into the free time of their two ports. Both run
+the same greedy list-schedule rule, so flow completions, coflow
 completions, the objective and the full timeline must be equal, compared
 with ``==`` and with ``repr`` so that a float and an equal int, or two
-floats printed differently, also count as a difference.
+floats printed differently, also count as a difference. The reference is
+quadratic, so these instances are small; ``test_simulator_scale.py``
+checks large ones against the event loop.
 """
 
 import random

@@ -1,0 +1,113 @@
+"""Print the per-layer instance ladder of ROADMAP.md as JSON.
+
+    python3 tools/ladder.py [--src DIR]
+
+Each row is one seeded instance (seed 0, m=5): ``gen_mix`` at n=25 N=10,
+``gen_density(..., "dense")`` at n=25 N=10, and ``gen_mix`` at n=200 N=50.
+For each it times every layer of the pipeline on its own, ``REPEATS``
+times, and reports the median in ms: validate, the table compile alone
+(validation stubbed out), order at flow and coflow level (F/C), FDLS and
+CDLS placement, simulate with the timeline on (F/C), and the audit (F/C).
+``--src`` imports ``coflowsched`` from another checkout's ``src``, so two
+trees can be compared by running the script on each in turn. Times are
+wall clock on whatever host runs it; the benchmark in ``perfbench/`` is the
+measure of record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import gc
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ROWS = (
+    ("mix n=25 N=10", "mix", 25, 10),
+    ("dense n=25 N=10", "dense", 25, 10),
+    ("mix n=200 N=50", "mix", 200, 50),
+)
+SEED, CORES, KAPPA, REPEATS = 0, 5, 0.5, 3
+
+
+def timed(fn, repeats: int):
+    """(median ms, last result) of ``repeats`` calls of fn()."""
+    times, out = [], None
+    for _ in range(repeats):
+        # Collect what earlier layers left, so their garbage is not timed here.
+        gc.collect()
+        start = time.perf_counter()
+        out = fn()
+        times.append((time.perf_counter() - start) * 1e3)
+    return round(statistics.median(times), 3), out
+
+
+def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
+    from coflowsched import model
+    from coflowsched.ordering import order_coflow_level, order_flow_level
+    from coflowsched.scheduling import assign_cdls, assign_fdls, audit_schedule, simulate
+    from coflowsched.workload import gen_density, gen_mix
+
+    if kind == "mix":
+        instance = gen_mix(n, ports, SEED, cores=CORES)
+    else:
+        instance = gen_density(n, ports, "dense", SEED, cores=CORES)
+    row: dict = {"flows": len(instance.table.keys), "repeats": repeats}
+    row["validate_ms"], _ = timed(lambda: model.validate(instance), repeats)
+
+    def compile_table():
+        return dataclasses.replace(instance).table
+
+    require_valid = model.require_valid
+    model.require_valid = lambda _: None
+    try:
+        row["table_ms"], _ = timed(compile_table, repeats)
+    finally:
+        model.require_valid = require_valid
+
+    for tag, order_fn, assign_fn in (
+        ("flow", order_flow_level, assign_fdls),
+        ("coflow", order_coflow_level, assign_cdls),
+    ):
+        row[f"order_{tag}_ms"], perm = timed(lambda: order_fn(instance, KAPPA), repeats)
+        row[f"{assign_fn.__name__}_ms"], asg = timed(lambda: assign_fn(instance, perm), repeats)
+        row[f"simulate_{tag}_ms"], res = timed(
+            lambda: simulate(instance, perm, asg, emit_timeline=True), repeats
+        )
+        row[f"audit_{tag}_ms"], bad = timed(
+            lambda: audit_schedule(instance, perm, asg, res), repeats
+        )
+        if bad:
+            raise SystemExit(f"error: audit of {kind} n={n} ({tag}) failed: {bad[0]}")
+    return row
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.src.resolve()))
+    import numpy
+
+    import coflowsched
+
+    out = {
+        "src": str(Path(coflowsched.__file__).resolve().parent.parent),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "seed": SEED,
+        "cores": CORES,
+        "rows": {},
+    }
+    for label, kind, n, ports in ROWS:
+        out["rows"][label] = ladder_row(kind, n, ports, REPEATS)
+    print(json.dumps(out, indent=1))
+
+
+if __name__ == "__main__":
+    main()
