@@ -10,6 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -68,6 +69,8 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError(f"granularity must be flow or coflow, got {config.granularity!r}")
     if config.instances < 1:
         raise ValueError("instances must be >= 1")
+    if not 0 < config.kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {config.kappa}")
     if not config.coflows or not config.cores:
         raise ValueError("coflows and cores sweeps must be nonempty")
     if config.density is not None and config.density not in workload.DENSITY_MODES:

@@ -13,13 +13,27 @@ Two granularities share the skeleton and produce the same permutation. They
 differ only in the dual increments: the flow-level form prices individual
 flow sizes at the bottleneck port, the coflow-level form prices aggregated
 per-coflow port loads.
+
+The pass is plain Python over sparse state. It reads the nonzero cells of the
+flow table's per-coflow port loads once and keeps, for each port on each side,
+a column {coflow: load} over the unscheduled coflows and integer sums: the
+total load and the squares the granularity prices. The latest-released
+coflow comes from a list sorted once, the smallest slack from a lazy heap
+that gets one entry per dual change. A step costs one max over each side's
+port totals, a scan of the bottleneck column, and the cells (at flow level
+also the flows) of the removed coflow. Integer sums are exact, and every
+float must come from the same IEEE operations in the same order as in the
+dense numpy reference in ``tests/_reference_ordering.py``; the differential
+tests compare the two bit for bit.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from operator import mul
 
 from .model import Instance
 
@@ -33,7 +47,8 @@ class IterationRecord:
     port_load the total remaining load there; set_cost is the set-function
     value priced by a beta step (0.0 on alpha steps). slack is w - delta of
     the selected coflow at selection time and min_slack the minimum slack
-    over all still-unscheduled coflows after the dual update.
+    over all still-unscheduled coflows, the selected one included, after
+    the dual update.
     """
 
     r: int
@@ -80,105 +95,110 @@ def order_coflow_level(instance: Instance, kappa: float = 0.5) -> Permutation:
     return _permute(instance, kappa, coflow_level=True)
 
 
-def _flow_aggregates(instance: Instance):
-    """Per-coflow squared-size sums and largest flow at each port."""
-    table = instance.table
-    sq_in = np.zeros_like(table.load_in)
-    sq_out = np.zeros_like(sq_in)
-    max_in = np.zeros_like(sq_in)
-    max_out = np.zeros_like(sq_in)
-    if table.keys:
-        i, j, k = np.array(table.keys, dtype=np.int64).T
-        d = np.array(table.size, dtype=np.int64)
-        np.add.at(sq_in, (k, i), d * d)
-        np.add.at(sq_out, (k, j), d * d)
-        np.maximum.at(max_in, (k, i), d)
-        np.maximum.at(max_out, (k, j), d)
-    return sq_in, sq_out, max_in, max_out
+def _least_slack(heap: list, slack: list) -> tuple[float, int]:
+    """Pop stale entries off the slack heap; return the (slack, coflow) on top.
+
+    Ties take the lowest coflow id.
+    """
+    while heap[0][0] != slack[heap[0][1]]:
+        heapq.heappop(heap)
+    return heap[0]
 
 
 def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutation:
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
-    load_in, load_out = instance.table.load_in, instance.table.load_out
-    n, m = instance.n, instance.cores
+    if not 0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    table = instance.table
+    n, m, ports = instance.n, instance.cores, instance.ports
     trace = DualTrace(kappa=kappa)
     if n == 0:
         return Permutation(order=[], dual_cost=0.0, trace=trace)
 
-    sq_in, sq_out, max_in, max_out = _flow_aggregates(instance)
-    weights = np.zeros(n + 1)
-    releases = np.full(n + 1, -1, dtype=np.int64)
-    for c in instance.coflows:
-        weights[c.id] = c.weight
-        releases[c.id] = c.release
+    # Per side: the nonzero cells of the table's load matrix as (coflows,
+    # ports, loads) in (coflow, port) order; each port's column {coflow: load}
+    # over the unscheduled coflows, ids ascending; and each port's total load
+    # and the sum of squares the granularity prices there (squared coflow
+    # loads, or squared flow sizes).
+    fi, fj, size, first = table.fi, table.fj, table.size, table.first
+    cells = []
+    for loads in (table.load_in, table.load_out):
+        ks, ps = loads.nonzero()
+        cells.append((ks.tolist(), ps.tolist(), loads[ks, ps].tolist()))
+    cols = ([{} for _ in range(ports + 1)], [{} for _ in range(ports + 1)])
+    for col_s, (ks, ps, vs) in zip(cols, cells):
+        for k, p, v in zip(ks, ps, vs):
+            col_s[p][k] = v
+    tots = tuple([sum(col.values()) for col in col_s] for col_s in cols)
+    if coflow_level:
+        sqs = tuple([sum(map(mul, c.values(), c.values())) for c in col_s] for col_s in cols)
+    else:
+        flow_sq = list(map(mul, size, size))
+        sq_in, sq_out = sqs = ([0] * (ports + 1), [0] * (ports + 1))
+        for i, j, dd in zip(fi, fj, flow_sq):
+            sq_in[i] += dd
+            sq_out[j] += dd
 
-    # Aggregates over the unscheduled set, updated in O(ports) per removal.
-    tot_in = load_in.sum(axis=0)
-    tot_out = load_out.sum(axis=0)
-    flowsq_in = sq_in.sum(axis=0)
-    flowsq_out = sq_out.sum(axis=0)
-    loadsq_in = (load_in * load_in).sum(axis=0)
-    loadsq_out = (load_out * load_out).sum(axis=0)
-
-    delta = np.zeros(n + 1)
-    unsched = np.ones(n + 1, dtype=bool)
-    unsched[0] = False
+    weight = [0.0] + [float(c.weight) for c in instance.coflows]
+    release = [-1] + [int(c.release) for c in instance.coflows]
+    # Latest release first, lowest id first among equals (reverse keeps ties stable).
+    by_release = sorted(range(1, n + 1), key=release.__getitem__, reverse=True)
+    delta = [0.0] * (n + 1)
+    # w - delta of each unscheduled coflow, None once scheduled. The heap holds
+    # (slack, coflow) pushed at every change; an entry whose slack is no longer
+    # current is stale and popped when it surfaces.
+    slack: list[float | None] = weight[:]
+    heap = [(slack[k], k) for k in range(1, n + 1)]
+    heapq.heapify(heap)
     order = [0] * n
     dual = 0.0
+    nxt = 0
 
     for r in range(n, 0, -1):
-        mu1 = int(np.argmax(tot_in[1:])) + 1
-        mu2 = int(np.argmax(tot_out[1:])) + 1
-        latest = int(np.argmax(np.where(unsched, releases, -1)))
-        if tot_in[mu1] > tot_out[mu2]:
-            side, port = "input", mu1
-            port_total = int(tot_in[mu1])
-            loads = load_in[:, mu1]
-            flow_sq = int(flowsq_in[mu1])
-            load_sq = int(loadsq_in[mu1])
-            latest_peak = int(max_in[latest, mu1])
-        else:
-            side, port = "output", mu2
-            port_total = int(tot_out[mu2])
-            loads = load_out[:, mu2]
-            flow_sq = int(flowsq_out[mu2])
-            load_sq = int(loadsq_out[mu2])
-            latest_peak = int(max_out[latest, mu2])
+        while slack[by_release[nxt]] is None:
+            nxt += 1
+        latest = by_release[nxt]
+        best_in, best_out = max(tots[0]), max(tots[1])
+        s = 0 if best_in > best_out else 1
+        side = ("input", "output")[s]
+        port_total = (best_in, best_out)[s]
+        port = tots[s].index(port_total, 1)
+        col = cols[s][port]
 
-        if releases[latest] > kappa * port_total / m:
+        if release[latest] > kappa * port_total / m:
             chosen = latest
             branch = "alpha"
-            value = float(weights[chosen] - delta[chosen])
-            head = int(loads[chosen]) if coflow_level else latest_peak
-            increment = value * (float(releases[chosen]) + head)
-            set_cost = 0.0
-        else:
-            branch = "beta"
-            candidates = unsched & (loads > 0)
-            if candidates.any():
-                ratios = np.full(n + 1, np.inf)
-                ratios[candidates] = (weights[candidates] - delta[candidates]) / loads[
-                    candidates
-                ]
-                chosen = int(np.argmin(ratios))
-                value = float(ratios[chosen])
-                if coflow_level:
-                    set_cost = (load_sq + float(port_total) ** 2) / (2.0 * m)
-                else:
-                    set_cost = (flow_sq + float(port_total) ** 2) / (2.0 * m)
-                increment = value * set_cost
-                grow = unsched.copy()
-                grow[chosen] = False
-                delta[grow] += value * loads[grow]
+            value = slack[chosen]
+            if coflow_level:
+                head = col.get(chosen, 0)
             else:
-                # Every remaining coflow is empty at the bottleneck port,
-                # which only happens when they are all flowless: take the
-                # smallest slack, raise nothing.
-                chosen = int(np.argmin(np.where(unsched, weights - delta, np.inf)))
-                value = 0.0
-                increment = 0.0
-                set_cost = 0.0
+                at = (fi, fj)[s]
+                head = max(
+                    (size[x] for x in range(first[chosen - 1], first[chosen]) if at[x] == port),
+                    default=0,
+                )
+            increment = value * (float(release[chosen]) + head)
+            set_cost = 0.0
+        elif col:
+            branch = "beta"
+            chosen, value = 0, math.inf
+            for k, load in col.items():
+                ratio = slack[k] / load
+                if ratio < value:
+                    chosen, value = k, ratio
+            set_cost = (sqs[s][port] + float(port_total) ** 2) / (2.0 * m)
+            increment = value * set_cost
+            for k, load in col.items():
+                if k != chosen:
+                    delta[k] += value * load
+                    slack[k] = weight[k] - delta[k]
+                    heapq.heappush(heap, (slack[k], k))
+        else:
+            # Every remaining coflow is empty at the bottleneck port, which
+            # only happens when they are all flowless: take the smallest
+            # slack, raise nothing.
+            branch = "beta"
+            chosen = _least_slack(heap, slack)[1]
+            value = increment = set_cost = 0.0
 
         dual += increment
         order[r - 1] = chosen
@@ -191,23 +211,29 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
                 port=port,
                 value=value,
                 increment=increment,
-                bottleneck_load=int(loads[chosen]),
+                bottleneck_load=col.get(chosen, 0),
                 port_load=port_total,
                 set_cost=set_cost,
-                slack=float(weights[chosen] - delta[chosen]),
-                min_slack=float((weights - delta)[unsched].min()),
+                slack=slack[chosen],
+                min_slack=_least_slack(heap, slack)[0],
             )
         )
-        trace.delta[chosen] = float(delta[chosen])
+        trace.delta[chosen] = delta[chosen]
 
-        unsched[chosen] = False
-        tot_in -= load_in[chosen]
-        tot_out -= load_out[chosen]
-        flowsq_in -= sq_in[chosen]
-        flowsq_out -= sq_out[chosen]
-        loadsq_in -= load_in[chosen] * load_in[chosen]
-        loadsq_out -= load_out[chosen] * load_out[chosen]
+        slack[chosen] = None
+        for col_s, tot_s, sq_s, (ks, ps, vs) in zip(cols, tots, sqs, cells):
+            lo, hi = bisect_left(ks, chosen), bisect_right(ks, chosen)
+            for p, v in zip(ps[lo:hi], vs[lo:hi]):
+                del col_s[p][chosen]
+                tot_s[p] -= v
+                if coflow_level:
+                    sq_s[p] -= v * v
+        if not coflow_level:
+            lo, hi = first[chosen - 1], first[chosen]
+            for i, j, dd in zip(fi[lo:hi], fj[lo:hi], flow_sq[lo:hi]):
+                sq_in[i] -= dd
+                sq_out[j] -= dd
 
     trace.dual_cost = dual
-    trace.delta = {k: trace.delta[k] for k in sorted(trace.delta)}
+    trace.delta = dict(sorted(trace.delta.items()))
     return Permutation(order=order, dual_cost=dual, trace=trace)

@@ -271,6 +271,21 @@ def test_bad_trace_exits_with_one_json_line(tmp_path, capsys, line, message):
     assert_one_json_error(*run(capsys, "trace-import", str(path), "--ports", "3"), message)
 
 
+@pytest.mark.parametrize("kappa", ["nan", "inf", "-inf", "0"])
+@pytest.mark.parametrize(
+    "command",
+    [["order"], ["schedule"], ["oracle-check"], ["experiment", "box", "--instances", "1"]],
+    ids=["order", "schedule", "oracle-check", "experiment"],
+)
+def test_bad_kappa_exits_with_one_json_line(tmp_path, capsys, command, kappa):
+    if command[0] == "experiment":
+        argv = [*command, "--out", str(tmp_path / "exp")]
+    else:
+        argv = [*command, str(gen_instance(tmp_path, capsys))]
+    code, out, err = run(capsys, *argv, f"--kappa={kappa}")
+    assert_one_json_error(code, out, err, f"kappa must be positive and finite, got {kappa}")
+
+
 def assert_one_json_error(code, out, err, message):
     assert code == 1 and out == ""
     lines = err.splitlines()

@@ -126,10 +126,10 @@ def test_empty_instance():
 
 def test_kappa_must_be_positive():
     inst = single({(1, 1): 1})
-    with pytest.raises(ValueError):
-        order_flow_level(inst, 0)
-    with pytest.raises(ValueError):
-        order_coflow_level(inst, -1)
+    for kappa in (0, -1, float("nan"), float("inf"), float("-inf")):
+        for run in (order_flow_level, order_coflow_level):
+            with pytest.raises(ValueError, match="kappa must be positive and finite"):
+                run(inst, kappa)
 
 
 def test_invalid_instance_rejected():

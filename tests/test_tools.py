@@ -20,3 +20,6 @@ def test_ladder_row_times_every_layer():
         "assign_fdls_ms",
         "assign_cdls_ms",
     }
+    assert ("mix n=200 N=50 releases", "release", 200, 50) in ladder.ROWS
+    assert ladder.ladder_row("release", 25, 10, 1).keys() == row.keys()
+

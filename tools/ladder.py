@@ -3,7 +3,10 @@
     python3 tools/ladder.py [--src DIR]
 
 Each row is one seeded instance (seed 0, m=5): ``gen_mix`` at n=25 N=10,
-``gen_density(..., "dense")`` at n=25 N=10, and ``gen_mix`` at n=200 N=50.
+``gen_density(..., "dense")`` at n=25 N=10, and ``gen_mix`` at n=200 N=50,
+once with every release at 0 and once with releases drawn up to
+``RELEASE_MAX``, about the n=200 instance's busiest port load over m, so that
+most ordering steps take the release-driven (alpha) branch.
 For each it times every layer of the pipeline on its own, ``REPEATS``
 times, and reports the median in ms: validate, the table compile alone
 (validation stubbed out), order at flow and coflow level (F/C), FDLS and
@@ -31,8 +34,10 @@ ROWS = (
     ("mix n=25 N=10", "mix", 25, 10),
     ("dense n=25 N=10", "dense", 25, 10),
     ("mix n=200 N=50", "mix", 200, 50),
+    ("mix n=200 N=50 releases", "release", 200, 50),
 )
 SEED, CORES, KAPPA, REPEATS = 0, 5, 0.5, 3
+RELEASE_MAX = 90_000
 
 
 def timed(fn, repeats: int):
@@ -53,8 +58,9 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     from coflowsched.scheduling import assign_cdls, assign_fdls, audit_schedule, simulate
     from coflowsched.workload import gen_density, gen_mix
 
-    if kind == "mix":
-        instance = gen_mix(n, ports, SEED, cores=CORES)
+    if kind in ("mix", "release"):
+        release_max = RELEASE_MAX if kind == "release" else 0
+        instance = gen_mix(n, ports, SEED, cores=CORES, release_max=release_max)
     else:
         instance = gen_density(n, ports, "dense", SEED, cores=CORES)
     row: dict = {"flows": len(instance.table.keys), "repeats": repeats}
