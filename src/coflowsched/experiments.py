@@ -10,7 +10,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import metrics, workload
 from .model import Instance
-from .ordering import Permutation, order_coflow_level, order_flow_level
+from .ordering import Permutation, _require_kappa, order_coflow_level, order_flow_level
 from .scheduling import ScheduleResult, assign_cdls, assign_fdls, simulate
 
 KINDS = ("ratio-vs-coflows", "ratio-vs-cores", "density", "trace-threshold", "box", "cdf")
@@ -69,8 +68,7 @@ def _validate(config: ExperimentConfig) -> None:
         raise ValueError(f"granularity must be flow or coflow, got {config.granularity!r}")
     if config.instances < 1:
         raise ValueError("instances must be >= 1")
-    if not 0 < config.kappa < math.inf:
-        raise ValueError(f"kappa must be positive and finite, got {config.kappa}")
+    _require_kappa(config.kappa)
     if not config.coflows or not config.cores:
         raise ValueError("coflows and cores sweeps must be nonempty")
     if config.density is not None and config.density not in workload.DENSITY_MODES:

@@ -5,8 +5,13 @@ placement (per flow or per coflow, depending on granularity), so its
 best_cost is the cheapest list schedule and an upper bound on the optimum of
 that granularity. Cores share no port, so a core's schedule depends only on
 the flows placed on it, in priority order; each distinct such sequence is
-simulated once per call, and every pair is scored from those per-core
-finish times with the same fold ``simulate`` uses. trivial_lower_bound is
+simulated once per call. Pairs are scored in blocks of permutations: each
+placement puts a bit mask of flows on each core, a permutation's finish
+times are one row per distinct mask, and one gather per coflow reads every
+pair's finish times from those rows. The completions and the weighted sum
+are then folded in coflow id order with the same IEEE operations as the
+fold ``simulate`` uses, so with int or float weights each pair costs what
+simulating it would return, to the bit. trivial_lower_bound is
 the opposite side: a per-coflow floor no schedule can beat. Both exist to
 sandwich-check the dual bound and the two assignment policies on instances
 small enough to enumerate.
@@ -19,11 +24,19 @@ compared against the best schedule of its own granularity.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import islice, permutations, product
+
+import numpy as np
 
 from .model import FlowKey, FlowTable, Instance
-from .scheduling import _fold_completions, _list_schedule, _priority_rows
+from .scheduling import _list_schedule, _priority_rows
+
+# Cells (permutations x placements x flows) of one scoring block. A
+# permutation has at most as many distinct core masks as placements, so this
+# bounds every float64 array of a block at 128 KB on any instance.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass
@@ -87,33 +100,74 @@ def enumerate_best(
             f"N<={max_ports}, m<={max_cores}"
         )
 
+    flows, first = len(keys), table.first
+    # Placements in product order as each flow's core, and the flows each one
+    # puts on each core as a bit mask over rows.
+    if granularity == "flow":
+        slot_bits = [1 << r for r in range(flows)]
+    else:
+        slot_bits = [(1 << first[k]) - (1 << first[k - 1]) for k in range(1, n + 1)]
     owner = [key.k - 1 for key in keys]
-    # Finish times per core flow tuple (rows in priority order); an idle
-    # core has none.
-    core_runs: dict[tuple[int, ...], list[float]] = {(): []}
-    finish = [0.0] * len(keys)
+    # A permutation's finish times are one row per distinct core mask, each
+    # with the flows of that mask run alone on a core; flattened, flow r of
+    # placement p is read from column gather[p, r], and each coflow with
+    # flows keeps its own columns of gather.
+    placements = []
+    index: dict[int, int] = {}
+    gather = []
+    for cores in product(range(1, m + 1), repeat=len(slot_bits)):
+        masks = [0] * (m + 1)
+        for bit, h in zip(slot_bits, cores):
+            masks[h] |= bit
+        core_of = cores if granularity == "flow" else tuple(cores[o] for o in owner)
+        placements.append(core_of)
+        gather.append(
+            [index.setdefault(masks[h], len(index)) * flows + r for r, h in enumerate(core_of)]
+        )
+    member = [[mask >> r & 1 for r in range(flows)] for mask in index]
+    gather = np.array(gather, dtype=np.intp).reshape(len(placements), flows)
+    columns = [gather[:, lo:hi] if hi > lo else None for lo, hi in zip(first, first[1:])]
+
+    # Finish times per core flow tuple (rows in priority order), as the bytes
+    # of a float64 row over all flows.
+    core_runs: dict[tuple[int, ...], bytes] = {}
+    idle = [0.0] * flows
     best_cost = float("inf")
     best_order: list[int] = []
     best_assignment: dict[FlowKey, int] = {}
     examined = 0
-    slots = len(keys) if granularity == "flow" else n
-    for perm in permutations(range(1, n + 1)):
-        ranked = _priority_rows(table, perm, granularity)
-        for cores in product(range(1, m + 1), repeat=slots):
-            core_of = cores if granularity == "flow" else [cores[o] for o in owner]
-            for h in range(1, m + 1):
-                rows = tuple(r for r in ranked if core_of[r] == h)
-                times = core_runs.get(rows)
-                if times is None:
-                    times = core_runs[rows] = _run_core(table, rows)
-                for r, t in zip(rows, times):
-                    finish[r] = t
-            cost = _fold_completions(instance.coflows, table.first, finish)[1]
-            examined += 1
-            if cost < best_cost - 1e-12:
-                best_cost = cost
-                best_order = list(perm)
-                best_assignment = dict(zip(keys, core_of))
+    orders = permutations(range(1, n + 1))
+    block = max(1, BLOCK_CELLS // (len(placements) * max(flows, 1)))
+    while batch := list(islice(orders, block)):
+        parts = []
+        for perm in batch:
+            ranked = _priority_rows(table, perm, granularity)
+            for bits in member:
+                rows = tuple([r for r in ranked if bits[r]])
+                part = core_runs.get(rows)
+                if part is None:
+                    row = idle[:]
+                    for r, t in zip(rows, _run_core(table, rows)):
+                        row[r] = t
+                    part = core_runs[rows] = array("d", row).tobytes()
+                parts.append(part)
+        runs = np.frombuffer(b"".join(parts)).reshape(len(batch), len(index) * flows)
+        # The fold of scheduling._fold_completions, one coflow at a time in id
+        # order, on every pair of the block at once.
+        cost = np.zeros((len(batch), len(placements)))
+        for c, cols in zip(instance.coflows, columns):
+            done = float(c.release) if cols is None else runs[:, cols].max(axis=2)
+            cost += float(c.weight) * done
+        cost = cost.ravel()
+        pos = 0
+        while (hits := np.flatnonzero(cost[pos:] < best_cost - 1e-12)).size:
+            pos += int(hits[0])
+            best_cost = float(cost[pos])
+            b, p = divmod(pos, len(placements))
+            best_order = list(batch[b])
+            best_assignment = dict(zip(keys, placements[p]))
+            pos += 1
+        examined += cost.size
     return OracleResult(
         best_cost=best_cost,
         lower_bound=trivial_lower_bound(instance),

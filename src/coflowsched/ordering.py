@@ -42,13 +42,15 @@ from .model import Instance
 class IterationRecord:
     """One iteration of the right-to-left construction.
 
-    value is alpha or beta; increment is the dual objective contribution.
-    bottleneck_load is the selected coflow's load at the bottleneck port and
-    port_load the total remaining load there; set_cost is the set-function
-    value priced by a beta step (0.0 on alpha steps). slack is w - delta of
-    the selected coflow at selection time and min_slack the minimum slack
-    over all still-unscheduled coflows, the selected one included, after
-    the dual update.
+    branch is alpha, beta, or fallback when every remaining coflow is
+    flowless: the one with the smallest slack is placed and no dual variable
+    rises. value is the alpha or beta dual value (0.0 on a fallback step);
+    increment is the dual objective contribution. bottleneck_load is the
+    selected coflow's load at the bottleneck port and port_load the total
+    remaining load there; set_cost is the set-function value priced by a
+    beta step (0.0 otherwise). slack is w - delta of the selected coflow at
+    selection time and min_slack the minimum slack over all still-unscheduled
+    coflows, the selected one included, after the dual update.
     """
 
     r: int
@@ -105,9 +107,22 @@ def _least_slack(heap: list, slack: list) -> tuple[float, int]:
     return heap[0]
 
 
-def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutation:
-    if not 0 < kappa < math.inf:
+def _require_kappa(kappa: float) -> None:
+    """Raise ValueError unless kappa is positive and finite.
+
+    An int too large for a float counts as infinite: the alpha test would
+    overflow on it.
+    """
+    try:
+        ok = 0 < kappa and math.isfinite(kappa)
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+
+
+def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutation:
+    _require_kappa(kappa)
     table = instance.table
     n, m, ports = instance.n, instance.cores, instance.ports
     trace = DualTrace(kappa=kappa)
@@ -196,7 +211,7 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
             # Every remaining coflow is empty at the bottleneck port, which
             # only happens when they are all flowless: take the smallest
             # slack, raise nothing.
-            branch = "beta"
+            branch = "fallback"
             chosen = _least_slack(heap, slack)[1]
             value = increment = set_cost = 0.0
 

@@ -36,7 +36,7 @@ def test_validation_errors():
         run_experiment(ExperimentConfig("density", density="medium"))
     with pytest.raises(ValueError, match="trace_path"):
         run_experiment(ExperimentConfig("trace-threshold"))
-    for kappa in (0.0, -1.0, float("nan"), float("inf")):
+    for kappa in (0.0, -1.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             run_experiment(ExperimentConfig("box", kappa=kappa))
 

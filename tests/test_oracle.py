@@ -1,19 +1,26 @@
 """Brute-force baselines: enumeration and the per-coflow floor.
 
-enumerate_best is also checked field by field against the loop it replaced
-(``_reference_oracle.py``), which simulates the whole instance for every
-(permutation, placement) pair.
+enumerate_best is also checked field by field against two loops it
+replaced: ``_reference_oracle.py`` simulates the whole instance for every
+(permutation, placement) pair, and ``_reference_oracle_memo.py`` scores the
+pairs one by one from memoised per-core runs, which is fast enough for the
+edge cases near the caps.
 """
+
+import tracemalloc
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
 from _reference_oracle import enumerate_best as reference_best
+from _reference_oracle_memo import enumerate_best as memo_reference_best
 from _shared import tiny_instance
 from coflowsched import oracle, scheduling
 from coflowsched.model import Coflow, Instance
 from coflowsched.oracle import enumerate_best, trivial_lower_bound
 from coflowsched.ordering import order_coflow_level, order_flow_level
+from coflowsched.scheduling import Assignment, simulate
 
 
 def inst(coflow_specs, cores=1, ports=None):
@@ -140,6 +147,8 @@ TINY_CORE_RUNS = 33_530
 def assert_same(got, want):
     assert got == want
     assert repr(got.best_cost) == repr(want.best_cost)
+    assert type(got.best_cost) is float
+    assert all(type(x) is int for x in [*got.best_order, *got.best_assignment.values()])
 
 
 def assert_matches_reference(instance):
@@ -226,3 +235,156 @@ NINE_FLOWS = [
 )
 def test_matches_reference_on_hand_built(instance):
     assert_matches_reference(instance)
+
+
+# --- edge cases of block scoring, against the pair-by-pair memo loop ----------
+def undercuts(instance, granularity):
+    """Pairs whose cost is below the running best by less than 1e-12.
+
+    The witness rule keeps the earlier pair for them. Returns how many lie in
+    the running witness's own permutation and how many in a later one.
+    """
+    keys = instance.table.keys
+    n, m = instance.n, instance.cores
+    slots = len(keys) if granularity == "flow" else n
+    best, best_perm, within, across = float("inf"), None, 0, 0
+    for perm in permutations(range(1, n + 1)):
+        for cores in product(range(1, m + 1), repeat=slots):
+            if granularity == "flow":
+                placement = dict(zip(keys, cores))
+                assignment = Assignment("flow", placement, None)
+            else:
+                by_coflow = dict(zip(range(1, n + 1), cores))
+                placement = {key: by_coflow[key.k] for key in keys}
+                assignment = Assignment("coflow", placement, by_coflow)
+            cost = simulate(instance, list(perm), assignment).objective
+            if cost < best - 1e-12:
+                best, best_perm = cost, perm
+            elif cost < best:
+                within += perm == best_perm
+                across += perm != best_perm
+    return within, across
+
+
+# Float weights whose weighted sums differ in the last bits between pairs of
+# equal exact cost, found by a seeded search.
+NEAR_TIE_WITHIN = inst(
+    [(2, 0.3, {(2, 1): 3}), (1, 0.2, {(2, 2): 2, (1, 2): 1}), (2, 0.2, {(2, 1): 2, (2, 2): 3})],
+    cores=2,
+)
+NEAR_TIE_ACROSS = inst(
+    [(2, 0.3, {(1, 1): 3}), (2, 0.7, {(1, 1): 2, (2, 1): 3}), (0, 0.1, {(2, 2): 1, (1, 1): 3})],
+    cores=2,
+)
+NEAR_TIE_ONE_CORE = inst(
+    [(2, 0.3, {(1, 1): 2, (2, 1): 1}), (2, 0.1, {(2, 1): 1}), (0, 0.1, {(2, 1): 1})]
+)
+# Identical coflows: swapping them or their cores gives the same cost.
+TWINS = inst([(0, 1, {(1, 1): 2}), (0, 1, {(1, 1): 2})], cores=2)
+
+
+@pytest.mark.parametrize(
+    "instance, granularity, within, across",
+    [
+        (NEAR_TIE_WITHIN, "flow", 1, 0),
+        (NEAR_TIE_ACROSS, "coflow", 0, 6),
+        (NEAR_TIE_ONE_CORE, "flow", 0, 3),
+    ],
+)
+def test_cases_undercut_by_less_than_the_tolerance(instance, granularity, within, across):
+    assert undercuts(instance, granularity) == (within, across)
+
+
+EDGE_CASES = [
+    pytest.param(NEAR_TIE_WITHIN, id="sub-1e-12-tie-within-permutation"),
+    pytest.param(NEAR_TIE_ACROSS, id="sub-1e-12-tie-across-permutations"),
+    pytest.param(NEAR_TIE_ONE_CORE, id="sub-1e-12-tie-one-core"),
+    # Disjoint unit flows: 0.1 + 0.2 + 0.3 in id order is 0.6000000000000001,
+    # in any other order 0.6.
+    pytest.param(
+        inst([(0, 0.1, {(1, 1): 1}), (0, 0.2, {(2, 2): 1}), (0, 0.3, {(3, 3): 1})]),
+        id="fold-order",
+    ),
+    pytest.param(TWINS, id="exact-ties"),
+    pytest.param(Instance(cores=2, ports=2, coflows=()), id="no-coflows"),
+    pytest.param(
+        inst([(3, 2, {}), (0, 1.5, {}), (1, 4, {})], cores=2, ports=2), id="all-flowless"
+    ),
+    pytest.param(
+        inst([(0, 2, {(1, 1): 3}), (4, 3, {}), (0, 1, {(1, 2): 1, (2, 1): 2})], ports=2),
+        id="one-core-with-flowless",
+    ),
+    pytest.param(
+        inst(
+            [(5, 1, {}), (0, 2, {(1, 1): 3, (2, 2): 1}), (2, 3, {}), (0, 1, {(1, 2): 2})],
+            cores=2,
+            ports=2,
+        ),
+        id="cores-with-flowless",
+    ),
+]
+
+
+@pytest.mark.parametrize("block_cells", [1, oracle.BLOCK_CELLS])
+@pytest.mark.parametrize("instance", EDGE_CASES)
+def test_edge_cases_match_memo_reference(monkeypatch, instance, block_cells):
+    # With one cell per block every permutation is scored in a block of its own.
+    monkeypatch.setattr(oracle, "BLOCK_CELLS", block_cells)
+    for granularity in ("flow", "coflow"):
+        want = memo_reference_best(instance, granularity)
+        assert_same(enumerate_best(instance, granularity), want)
+        assert_same(want, reference_best(instance, granularity))
+
+
+def test_exact_ties_keep_the_first_pair():
+    res = enumerate_best(TWINS, "flow")
+    assert res.best_order == [1, 2]
+    assert list(res.best_assignment.values()) == [1, 2]
+    empty = enumerate_best(Instance(cores=2, ports=1, coflows=()), "coflow")
+    assert (empty.best_cost, empty.best_order, empty.best_assignment) == (0.0, [], {})
+    assert empty.schedules_examined == 1
+
+
+# n=6 with 8 flows on m=2: 720 x 256 = 184,320 pairs at flow level.
+NEAR_CAP = inst(
+    [
+        (0, 1, {(1, 1): 4, (2, 2): 1}),
+        (0, 1, {(1, 2): 4}),
+        (0, 1, {(1, 3): 4, (3, 3): 2}),
+        (0, 1, {(2, 1): 3}),
+        (0, 2, {(3, 1): 3}),
+        (0, 10, {(1, 1): 1}),
+    ],
+    cores=2,
+    ports=3,
+)
+
+
+@pytest.fixture(scope="module")
+def near_cap_flow():
+    """Flow-level enumerate_best on NEAR_CAP and its tracemalloc peak."""
+    enumerate_best(NEAR_CAP, "coflow")
+    tracemalloc.start()
+    try:
+        result = enumerate_best(NEAR_CAP, "flow")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_near_cap_memory_is_blocked(near_cap_flow):
+    # Scoring all 720 permutations in one block would hold 720 x 256 x 8
+    # float64 finish times, 11.8 MB; the per-core memo takes about 3 MB.
+    assert near_cap_flow[1] < 6e6
+
+
+def test_near_cap_matches_memo_reference_past_the_first_block(near_cap_flow):
+    for granularity, slots, got in (
+        ("flow", 8, near_cap_flow[0]),
+        ("coflow", 6, enumerate_best(NEAR_CAP, "coflow")),
+    ):
+        assert_same(got, memo_reference_best(NEAR_CAP, granularity))
+        assert got.schedules_examined == 720 * 2**slots
+        block = oracle.BLOCK_CELLS // (2**slots * 8)
+        assert list(permutations(range(1, 7))).index(tuple(got.best_order)) >= block

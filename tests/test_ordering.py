@@ -126,7 +126,7 @@ def test_empty_instance():
 
 def test_kappa_must_be_positive():
     inst = single({(1, 1): 1})
-    for kappa in (0, -1, float("nan"), float("inf"), float("-inf")):
+    for kappa in (0, -1, float("nan"), float("inf"), float("-inf"), 10**400):
         for run in (order_flow_level, order_coflow_level):
             with pytest.raises(ValueError, match="kappa must be positive and finite"):
                 run(inst, kappa)
@@ -238,6 +238,7 @@ def test_zero_flow_coflows_take_the_fallback():
     assert sorted(perm.order) == [1, 2]
     assert perm.dual_cost == 0.0
     assert all(r.bottleneck_load == 0 for r in perm.trace.records)
+    assert [r.branch for r in perm.trace.records] == ["fallback", "fallback"]
     # the fallback fills positions back to front with the smallest slack,
     # so the lighter coflow (w=3) lands at the back
     assert perm.order == [1, 2]

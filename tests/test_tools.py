@@ -6,10 +6,15 @@ from pathlib import Path
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 
 
-def test_ladder_row_times_every_layer():
+def load_ladder():
     spec = importlib.util.spec_from_file_location("ladder", LADDER)
     ladder = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ladder)
+    return ladder
+
+
+def test_ladder_row_times_every_layer():
+    ladder = load_ladder()
     row = ladder.ladder_row("mix", 25, 10, 1)
     assert row["flows"] == 751
     layers = {key for key in row if key.endswith("_ms")}
@@ -23,3 +28,12 @@ def test_ladder_row_times_every_layer():
     assert ("mix n=200 N=50 releases", "release", 200, 50) in ladder.ROWS
     assert ladder.ladder_row("release", 25, 10, 1).keys() == row.keys()
 
+
+def test_oracle_row_times_both_granularities():
+    ladder = load_ladder()
+    instance = ladder.oracle_instance()
+    assert (instance.n, instance.ports, instance.cores) == (6, 3, 2)
+    row = ladder.oracle_row(1)
+    assert row["flows"] == 8
+    assert (row["pairs_flow"], row["pairs_coflow"]) == (720 * 2**8, 720 * 2**6)
+    assert row["oracle_flow_ms"] > 0 and row["oracle_coflow_ms"] > 0

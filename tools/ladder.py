@@ -11,6 +11,9 @@ For each it times every layer of the pipeline on its own, ``REPEATS``
 times, and reports the median in ms: validate, the table compile alone
 (validation stubbed out), order at flow and coflow level (F/C), FDLS and
 CDLS placement, simulate with the timeline on (F/C), and the audit (F/C).
+One more row times ``oracle.enumerate_best`` at both granularities on a
+seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
+flows, so 720 x 256 pairs at flow level.
 ``--src`` imports ``coflowsched`` from another checkout's ``src``, so two
 trees can be compared by running the script on each in turn. Times are
 wall clock on whatever host runs it; the benchmark in ``perfbench/`` is the
@@ -24,6 +27,7 @@ import dataclasses
 import gc
 import json
 import platform
+import random
 import statistics
 import sys
 import time
@@ -38,6 +42,7 @@ ROWS = (
 )
 SEED, CORES, KAPPA, REPEATS = 0, 5, 0.5, 3
 RELEASE_MAX = 90_000
+ORACLE_ROW = "oracle n=6 N=3 m=2"
 
 
 def timed(fn, repeats: int):
@@ -93,6 +98,33 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     return row
 
 
+def oracle_instance():
+    """n=6, N=3, m=2 with 8 flows: one per coflow and two more on random ones."""
+    from coflowsched.model import Coflow, Instance
+
+    rng = random.Random(SEED)
+    pairs = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+    demands: list[dict] = [{} for _ in range(6)]
+    for k in [*range(6), rng.randrange(6), rng.randrange(6)]:
+        pair = rng.choice([p for p in pairs if p not in demands[k]])
+        demands[k][pair] = rng.randint(1, 4)
+    coflows = tuple(
+        Coflow(k + 1, rng.randint(0, 6), rng.randint(1, 10), demands[k]) for k in range(6)
+    )
+    return Instance(cores=2, ports=3, coflows=coflows)
+
+
+def oracle_row(repeats: int) -> dict:
+    from coflowsched.oracle import enumerate_best
+
+    instance = oracle_instance()
+    row: dict = {"flows": len(instance.table.keys), "repeats": repeats}
+    for tag in ("flow", "coflow"):
+        row[f"oracle_{tag}_ms"], best = timed(lambda: enumerate_best(instance, tag), repeats)
+        row[f"pairs_{tag}"] = best.schedules_examined
+    return row
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src")
@@ -112,6 +144,7 @@ def main(argv: list[str] | None = None) -> None:
     }
     for label, kind, n, ports in ROWS:
         out["rows"][label] = ladder_row(kind, n, ports, REPEATS)
+    out["rows"][ORACLE_ROW] = oracle_row(REPEATS)
     print(json.dumps(out, indent=1))
 
 
