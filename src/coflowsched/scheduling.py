@@ -152,15 +152,15 @@ def _fold_completions(
     """Coflow completions and the weighted objective, in coflow id order.
 
     A coflow completes with its last flow, a flowless one at its release.
-    The objective adds weight x completion one coflow at a time, so every
-    caller gets the same float.
+    The objective adds weight x completion one coflow at a time, in Python
+    floats whatever the weight's type, so every caller gets the same float.
     """
     done_of: list[float] = []
     objective = 0.0
     for c, lo, hi in zip(coflows, first, first[1:]):
         done = max(finish[lo:hi]) if hi > lo else float(c.release)
         done_of.append(done)
-        objective += c.weight * done
+        objective += float(c.weight) * done
     return done_of, objective
 
 
@@ -313,6 +313,15 @@ def audit_schedule(
     and a flow without a completion time or with a NaN one, are reported
     too; such a flow is left out of the checks that need it.
 
+    The timeline is read once, into start, end, flow row and core columns,
+    and every check runs on columns: the volume per flow is one
+    ``bincount`` in timeline order, and the segment, flow and coflow checks
+    are masks. Only what a mask flags is formatted, in the order a walk
+    over the segments, flows and coflows would report it. One stable sort
+    by core gives each core its segments as a slice in timeline order, and
+    one sort per side by (core, port, start, end) puts each port's spans
+    next to the spans they could overlap.
+
     Work conservation is checked per core on a grid: the sorted distinct
     segment starts and ends, releases and completions on that core, each
     cell running from one grid point to the next. The segments of each
@@ -321,90 +330,144 @@ def audit_schedule(
     completion, and it starved in every eligible cell that neither of its
     ports' runs covers (its own segments are among those runs). One sweep
     over the starved pieces reports, for every cell that any of them
-    covers, the starved flow first in (i, j, k) order. The cost per core
-    is O((segments + flows) log segments), plus a step for each busy run
-    that overlaps a flow's window and for each cell reported. Returns a
-    list of violation descriptions, empty when clean.
+    covers, the starved flow first in (i, j, k) order.
+
+    Cost: per segment and per flow, the Python work is a few C-level
+    passes, the transpose and the dict lookups that map flows to rows and
+    cores. The rest runs in numpy, O((segments + flows) log(segments +
+    flows)) over all cores plus a step per busy run that overlaps a flow's
+    window, with Python work only per core, per starved piece and per line
+    reported. Returns a list of violation descriptions, empty when clean.
     """
     if result.timeline is None:
         raise ValueError("audit requires a result simulated with emit_timeline=True")
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
     table = instance.table
-    keys = table.keys
+    keys, size, first = table.keys, table.size, table.first
+    n = len(keys)
     row_of = {key: r for r, key in enumerate(keys)}
+    # Cores 1..m map to themselves and any other id to 0, matching ids the
+    # way a dict keyed by core does.
+    core_id = {h: h for h in range(1, m + 1)}
 
-    transmitted = [0.0] * len(keys)
-    segs_of: dict[int, list[tuple[float, float, int]]] = {}
-    for seg in result.timeline:
-        if seg.end <= seg.start:
+    timeline = result.timeline
+    starts, ends, flows, cores = zip(*timeline) if timeline else ((),) * 4
+    start = np.array(starts, dtype=float)
+    end = np.array(ends, dtype=float)
+    row = _column(map(row_of.get, flows), -1)
+    core = _column(map(core_id.get, cores), 0)
+
+    empty = end <= start
+    known = row >= 0
+    for at in np.flatnonzero(empty | ~known).tolist():
+        seg = timeline[at]
+        if empty[at]:
             bad.append(f"empty or reversed segment {seg}")
-        r = row_of.get(seg.flow)
-        if r is None:
+        if not known[at]:
             bad.append(f"segment {seg} of a flow not in the instance")
-            continue
-        transmitted[r] += seg.end - seg.start
-        segs_of.setdefault(seg.core, []).append((seg.start, seg.end, r))
-    # A missing or NaN completion becomes None: every check that needs the
-    # completion skips that flow.
-    completion = [result.flow_completion.get(key) for key in keys]
-    for row, (key, d, rel, sent) in enumerate(zip(keys, table.size, table.release, transmitted)):
-        comp = completion[row]
+
+    # bincount adds each flow's spans in timeline order, as a running += does.
+    transmitted = np.bincount(row[known], weights=(end - start)[known], minlength=n)
+    # A missing completion is None here and NaN in ``done``.
+    completion = list(map(result.flow_completion.get, keys))
+    done = np.array(completion, dtype=float)
+    size_a = np.array(size, dtype=np.int64)
+    release = np.array(table.release, dtype=float)
+    # Every row the checks below report, and more: NaN fails the >= test.
+    suspect = (np.abs(transmitted - size_a) > 1e-6) | ~(done >= release + size_a - 1e-9)
+    for r in np.flatnonzero(suspect).tolist():
+        key, d, sent, comp = keys[r], size[r], float(transmitted[r]), completion[r]
         if abs(sent - d) > 1e-6:
             bad.append(f"flow {tuple(key)} transmitted {sent}, size {d}")
         if comp is None:
             bad.append(f"flow {tuple(key)} has no completion time")
         elif comp != comp:
             bad.append(f"flow {tuple(key)} completion is not a number")
-            completion[row] = None
-        elif comp < rel + d - 1e-9:
+            completion[r] = None
+        elif comp < table.release[r] + d - 1e-9:
             bad.append(f"flow {tuple(key)} completed at {comp}, before release + size")
+    has_done = done == done
 
-    for c in instance.coflows:
-        own = completion[table.first[c.id - 1] : table.first[c.id]]
+    coflows = instance.coflows
+    own_count = np.diff(first)
+    filled = own_count > 0
+    expect = np.array([c.release for c in coflows], dtype=float)
+    if n:
+        # A NaN completion, so also a missing one, makes its coflow NaN.
+        expect[filled] = np.maximum.reduceat(done, np.array(first[:-1])[filled])
+    got = np.array([result.coflow_completion.get(c.id) for c in coflows], dtype=float)
+    for k in np.flatnonzero(~(np.abs(got - expect) <= 1e-9)).tolist():
+        c = coflows[k]
+        own = completion[first[c.id - 1] : first[c.id]]
         if None in own:
             continue  # already reported for the flow
-        expect = max(own) if own else float(c.release)
-        got = result.coflow_completion.get(c.id)
-        if got is None or abs(got - expect) > 1e-9:
-            bad.append(f"coflow {c.id} completion {got}, expected {expect}")
+        want = max(own) if own else float(c.release)
+        got_c = result.coflow_completion.get(c.id)
+        if got_c is None or abs(got_c - want) > 1e-9:
+            bad.append(f"coflow {c.id} completion {got_c}, expected {want}")
 
-    placed_on: dict[int, set[int]] = {}
-    for key, h in assignment.flow_to_core.items():
-        r = row_of.get(key)
-        if r is None:
-            bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
-        else:
-            placed_on.setdefault(h, set()).add(r)
+    placed = list(map(assignment.flow_to_core.get, keys))
+    if len(assignment.flow_to_core) > n - placed.count(None):
+        for key in assignment.flow_to_core:
+            if key not in row_of:
+                bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
+    placed = _column(map(core_id.get, placed), 0)
 
+    # The segments of known flows on cores 1..m, each core's a slice in
+    # timeline order.
+    (live,) = np.nonzero(known & (core > 0))
+    # Sorting the distinct codes core x segments + index is a stable sort by core.
+    live = live[np.argsort(core[live] * start.size + live)]
+    s_live, e_live, r_live, h_live = start[live], end[live], row[live], core[live]
+    seg_edge = np.searchsorted(h_live, np.arange(1, m + 2)).tolist()
     fi = np.array(table.fi, dtype=np.int64)
     fj = np.array(table.fj, dtype=np.int64)
-    for h in range(1, m + 1):
-        segs_h = segs_of.get(h, [])
-        rows_h = {r for _, _, r in segs_h} | placed_on.get(h, set())
-        if not rows_h:
-            continue
-        for name, port_of in (("input", table.fi), ("output", table.fj)):
-            by_port: dict[int, list[tuple[float, float]]] = {}
-            for s, e, r in segs_h:
-                by_port.setdefault(port_of[r], []).append((s, e))
-            for p in sorted(by_port):
-                spans = sorted(by_port[p])
-                for (_, e1), (s2, _) in zip(spans, spans[1:]):
-                    if s2 < e1 - 1e-9:
-                        bad.append(
-                            f"core {h} {name} port {p}: overlap at {s2} before {e1}"
-                        )
 
-        # Flows in (i, j, k) order; one without a completion has no window.
-        flows_h = [r for r in sorted(rows_h, key=keys.__getitem__) if completion[r] is not None]
-        span_start = np.array([s for s, _, _ in segs_h], dtype=float)
-        span_end = np.array([e for _, e, _ in segs_h], dtype=float)
-        span_row = np.array([r for _, _, r in segs_h], dtype=np.int64)
-        flow_row = np.array(flows_h, dtype=np.int64)
-        release = np.array([table.release[r] for r in flows_h], dtype=float)
-        done = np.array([completion[r] for r in flows_h], dtype=float)
-        bounds = np.unique(np.concatenate([span_start, span_end, release, done]))
+    # Each core's overlap lines, input ports first. The spans are sorted by
+    # (start, end), then by (core, port) through distinct codes, so each
+    # (core, port) group is in (start, end) order and a pair of neighbours
+    # in it overlaps if s2 < e1 - 1e-9.
+    overlaps: dict[int, list[str]] = {}
+    by_time = np.lexsort((e_live, s_live))
+    for name, port_of in (("input", fi), ("output", fj)):
+        group = h_live * (ports + 1) + port_of[r_live]
+        by = by_time[np.argsort(group[by_time] * by_time.size + np.arange(by_time.size))]
+        group = group[by]
+        hit = (group[1:] == group[:-1]) & (s_live[by[1:]] < e_live[by[:-1]] - 1e-9)
+        for p in np.flatnonzero(hit).tolist():
+            one, two = timeline[live[by[p]]], timeline[live[by[p + 1]]]
+            h, port = divmod(int(group[p]), ports + 1)
+            overlaps.setdefault(h, []).append(
+                f"core {h} {name} port {port}: overlap at {two.start} before {one.end}"
+            )
+
+    # Each core's flows, the rows it runs or is placed with, as a slice in
+    # (i, j, k) order: rank[r] is row r's position in key order.
+    k_of = np.repeat(np.arange(1, len(coflows) + 1), own_count)
+    by_key = np.argsort((fi * (ports + 1) + fj) * (len(coflows) + 1) + k_of)
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_key] = np.arange(n)
+    (on_core,) = np.nonzero(placed)
+    pair = np.sort(
+        np.concatenate([h_live * n + rank[r_live], placed[on_core] * n + rank[on_core]])
+    )
+    pair = pair[np.diff(pair, prepend=-1) > 0]
+    pair_core, pair_row = np.divmod(pair, n)
+    pair_row = by_key[pair_row]
+    flow_edge = np.searchsorted(pair_core, np.arange(1, m + 2)).tolist()
+
+    for h in range(1, m + 1):
+        if flow_edge[h - 1] == flow_edge[h]:
+            continue
+        bad.extend(overlaps.get(h, ()))
+        rows_h = pair_row[flow_edge[h - 1] : flow_edge[h]]
+        # A flow without a completion has no window.
+        flows_h = rows_h[has_done[rows_h]]
+        cut = slice(seg_edge[h - 1], seg_edge[h])
+        span_start, span_end, span_row = s_live[cut], e_live[cut], r_live[cut]
+        rel_h, done_h = release[flows_h], done[flows_h]
+        bounds = np.unique(np.concatenate([span_start, span_end, rel_h, done_h]))
         if bounds.size < 2:
             continue
         for cell, pos in _starved_cells(
@@ -415,16 +478,24 @@ def audit_schedule(
             fj[span_row] + ports,
             # A flow is eligible in the cells starting at t with
             # release <= t + 1e-9 < completion.
-            np.searchsorted(bounds + 1e-9, release),
-            np.searchsorted(bounds + 1e-9, done),
-            fi[flow_row],
-            fj[flow_row] + ports,
+            np.searchsorted(bounds + 1e-9, rel_h),
+            np.searchsorted(bounds + 1e-9, done_h),
+            fi[flows_h],
+            fj[flows_h] + ports,
         ):
             key = keys[flows_h[pos]]
             bad.append(
                 f"core {h}: flow {tuple(key)} idle at t={bounds[cell]} with both ports free"
             )
     return bad
+
+
+def _column(values, missing: int) -> np.ndarray:
+    """An int64 array of ``values``, with ``missing`` in place of None."""
+    values = list(values)
+    if None in values:
+        values = [missing if v is None else v for v in values]
+    return np.array(values, dtype=np.int64)
 
 
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,8 @@ correct schedules and on a seeded corpus of tampered timelines. A tamper
 shortens, shifts, deletes, moves to another core, stretches or nudges one
 segment, or splits it into two touching halves, which breaks no rule; some
 timelines get two tampers. A nudge moves one end by less than 1e-9, so that
-two grid points lie closer than the audit's tolerance.
+two grid points lie closer than the audit's tolerance. A second, smaller
+corpus tampers schedules of 1k+ segments with releases.
 """
 
 import random
@@ -114,6 +115,36 @@ def test_matches_reference_on_tampered_timelines():
     assert flagged == 532
 
 
+def test_matches_reference_on_larger_tampered_timelines():
+    # Schedules of 1k+ segments over 12 ports a side, with releases, so that
+    # spans of many ports and cores meet in the column sorts of the audit.
+    rng = random.Random(11)
+    tampered = flagged = 0
+    for seed in (900, 902, 904):
+        instance = gen_mix(30, 12, seed, cores=5, release_max=200)
+        for granularity in sorted(STAGES):
+            order_fn, assign_fn = STAGES[granularity]
+            perm = order_fn(instance, 0.5)
+            assignment = assign_fn(instance, perm)
+            result = simulate(instance, perm, assignment, emit_timeline=True)
+            assert len(result.timeline) >= 1000
+            assert audit_schedule(instance, perm, assignment, result) == []
+            for made in range(8):
+                timeline = list(result.timeline)
+                for _ in range(1 + made % 3):
+                    tamper(rng, timeline, rng.choice(KINDS), instance.cores)
+                broken = ScheduleResult(
+                    result.flow_completion, result.coflow_completion, result.objective, timeline
+                )
+                got = audit_schedule(instance, perm, assignment, broken)
+                assert got == reference_audit(instance, perm, assignment, broken)
+                tampered += 1
+                flagged += bool(got)
+    assert tampered == 48
+    # Pinned, so that a change to the corpus that makes it toothless shows.
+    assert flagged == 46
+
+
 def test_reports_the_first_starved_flow_in_key_order():
     # On one core, ports 1 and 2 each side. Coflow 1 runs on (1, 1) during
     # [0, 2); coflows 2 and 3 are released at 0 but only run from t=4.
@@ -155,6 +186,21 @@ def small_schedule():
     perm = order_flow_level(instance, 0.5)
     assignment = assign_fdls(instance, perm)
     return instance, perm, assignment, simulate(instance, perm, assignment, emit_timeline=True)
+
+
+def test_in_place_timeline_edits_reach_the_audit():
+    # The audit reads result.timeline afresh on every call, so an edit made
+    # in place after a first audit is seen by the next one.
+    instance, perm, assignment, result = small_schedule()
+    assert audit_schedule(instance, perm, assignment, result) == []
+    lost = result.timeline.pop(len(result.timeline) // 2)
+    got = audit_schedule(instance, perm, assignment, result)
+    assert f"flow {tuple(lost.flow)} transmitted" in got[0]
+    assert got == reference_audit(instance, perm, assignment, result)
+    result.timeline.append(lost._replace(start=lost.start + 1.0, end=lost.end + 1.0))
+    moved = audit_schedule(instance, perm, assignment, result)
+    assert moved and moved != got
+    assert moved == reference_audit(instance, perm, assignment, result)
 
 
 def test_missing_flow_completion_is_reported():

@@ -336,6 +336,18 @@ def test_edge_cases_match_memo_reference(monkeypatch, instance, block_cells):
         assert_same(want, reference_best(instance, granularity))
 
 
+def test_numpy_weights_fold_as_python_floats():
+    # In float32 the fold would give 1.7 at float32 precision.
+    weights = np.float32(0.1), np.float32(0.7)
+    instance = inst([(0, weights[0], {(1, 1): 3}), (0, weights[1], {(2, 2): 2})], cores=2)
+    for granularity in ("flow", "coflow"):
+        best = enumerate_best(instance, granularity)
+        assignment = Assignment(granularity, best.best_assignment, None)
+        objective = simulate(instance, best.best_order, assignment).objective
+        assert type(objective) is float
+        assert objective == best.best_cost == float(weights[0]) * 3 + float(weights[1]) * 2
+
+
 def test_exact_ties_keep_the_first_pair():
     res = enumerate_best(TWINS, "flow")
     assert res.best_order == [1, 2]

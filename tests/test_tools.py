@@ -21,7 +21,11 @@ def test_ladder_row_times_every_layer():
     assert layers == {
         "validate_ms",
         "table_ms",
-        *(f"{layer}_{g}_ms" for layer in ("order", "simulate", "audit") for g in ("flow", "coflow")),
+        *(
+            f"{layer}_{g}_ms"
+            for layer in ("order", "simulate_no_timeline", "simulate", "audit")
+            for g in ("flow", "coflow")
+        ),
         "assign_fdls_ms",
         "assign_cdls_ms",
     }

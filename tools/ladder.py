@@ -10,7 +10,9 @@ most ordering steps take the release-driven (alpha) branch.
 For each it times every layer of the pipeline on its own, ``REPEATS``
 times, and reports the median in ms: validate, the table compile alone
 (validation stubbed out), order at flow and coflow level (F/C), FDLS and
-CDLS placement, simulate with the timeline on (F/C), and the audit (F/C).
+CDLS placement, simulate without and with the timeline (F/C), and the audit
+(F/C), so that the cost of the timeline and the audit's cost against the
+simulation it checks read off one run.
 One more row times ``oracle.enumerate_best`` at both granularities on a
 seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
 flows, so 720 x 256 pairs at flow level.
@@ -87,6 +89,9 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     ):
         row[f"order_{tag}_ms"], perm = timed(lambda: order_fn(instance, KAPPA), repeats)
         row[f"{assign_fn.__name__}_ms"], asg = timed(lambda: assign_fn(instance, perm), repeats)
+        row[f"simulate_no_timeline_{tag}_ms"], _ = timed(
+            lambda: simulate(instance, perm, asg), repeats
+        )
         row[f"simulate_{tag}_ms"], res = timed(
             lambda: simulate(instance, perm, asg, emit_timeline=True), repeats
         )
