@@ -337,7 +337,8 @@ def test_edge_cases_match_memo_reference(monkeypatch, instance, block_cells):
 
 
 def test_numpy_weights_fold_as_python_floats():
-    # In float32 the fold would give 1.7 at float32 precision.
+    # Folded in float32, the objective would be np.float32(1.7), not the
+    # oracle's float64 cost.
     weights = np.float32(0.1), np.float32(0.7)
     instance = inst([(0, weights[0], {(1, 1): 3}), (0, weights[1], {(2, 2): 2})], cores=2)
     for granularity in ("flow", "coflow"):
