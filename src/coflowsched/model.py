@@ -105,13 +105,54 @@ class Instance:
         fj = list(map(itemgetter(1), pairs))
         # tuple.__new__ is what FlowKey._make calls, minus a Python frame per flow.
         keys = list(map(tuple.__new__, repeat(FlowKey), zip(fi, fj, owner)))
-        load_in = np.zeros((self.n + 1, self.ports + 1), dtype=np.int64)
-        load_out = np.zeros_like(load_in)
-        k = np.array(owner, dtype=np.int64)
-        d = np.array(size, dtype=np.int64)
-        np.add.at(load_in, (k, np.array(fi, dtype=np.int64)), d)
-        np.add.at(load_out, (k, np.array(fj, dtype=np.int64)), d)
-        return FlowTable(keys, fi, fj, size, release, first, load_in, load_out)
+        cells_in, cells_out = _port_cells(fi, fj, size, first, self.ports)
+        return FlowTable(keys, fi, fj, size, release, first, cells_in, cells_out)
+
+
+class PortCells(NamedTuple):
+    """One side's nonzero (coflow, port) cells, in compressed sparse rows.
+
+    Coflow k's cells are ``first[k - 1]:first[k]``, in ascending port order.
+    Cell x is port ``port[x]``, where the coflow carries ``load[x]`` in total
+    and ``sq[x]`` in squared flow sizes. A coflow without flows has no cells.
+    """
+
+    first: list[int]
+    port: list[int]
+    load: list[int]
+    sq: list[int]
+
+
+def _port_cells(
+    fi: list[int], fj: list[int], size: list[int], first: list[int], ports: int
+) -> tuple[PortCells, PortCells]:
+    """Each side's cells, summed one coflow at a time in per-port scratch lists.
+
+    A cell's load and squared sizes are at most MAX_PORT_TOTAL and its
+    square, so the sums stay exact even over np.int64 sizes; int() stores
+    each as a Python int.
+    """
+    cells_in, cells_out = PortCells([0], [], [], []), PortCells([0], [], [], [])
+    load_in, sq_in, load_out, sq_out = ([0] * (ports + 1) for _ in range(4))
+    for lo, hi in zip(first, first[1:]):
+        for i, j, d in zip(fi[lo:hi], fj[lo:hi], size[lo:hi]):
+            dd = d * d
+            load_in[i] += d
+            sq_in[i] += dd
+            load_out[j] += d
+            sq_out[j] += dd
+        for cells, port, load, sq in (
+            (cells_in, fi, load_in, sq_in),
+            (cells_out, fj, load_out, sq_out),
+        ):
+            used = sorted(set(port[lo:hi]))
+            cells.port.extend(map(int, used))
+            cells.load.extend(map(int, map(load.__getitem__, used)))
+            cells.sq.extend(map(int, map(sq.__getitem__, used)))
+            for p in used:
+                load[p] = sq[p] = 0
+            cells.first.append(len(cells.port))
+    return cells_in, cells_out
 
 
 @dataclass(frozen=True)
@@ -121,9 +162,9 @@ class FlowTable:
     Flows are listed in (coflow, i, j) order, and coflow k's flows are
     ``keys[first[k - 1]:first[k]]``. ``fi`` and ``fj`` hold each flow's
     input and output port, ``size`` and ``release`` its size and its
-    coflow's release. ``load_in[k, i]`` and
-    ``load_out[k, j]`` are coflow k's total size at a port; row 0 and
-    column 0 are unused, so 1-based ids index directly.
+    coflow's release. ``cells_in`` and ``cells_out`` hold each coflow's
+    nonzero input and output ports with its load and squared flow sizes
+    there.
     """
 
     keys: list[FlowKey]
@@ -132,8 +173,8 @@ class FlowTable:
     size: list[int]
     release: list[int]
     first: list[int]
-    load_in: np.ndarray
-    load_out: np.ndarray
+    cells_in: PortCells
+    cells_out: PortCells
 
 
 # Largest total size any one port may carry, summed over all coflows:
@@ -144,15 +185,14 @@ MAX_PORT_TOTAL = 3_037_000_499
 # Largest release + total size: every simulated event time is at most this,
 # and float64 holds every integer up to 2**53 exactly.
 MAX_HORIZON = 2**53
-# Largest port and core counts. Whole-coflow placement keeps two int64
-# arrays of (ports + 1) x (cores + 1) entries, about 41 MB at both limits.
+# Largest port and core counts. Nothing is sized by their product: the
+# ordering keeps a column per port, and each placement a list of m core
+# loads only for the ports that carry traffic.
 MAX_PORTS = 10_000
 MAX_CORES = 256
-# Largest (coflows + 1) x (ports + 1). The flow table keeps its per-coflow
-# port loads, load_in and load_out, as two int64 arrays of that shape, which
-# CDLS placement and the oracle's bound read row by row; the ordering reads
-# only their nonzero cells. Building the table for 99 coflows on 9,999 ports
-# raises peak RSS by about 12 MB, and both pipelines by about 1.5 MB more.
+# Largest (coflows + 1) x (ports + 1). No array of that shape is built: the
+# flow table keeps only each coflow's nonzero port cells, at most one per
+# flow and side. The limit stays as a check on the input.
 MAX_TABLE_CELLS = 1_000_000
 
 

@@ -58,11 +58,10 @@ def trivial_lower_bound(instance: Instance) -> float:
     m = instance.cores
     total = 0.0
     for c in instance.coflows:
-        floor = max(
-            c.release + c.max_demand,
-            float(table.load_in[c.id].max()) / m,
-            float(table.load_out[c.id].max()) / m,
-        )
+        floor = c.release + c.max_demand
+        for cells in (table.cells_in, table.cells_out):
+            peak = max(cells.load[cells.first[c.id - 1] : cells.first[c.id]], default=0)
+            floor = max(floor, float(peak) / m)
         total += c.weight * floor
     return total
 

@@ -14,24 +14,23 @@ differ only in the dual increments: the flow-level form prices individual
 flow sizes at the bottleneck port, the coflow-level form prices aggregated
 per-coflow port loads.
 
-The pass is plain Python over sparse state. It reads the nonzero cells of the
-flow table's per-coflow port loads once and keeps, for each port on each side,
-a column {coflow: load} over the unscheduled coflows and integer sums: the
-total load and the squares the granularity prices. The latest-released
-coflow comes from a list sorted once, the smallest slack from a lazy heap
-that gets one entry per dual change. A step costs one max over each side's
-port totals, a scan of the bottleneck column, and the cells (at flow level
-also the flows) of the removed coflow. Integer sums are exact, and every
-float must come from the same IEEE operations in the same order as in the
-dense numpy reference in ``tests/_reference_ordering.py``; the differential
-tests compare the two bit for bit.
+The pass is plain Python over sparse state. It reads the flow table's port
+cells, each coflow's nonzero ports per side with its load and squared flow
+sizes there, and keeps, for each port on each side, a column {coflow: load}
+over the unscheduled coflows and integer sums: the total load and the squares
+the granularity prices. The latest-released coflow comes from a list sorted
+once, the smallest slack from a lazy heap that gets one entry per dual
+change. A step costs one max over each side's port totals, a scan of the
+bottleneck column, and the cells of the removed coflow. Integer sums are
+exact, and every float must come from the same IEEE operations in the same
+order as in the dense numpy reference in ``tests/_reference_ordering.py``;
+the differential tests compare the two bit for bit.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field
 from operator import mul
 
@@ -129,29 +128,23 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
     if n == 0:
         return Permutation(order=[], dual_cost=0.0, trace=trace)
 
-    # Per side: the nonzero cells of the table's load matrix as (coflows,
-    # ports, loads) in (coflow, port) order; each port's column {coflow: load}
-    # over the unscheduled coflows, ids ascending; and each port's total load
-    # and the sum of squares the granularity prices there (squared coflow
-    # loads, or squared flow sizes).
+    # Per side: the table's port cells; the squares the granularity prices in
+    # each cell (squared coflow loads, or squared flow sizes); each port's
+    # column {coflow: load} over the unscheduled coflows, ids ascending; and
+    # each port's total load and priced squares.
     fi, fj, size, first = table.fi, table.fj, table.size, table.first
-    cells = []
-    for loads in (table.load_in, table.load_out):
-        ks, ps = loads.nonzero()
-        cells.append((ks.tolist(), ps.tolist(), loads[ks, ps].tolist()))
+    sides = (table.cells_in, table.cells_out)
+    priced = [list(map(mul, c.load, c.load)) if coflow_level else c.sq for c in sides]
     cols = ([{} for _ in range(ports + 1)], [{} for _ in range(ports + 1)])
-    for col_s, (ks, ps, vs) in zip(cols, cells):
-        for k, p, v in zip(ks, ps, vs):
-            col_s[p][k] = v
-    tots = tuple([sum(col.values()) for col in col_s] for col_s in cols)
-    if coflow_level:
-        sqs = tuple([sum(map(mul, c.values(), c.values())) for c in col_s] for col_s in cols)
-    else:
-        flow_sq = list(map(mul, size, size))
-        sq_in, sq_out = sqs = ([0] * (ports + 1), [0] * (ports + 1))
-        for i, j, dd in zip(fi, fj, flow_sq):
-            sq_in[i] += dd
-            sq_out[j] += dd
+    tots = ([0] * (ports + 1), [0] * (ports + 1))
+    sqs = ([0] * (ports + 1), [0] * (ports + 1))
+    for cells, sq_c, col_s, tot_s, sq_s in zip(sides, priced, cols, tots, sqs):
+        for k in range(1, n + 1):
+            lo, hi = cells.first[k - 1], cells.first[k]
+            for p, v, q in zip(cells.port[lo:hi], cells.load[lo:hi], sq_c[lo:hi]):
+                col_s[p][k] = v
+                tot_s[p] += v
+                sq_s[p] += q
 
     weight = [0.0] + [float(c.weight) for c in instance.coflows]
     release = [-1] + [int(c.release) for c in instance.coflows]
@@ -236,18 +229,12 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
         trace.delta[chosen] = delta[chosen]
 
         slack[chosen] = None
-        for col_s, tot_s, sq_s, (ks, ps, vs) in zip(cols, tots, sqs, cells):
-            lo, hi = bisect_left(ks, chosen), bisect_right(ks, chosen)
-            for p, v in zip(ps[lo:hi], vs[lo:hi]):
+        for cells, sq_c, col_s, tot_s, sq_s in zip(sides, priced, cols, tots, sqs):
+            lo, hi = cells.first[chosen - 1], cells.first[chosen]
+            for p, v, q in zip(cells.port[lo:hi], cells.load[lo:hi], sq_c[lo:hi]):
                 del col_s[p][chosen]
                 tot_s[p] -= v
-                if coflow_level:
-                    sq_s[p] -= v * v
-        if not coflow_level:
-            lo, hi = first[chosen - 1], first[chosen]
-            for i, j, dd in zip(fi[lo:hi], fj[lo:hi], flow_sq[lo:hi]):
-                sq_in[i] -= dd
-                sq_out[j] -= dd
+                sq_s[p] -= q
 
     trace.dual_cost = dual
     trace.delta = dict(sorted(trace.delta.items()))

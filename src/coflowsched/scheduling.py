@@ -18,6 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -99,33 +100,33 @@ def assign_cdls(instance: Instance, order) -> Assignment:
 
     The score of core h for coflow k is the worst projected input-port load
     plus the worst projected output-port load after adding k's own loads,
-    taken only over ports where k actually has traffic. Empty coflows score
-    the same everywhere and land on core 1.
+    taken only over ports where k actually has traffic. Ties take the lowest
+    core id, so empty coflows, which score 0 everywhere, land on core 1. Each
+    port that carries traffic keeps a Python list of its m projected loads per
+    side, and a coflow's cells in the flow table give its own loads.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
-    m, ports = instance.cores, instance.ports
-    load_in = np.zeros((ports + 1, m + 1), dtype=np.int64)
-    load_out = np.zeros((ports + 1, m + 1), dtype=np.int64)
+    m = instance.cores
+    sides = (table.cells_in, table.cells_out)
+    loads = [{p: [0] * m for p in set(cells.port)} for cells in sides]
     placement: dict[FlowKey, int] = {}
     coflow_core: dict[int, int] = {}
     for k in seq:
-        own_in = table.load_in[k]
-        own_out = table.load_out[k]
-        used_in = np.nonzero(own_in)[0]
-        used_out = np.nonzero(own_out)[0]
-        if used_in.size:
-            scores = (load_in[used_in, 1:] + own_in[used_in, None]).max(axis=0) + (
-                load_out[used_out, 1:] + own_out[used_out, None]
-            ).max(axis=0)
-            h = int(np.argmin(scores)) + 1
-        else:
-            h = 1
+        score = [0] * m
+        for cells, load_s in zip(sides, loads):
+            lo, hi = cells.first[k - 1], cells.first[k]
+            own = cells.load[lo:hi]
+            if own:
+                by_core = zip(*map(load_s.__getitem__, cells.port[lo:hi]))
+                score = list(map(add, score, [max(map(add, on_h, own)) for on_h in by_core]))
+        h = score.index(min(score)) + 1
         coflow_core[k] = h
-        for key in table.keys[table.first[k - 1] : table.first[k]]:
-            placement[key] = h
-        load_in[:, h] += own_in
-        load_out[:, h] += own_out
+        placement.update(zip(table.keys[table.first[k - 1] : table.first[k]], repeat(h)))
+        for cells, load_s in zip(sides, loads):
+            lo, hi = cells.first[k - 1], cells.first[k]
+            for p, v in zip(cells.port[lo:hi], cells.load[lo:hi]):
+                load_s[p][h - 1] += v
     return Assignment("coflow", placement, coflow_core)
 
 

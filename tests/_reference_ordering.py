@@ -1,16 +1,18 @@
 """The primal-dual ordering as it was before it dropped numpy.
 
-Kept verbatim as the reference that ``test_ordering_differential.py``
-compares ``coflowsched.ordering`` against: dense (n + 1) x (ports + 1) int64
-aggregates, full-width numpy updates and an ``np.argmax`` / ``np.argmin``
-per step. The rewrite must give the same order, dual cost, trace records and
-deltas, bit for bit.
+Kept verbatim, apart from reading its dense loads from
+``_reference_table.compile_table``, as the reference that
+``test_ordering_differential.py`` compares ``coflowsched.ordering`` against:
+dense (n + 1) x (ports + 1) int64 aggregates, full-width numpy updates and
+an ``np.argmax`` / ``np.argmin`` per step. The rewrite must give the same
+order, dual cost, trace records and deltas, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from _reference_table import compile_table
 from coflowsched.model import Instance
 from coflowsched.ordering import DualTrace, IterationRecord, Permutation
 
@@ -23,9 +25,8 @@ def order_coflow_level(instance: Instance, kappa: float = 0.5) -> Permutation:
     return _permute(instance, kappa, coflow_level=True)
 
 
-def _flow_aggregates(instance: Instance):
+def _flow_aggregates(table):
     """Per-coflow squared-size sums and largest flow at each port."""
-    table = instance.table
     sq_in = np.zeros_like(table.load_in)
     sq_out = np.zeros_like(sq_in)
     max_in = np.zeros_like(sq_in)
@@ -43,13 +44,14 @@ def _flow_aggregates(instance: Instance):
 def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutation:
     if kappa <= 0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    load_in, load_out = instance.table.load_in, instance.table.load_out
+    dense = compile_table(instance)
+    load_in, load_out = dense.load_in, dense.load_out
     n, m = instance.n, instance.cores
     trace = DualTrace(kappa=kappa)
     if n == 0:
         return Permutation(order=[], dual_cost=0.0, trace=trace)
 
-    sq_in, sq_out, max_in, max_out = _flow_aggregates(instance)
+    sq_in, sq_out, max_in, max_out = _flow_aggregates(dense)
     weights = np.zeros(n + 1)
     releases = np.full(n + 1, -1, dtype=np.int64)
     for c in instance.coflows:

@@ -14,13 +14,14 @@ placement), minus the double-counted share of its own transmission.
 
 import numpy as np
 
+from _reference_table import compile_table
 from coflowsched.experiments import child_seed
 from coflowsched.model import Coflow, Instance
 
 
 def _prefix_walk(instance, order):
     """Yield (coflow, cumulative in/out port loads, release ceiling)."""
-    table = instance.table
+    table = compile_table(instance)
     cum_in = np.zeros(instance.ports + 1, dtype=np.int64)
     cum_out = np.zeros(instance.ports + 1, dtype=np.int64)
     max_r = 0

@@ -13,6 +13,7 @@ from coflowsched.model import (
     MAX_PORTS,
     MAX_TABLE_CELLS,
     Instance,
+    PortCells,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
@@ -39,28 +40,41 @@ def test_coflow_accessors():
     assert c.flows() == [(1, 1, 5), (1, 2, 3)]
 
 
+def load_row(cells, k):
+    """Coflow k's {port: load} from one side's cells; absent ports carry 0."""
+    lo, hi = cells.first[k - 1], cells.first[k]
+    return dict(zip(cells.port[lo:hi], cells.load[lo:hi]))
+
+
+def cell_load(cells, k, port):
+    return load_row(cells, k).get(port, 0)
+
+
 def test_empty_instance_loads_are_zero():
     table = make().table
     assert table.keys == [] and table.first == [0]
-    assert table.load_in.shape == table.load_out.shape == (1, 3)
-    assert table.load_in.sum() == 0
-    assert table.load_out.sum() == 0
+    assert table.cells_in == table.cells_out == PortCells([0], [], [], [])
+    assert sum(table.cells_in.load) == 0
+    assert sum(table.cells_out.load) == 0
 
 
 def test_single_flow_loads():
     inst = make(coflows=[Coflow(id=1, release=3, weight=1, demands={(1, 1): 4})])
     table = inst.table
-    assert table.load_in[1, 1] == 4
-    assert table.load_out[1, 1] == 4
+    assert cell_load(table.cells_in, 1, 1) == 4
+    assert cell_load(table.cells_out, 1, 1) == 4
+    assert table.cells_in == table.cells_out == PortCells([0, 1], [1], [4], [16])
     assert (table.size, table.release, table.first) == ([4], [3], [0, 1])
 
 
 def test_two_flow_loads():
     inst = make(coflows=[Coflow(id=1, release=0, weight=1, demands={(1, 1): 2, (1, 2): 3})])
     table = inst.table
-    assert table.load_in[1, 1] == 5
-    assert table.load_out[1, 1] == 2
-    assert table.load_out[1, 2] == 3
+    assert cell_load(table.cells_in, 1, 1) == 5
+    assert cell_load(table.cells_out, 1, 1) == 2
+    assert cell_load(table.cells_out, 1, 2) == 3
+    assert table.cells_in == PortCells([0, 1], [1], [5], [13])
+    assert table.cells_out == PortCells([0, 2], [1, 2], [2, 3], [4, 9])
 
 
 def test_load_consistency_random():
@@ -78,12 +92,12 @@ def test_load_consistency_random():
             total += sum(demands.values())
             coflows.append(Coflow(id=k, release=0, weight=1, demands=demands))
         table = make(ports=ports, coflows=coflows).table
-        assert table.load_in.sum() == table.load_out.sum() == total == sum(table.size)
-        # each coflow's row sums to its own demand, in its own key slice
+        assert sum(table.cells_in.load) == sum(table.cells_out.load) == total == sum(table.size)
+        # each coflow's cells sum to its own demand, in its own key slice
         for c in coflows:
             own = slice(table.first[c.id - 1], table.first[c.id])
-            assert table.load_in[c.id].sum() == sum(c.demands.values())
-            assert table.load_out[c.id].sum() == sum(table.size[own])
+            assert sum(load_row(table.cells_in, c.id).values()) == sum(c.demands.values())
+            assert sum(load_row(table.cells_out, c.id).values()) == sum(table.size[own])
             assert table.keys[own] == [FlowKey(i, j, c.id) for i, j, _ in c.flows()]
         assert table.first[-1] == len(table.keys)
 

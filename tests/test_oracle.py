@@ -15,6 +15,7 @@ import pytest
 
 from _reference_oracle import enumerate_best as reference_best
 from _reference_oracle_memo import enumerate_best as memo_reference_best
+from _reference_table import compile_table
 from _shared import tiny_instance
 from coflowsched import oracle, scheduling
 from coflowsched.model import Coflow, Instance
@@ -87,6 +88,34 @@ def test_trivial_bound_examples():
     spread = inst([(0, 1, {(1, 1): 5, (1, 2): 5})], cores=2)
     assert trivial_lower_bound(spread) == pytest.approx(5.0)
     assert trivial_lower_bound(UNIT_PAIR) == pytest.approx(3.0)
+
+
+def dense_lower_bound(instance):
+    """``trivial_lower_bound`` as it was, over the rows of the dense loads."""
+    table = compile_table(instance)
+    m = instance.cores
+    total = 0.0
+    for c in instance.coflows:
+        floor = max(
+            c.release + c.max_demand,
+            float(table.load_in[c.id].max()) / m,
+            float(table.load_out[c.id].max()) / m,
+        )
+        total += c.weight * floor
+    return total
+
+
+FLOWLESS = (
+    inst([(4, 2, {}), (0, 1, {(1, 2): 3, (2, 2): 5}), (1, 1.5, {})], cores=2, ports=2),
+    inst([(0, 1, {}), (7, 3, {})], cores=1, ports=1),
+    inst([(0, 3, {(1, 1): 6, (2, 1): 6}), (9, 1, {}), (3, 2, {(2, 2): 1})], cores=2, ports=2),
+)
+
+
+def test_trivial_bound_matches_dense_rows():
+    for instance in [*map(tiny_instance, range(200)), *FLOWLESS]:
+        got, want = trivial_lower_bound(instance), dense_lower_bound(instance)
+        assert repr(got) == repr(want)
 
 
 def test_trivial_bound_below_best():

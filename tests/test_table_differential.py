@@ -2,10 +2,11 @@
 
 ``_reference_table.compile_table`` builds each ``FlowKey`` with a call per
 flow and feeds ``np.add.at`` from ``np.array(keys)``. The flat-column
-compile must give the same ``FlowTable``: list fields equal under ``==``
-and under ``repr`` (so a ``FlowKey`` and a plain tuple, or an ``np.int64``
-and an ``int``, count as different), array fields equal in shape, dtype and
-value.
+compile must give the same flow columns, equal under ``==`` and under
+``repr`` (so a ``FlowKey`` and a plain tuple, or an ``np.int64`` and an
+``int``, count as different). Its port cells must be the nonzero cells of
+the reference's dense loads, in (coflow, port) order, with the squared sizes
+that ``np.add.at`` sums into the same cells.
 """
 
 import dataclasses
@@ -14,20 +15,37 @@ import numpy as np
 import pytest
 
 from _reference_table import compile_table
-from coflowsched.model import Coflow, FlowKey, Instance
+from coflowsched.model import MAX_PORT_TOTAL, Coflow, FlowKey, Instance, PortCells
 from coflowsched.workload import gen_density, gen_mix
+
+
+def reference_cells(want, loads, ports):
+    """One side's ``PortCells`` from the reference's dense ``loads``."""
+    ks, ps = loads.nonzero()
+    sq = np.zeros_like(loads)
+    if want.keys:
+        d = np.array(want.size, dtype=np.int64)
+        np.add.at(sq, (np.array([key.k for key in want.keys]), np.array(ports)), d * d)
+    assert np.array_equal(sq.nonzero()[0], ks) and np.array_equal(sq.nonzero()[1], ps)
+    first = np.searchsorted(ks, np.arange(1, len(loads) + 1)).tolist()
+    return PortCells(first, ps.tolist(), loads[ks, ps].tolist(), sq[ks, ps].tolist())
 
 
 def assert_same_table(instance):
     got, want = instance.table, compile_table(instance)
-    for field in dataclasses.fields(want):
+    for field in dataclasses.fields(got):
+        if field.name.startswith("cells_"):
+            continue
         a, b = getattr(got, field.name), getattr(want, field.name)
         assert type(a) is type(b), field.name
-        if isinstance(b, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), field.name
-        else:
-            assert a == b and repr(a) == repr(b), field.name
+        assert a == b and repr(a) == repr(b), field.name
     assert all(type(key) is FlowKey for key in got.keys)
+    for cells, loads, ports in (
+        (got.cells_in, want.load_in, want.fi),
+        (got.cells_out, want.load_out, want.fj),
+    ):
+        ref = reference_cells(want, loads, ports)
+        assert cells == ref and repr(cells) == repr(ref)
 
 
 def hand_built():
@@ -61,3 +79,21 @@ def test_generated_instances_match_reference(seed):
     assert_same_table(gen_mix(60, 20, seed))
     for mode in ("dense", "sparse", "combined"):
         assert_same_table(gen_density(15, 6, mode, seed))
+
+
+def test_sizes_at_port_total_limit_match_reference():
+    # Every port carries MAX_PORT_TOTAL, so the squares summed over all cells
+    # pass 2**63, while each cell's own sum stays below it.
+    i64 = np.int64
+    big, half = MAX_PORT_TOTAL, MAX_PORT_TOTAL // 2
+    instance = Instance(
+        2,
+        3,
+        (
+            Coflow(1, 0, 1, {(1, 1): i64(big), (2, 2): half}),
+            Coflow(2, 0, 1, {(2, 3): i64(big - half), (3, 2): big - half}),
+            Coflow(3, 0, 1, {(3, 3): i64(half)}),
+        ),
+    )
+    assert_same_table(instance)
+    assert sum(instance.table.cells_in.sq) > 2**63

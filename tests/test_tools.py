@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+from coflowsched.model import MAX_TABLE_CELLS, validate
+
 LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 
 
@@ -29,8 +31,20 @@ def test_ladder_row_times_every_layer():
         "assign_fdls_ms",
         "assign_cdls_ms",
     }
+    assert set(row) == {"flows", "repeats", "table_peak_kb", *layers}
+    assert row["table_peak_kb"] > 0
     assert ("mix n=200 N=50 releases", "release", 200, 50) in ladder.ROWS
     assert ladder.ladder_row("release", 25, 10, 1).keys() == row.keys()
+
+
+def test_limit_row_sits_at_the_table_cell_limit():
+    ladder = load_ladder()
+    assert ("limit n=99 N=9999", "limit", 99, 9_999) in ladder.ROWS
+    instance = ladder.limit_instance(99, 9_999)
+    assert (instance.n + 1) * (instance.ports + 1) == MAX_TABLE_CELLS
+    assert validate(instance) == []
+    assert {c.flow_count for c in instance.coflows} == {1, 2, 3, 4}
+    assert instance == ladder.limit_instance(99, 9_999)
 
 
 def test_oracle_row_times_both_granularities():

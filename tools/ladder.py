@@ -6,13 +6,17 @@ Each row is one seeded instance (seed 0, m=5): ``gen_mix`` at n=25 N=10,
 ``gen_density(..., "dense")`` at n=25 N=10, and ``gen_mix`` at n=200 N=50,
 once with every release at 0 and once with releases drawn up to
 ``RELEASE_MAX``, about the n=200 instance's busiest port load over m, so that
-most ordering steps take the release-driven (alpha) branch.
+most ordering steps take the release-driven (alpha) branch. The last row
+sits at the table-cell limit: 99 coflows of 1-4 flows each on 9,999 ports,
+so (n + 1) x (ports + 1) is ``MAX_TABLE_CELLS``, drawn with
+``random.Random(SEED)``.
 For each it times every layer of the pipeline on its own, ``REPEATS``
 times, and reports the median in ms: validate, the table compile alone
 (validation stubbed out), order at flow and coflow level (F/C), FDLS and
 CDLS placement, simulate without and with the timeline (F/C), and the audit
 (F/C), so that the cost of the timeline and the audit's cost against the
-simulation it checks read off one run.
+simulation it checks read off one run. ``table_peak_kb`` is the
+``tracemalloc`` peak of one more, untimed compile.
 One more row times ``oracle.enumerate_best`` at both granularities on a
 seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
 flows, so 720 x 256 pairs at flow level.
@@ -33,6 +37,7 @@ import random
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,6 +46,7 @@ ROWS = (
     ("dense n=25 N=10", "dense", 25, 10),
     ("mix n=200 N=50", "mix", 200, 50),
     ("mix n=200 N=50 releases", "release", 200, 50),
+    ("limit n=99 N=9999", "limit", 99, 9_999),
 )
 SEED, CORES, KAPPA, REPEATS = 0, 5, 0.5, 3
 RELEASE_MAX = 90_000
@@ -59,6 +65,32 @@ def timed(fn, repeats: int):
     return round(statistics.median(times), 3), out
 
 
+def limit_instance(n: int, ports: int):
+    """n coflows of 1-4 flows each on distinct random port pairs, sizes 1-100."""
+    from coflowsched.model import Coflow, Instance
+
+    rng = random.Random(SEED)
+    coflows = []
+    for k in range(1, n + 1):
+        demands: dict = {}
+        count = rng.randint(1, 4)
+        while len(demands) < count:
+            demands[rng.randint(1, ports), rng.randint(1, ports)] = rng.randint(1, 100)
+        coflows.append(Coflow(k, 0, rng.randint(1, 10), demands))
+    return Instance(cores=CORES, ports=ports, coflows=tuple(coflows))
+
+
+def peak_kb(fn) -> float:
+    """The ``tracemalloc`` peak of one call of fn(), in KiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    finally:
+        tracemalloc.stop()
+
+
 def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     from coflowsched import model
     from coflowsched.ordering import order_coflow_level, order_flow_level
@@ -68,6 +100,8 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     if kind in ("mix", "release"):
         release_max = RELEASE_MAX if kind == "release" else 0
         instance = gen_mix(n, ports, SEED, cores=CORES, release_max=release_max)
+    elif kind == "limit":
+        instance = limit_instance(n, ports)
     else:
         instance = gen_density(n, ports, "dense", SEED, cores=CORES)
     row: dict = {"flows": len(instance.table.keys), "repeats": repeats}
@@ -80,6 +114,7 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     model.require_valid = lambda _: None
     try:
         row["table_ms"], _ = timed(compile_table, repeats)
+        row["table_peak_kb"] = peak_kb(compile_table)
     finally:
         model.require_valid = require_valid
 
