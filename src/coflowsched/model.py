@@ -105,7 +105,8 @@ class Instance:
         fj = list(map(itemgetter(1), pairs))
         # tuple.__new__ is what FlowKey._make calls, minus a Python frame per flow.
         keys = list(map(tuple.__new__, repeat(FlowKey), zip(fi, fj, owner)))
-        cells_in, cells_out = _port_cells(fi, fj, size, first, self.ports)
+        cells_in = _port_cells(fi, size, first, self.ports)
+        cells_out = _port_cells(fj, size, first, self.ports)
         return FlowTable(keys, fi, fj, size, release, first, cells_in, cells_out)
 
 
@@ -123,36 +124,27 @@ class PortCells(NamedTuple):
     sq: list[int]
 
 
-def _port_cells(
-    fi: list[int], fj: list[int], size: list[int], first: list[int], ports: int
-) -> tuple[PortCells, PortCells]:
-    """Each side's cells, summed one coflow at a time in per-port scratch lists.
+def _port_cells(port: list[int], size: list[int], first: list[int], ports: int) -> PortCells:
+    """One side's cells, summed a coflow at a time in per-port scratch lists.
 
     A cell's load and squared sizes are at most MAX_PORT_TOTAL and its
     square, so the sums stay exact even over np.int64 sizes; int() stores
     each as a Python int.
     """
-    cells_in, cells_out = PortCells([0], [], [], []), PortCells([0], [], [], [])
-    load_in, sq_in, load_out, sq_out = ([0] * (ports + 1) for _ in range(4))
+    cells = PortCells([0], [], [], [])
+    load, sq = [0] * (ports + 1), [0] * (ports + 1)
     for lo, hi in zip(first, first[1:]):
-        for i, j, d in zip(fi[lo:hi], fj[lo:hi], size[lo:hi]):
-            dd = d * d
-            load_in[i] += d
-            sq_in[i] += dd
-            load_out[j] += d
-            sq_out[j] += dd
-        for cells, port, load, sq in (
-            (cells_in, fi, load_in, sq_in),
-            (cells_out, fj, load_out, sq_out),
-        ):
-            used = sorted(set(port[lo:hi]))
-            cells.port.extend(map(int, used))
-            cells.load.extend(map(int, map(load.__getitem__, used)))
-            cells.sq.extend(map(int, map(sq.__getitem__, used)))
-            for p in used:
-                load[p] = sq[p] = 0
-            cells.first.append(len(cells.port))
-    return cells_in, cells_out
+        for p, d in zip(port[lo:hi], size[lo:hi]):
+            load[p] += d
+            sq[p] += d * d
+        used = sorted(set(port[lo:hi]))
+        cells.port.extend(map(int, used))
+        cells.load.extend(map(int, map(load.__getitem__, used)))
+        cells.sq.extend(map(int, map(sq.__getitem__, used)))
+        for p in used:
+            load[p] = sq[p] = 0
+        cells.first.append(len(cells.port))
+    return cells
 
 
 @dataclass(frozen=True)
