@@ -125,7 +125,7 @@ class PortCells(NamedTuple):
 
 
 def _port_cells(port: list[int], size: list[int], first: list[int], ports: int) -> PortCells:
-    """One side's cells, summed a coflow at a time in per-port scratch lists.
+    """One side's cells, summed a coflow at a time in per-port accumulators.
 
     A cell's load and squared sizes are at most MAX_PORT_TOTAL and its
     square, so the sums stay exact even over np.int64 sizes; int() stores

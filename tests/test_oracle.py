@@ -112,8 +112,17 @@ FLOWLESS = (
 )
 
 
+# The busiest port over m sets the floor, on the input side for coflow 1
+# (9 / 2 against 3) and on the output side for coflow 2 (7 / 2 against 3).
+PORT_BOUND = inst(
+    [(0, 2, {(1, 1): 3, (1, 2): 3, (1, 3): 3}), (0, 1, {(1, 3): 2, (2, 3): 2, (3, 3): 3})],
+    cores=2,
+)
+
+
 def test_trivial_bound_matches_dense_rows():
-    for instance in [*map(tiny_instance, range(200)), *FLOWLESS]:
+    assert trivial_lower_bound(PORT_BOUND) == 2 * 4.5 + 1 * 3.5
+    for instance in [*map(tiny_instance, range(200)), *FLOWLESS, PORT_BOUND]:
         got, want = trivial_lower_bound(instance), dense_lower_bound(instance)
         assert repr(got) == repr(want)
 
