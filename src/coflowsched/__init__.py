@@ -23,7 +23,6 @@ from .model import (
     FlowKey,
     FlowTable,
     Instance,
-    dump_instance,
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
@@ -81,7 +80,6 @@ __all__ = [
     "assign_fdls",
     "audit_schedule",
     "default_config",
-    "dump_instance",
     "dumps_instance",
     "enumerate_best",
     "filter_min_flows",

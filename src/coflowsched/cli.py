@@ -231,12 +231,12 @@ def cmd_oracle_check(args) -> int:
     cdls = experiments.run_pipeline(instance, "coflow", args.kappa)
     best_flow = enumerate_best(instance, "flow")
     best_coflow = enumerate_best(instance, "coflow")
+    bound = trivial_lower_bound(instance)
     tol = 1e-9
     checks = {
         "dual_flow_below_best_flow": fdls.dual_cost <= best_flow.best_cost + tol,
         "dual_coflow_below_best_coflow": cdls.dual_cost <= best_coflow.best_cost + tol,
-        "trivial_bound_below_best_flow": best_flow.lower_bound
-        <= best_flow.best_cost + tol,
+        "trivial_bound_below_best_flow": bound <= best_flow.best_cost + tol,
         "best_flow_below_fdls": best_flow.best_cost <= fdls.objective + tol,
         "best_coflow_below_cdls": best_coflow.best_cost <= cdls.objective + tol,
     }
@@ -244,7 +244,7 @@ def cmd_oracle_check(args) -> int:
         "kappa": args.kappa,
         "dual_cost_flow": fdls.dual_cost,
         "dual_cost_coflow": cdls.dual_cost,
-        "trivial_lower_bound": trivial_lower_bound(instance),
+        "trivial_lower_bound": bound,
         "best_cost_flow": best_flow.best_cost,
         "best_cost_coflow": best_coflow.best_cost,
         "best_order_flow": best_flow.best_order,

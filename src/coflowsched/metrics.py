@@ -44,8 +44,8 @@ class SummaryStats:
     q3: float
     cdf: list[tuple[float, float]]
 
-    def as_dict(self, with_cdf: bool = False) -> dict:
-        out = {
+    def as_dict(self) -> dict:
+        return {
             "count": self.count,
             "mean": self.mean,
             "min": self.minimum,
@@ -54,9 +54,6 @@ class SummaryStats:
             "median": self.median,
             "q3": self.q3,
         }
-        if with_cdf:
-            out["cdf"] = [[v, f] for v, f in self.cdf]
-        return out
 
 
 def summarize(values: Iterable[float]) -> SummaryStats:

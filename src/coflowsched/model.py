@@ -334,11 +334,6 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
     return instance
 
 
-def dump_instance(instance: Instance, fp: IO[str]) -> None:
-    json.dump(instance_to_dict(instance), fp, indent=2)
-    fp.write("\n")
-
-
 def dumps_instance(instance: Instance) -> str:
     return json.dumps(instance_to_dict(instance), indent=2) + "\n"
 

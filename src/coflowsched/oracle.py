@@ -38,11 +38,16 @@ from .scheduling import _list_schedule, _priority_rows
 # bounds every float64 array of a block at 128 KB on any instance.
 BLOCK_CELLS = 1 << 14
 
+# The largest instance enumerate_best accepts: the search is factorial in n
+# and exponential in the flow (or coflow) count.
+ORACLE_MAX_COFLOWS = 6
+ORACLE_MAX_PORTS = 3
+ORACLE_MAX_CORES = 2
+
 
 @dataclass
 class OracleResult:
     best_cost: float
-    lower_bound: float
     schedules_examined: int
     best_order: list[int]
     best_assignment: dict[FlowKey, int]
@@ -71,32 +76,25 @@ def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
     return _list_schedule(rows, table.fi, table.fj, table.size, table.release, None)
 
 
-def enumerate_best(
-    instance: Instance,
-    granularity: str = "flow",
-    max_coflows: int = 6,
-    max_ports: int = 3,
-    max_cores: int = 2,
-) -> OracleResult:
+def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResult:
     """Brute-force the best list schedule at the given granularity.
 
     Every (permutation, placement) pair is scored, and counted in
     ``schedules_examined``, with the objective ``simulate`` would return for
     it; a core's flow sequence that repeats is simulated only once per call.
-    Refuses instances beyond the caps: the search is factorial in n and
-    exponential in the flow (or coflow) count. The witness is the first
-    minimizer in lexicographic (permutation, assignment) order, so results
-    are deterministic.
+    Refuses instances beyond the ``ORACLE_MAX_*`` caps. The witness is the
+    first minimizer in lexicographic (permutation, assignment) order, so
+    results are deterministic.
     """
     table = instance.table
     keys = table.keys
     if granularity not in ("flow", "coflow"):
         raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
     n, m = instance.n, instance.cores
-    if n > max_coflows or instance.ports > max_ports or m > max_cores:
+    if n > ORACLE_MAX_COFLOWS or instance.ports > ORACLE_MAX_PORTS or m > ORACLE_MAX_CORES:
         raise ValueError(
-            f"instance exceeds enumeration caps n<={max_coflows}, "
-            f"N<={max_ports}, m<={max_cores}"
+            f"instance exceeds enumeration caps n<={ORACLE_MAX_COFLOWS}, "
+            f"N<={ORACLE_MAX_PORTS}, m<={ORACLE_MAX_CORES}"
         )
 
     flows, first = len(keys), table.first
@@ -169,7 +167,6 @@ def enumerate_best(
         examined += cost.size
     return OracleResult(
         best_cost=best_cost,
-        lower_bound=trivial_lower_bound(instance),
         schedules_examined=examined,
         best_order=best_order,
         best_assignment=best_assignment,

@@ -68,10 +68,8 @@ class IterationRecord:
 
 @dataclass
 class DualTrace:
-    kappa: float
     records: list[IterationRecord] = field(default_factory=list)
     delta: dict[int, float] = field(default_factory=dict)
-    dual_cost: float = 0.0
 
     def record_dicts(self) -> list[dict]:
         return [asdict(rec) for rec in self.records]
@@ -124,7 +122,7 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
     _require_kappa(kappa)
     table = instance.table
     n, m, ports = instance.n, instance.cores, instance.ports
-    trace = DualTrace(kappa=kappa)
+    trace = DualTrace()
     if n == 0:
         return Permutation(order=[], dual_cost=0.0, trace=trace)
 
@@ -236,6 +234,5 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
                 tot_s[p] -= v
                 sq_s[p] -= q
 
-    trace.dual_cost = dual
     trace.delta = dict(sorted(trace.delta.items()))
     return Permutation(order=order, dual_cost=dual, trace=trace)

@@ -14,7 +14,7 @@ from itertools import permutations, product
 
 from _reference_sim import simulate
 from coflowsched.model import FlowKey, Instance
-from coflowsched.oracle import OracleResult, trivial_lower_bound
+from coflowsched.oracle import OracleResult
 from coflowsched.scheduling import Assignment
 
 
@@ -60,7 +60,6 @@ def enumerate_best(
                 best_assignment = placement
     return OracleResult(
         best_cost=best_cost,
-        lower_bound=trivial_lower_bound(instance),
         schedules_examined=examined,
         best_order=best_order,
         best_assignment=best_assignment,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from coflowsched.model import FlowKey, FlowTable, Instance
-from coflowsched.oracle import OracleResult, trivial_lower_bound
+from coflowsched.oracle import OracleResult
 from coflowsched.scheduling import _fold_completions, _list_schedule, _priority_rows
 
 
@@ -80,7 +80,6 @@ def enumerate_best(
                 best_assignment = dict(zip(keys, core_of))
     return OracleResult(
         best_cost=best_cost,
-        lower_bound=trivial_lower_bound(instance),
         schedules_examined=examined,
         best_order=best_order,
         best_assignment=best_assignment,

@@ -47,7 +47,7 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
     dense = compile_table(instance)
     load_in, load_out = dense.load_in, dense.load_out
     n, m = instance.n, instance.cores
-    trace = DualTrace(kappa=kappa)
+    trace = DualTrace()
     if n == 0:
         return Permutation(order=[], dual_cost=0.0, trace=trace)
 
@@ -153,6 +153,5 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
         loadsq_in -= load_in[chosen] * load_in[chosen]
         loadsq_out -= load_out[chosen] * load_out[chosen]
 
-    trace.dual_cost = dual
     trace.delta = {k: trace.delta[k] for k in sorted(trace.delta)}
     return Permutation(order=order, dual_cost=dual, trace=trace)

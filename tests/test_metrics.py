@@ -60,7 +60,8 @@ def test_summarize_interpolated_quartiles():
 def test_summarize_order_independent():
     a = summarize([4, 1, 3, 2])
     b = summarize([1, 2, 3, 4])
-    assert a.as_dict(with_cdf=True) == b.as_dict(with_cdf=True)
+    assert a.as_dict() == b.as_dict()
+    assert a.cdf == b.cdf
 
 
 def test_summarize_rejects_empty():

@@ -65,7 +65,7 @@ def test_enumeration_counts_grow_with_granularity_choice():
     assert coflow.schedules_examined == 2 * 2**2
 
 
-def test_caps_refusal():
+def test_caps_refusal(monkeypatch):
     big_n = inst([(0, 1, {(1, 1): 1}) for _ in range(7)])
     with pytest.raises(ValueError, match="caps"):
         enumerate_best(big_n)
@@ -75,7 +75,8 @@ def test_caps_refusal():
     many_cores = inst([(0, 1, {(1, 1): 1})], cores=3)
     with pytest.raises(ValueError, match="caps"):
         enumerate_best(many_cores)
-    assert enumerate_best(wide, max_ports=4).best_cost == pytest.approx(1.0)
+    monkeypatch.setattr(oracle, "ORACLE_MAX_PORTS", 4)
+    assert enumerate_best(wide).best_cost == pytest.approx(1.0)
 
 
 def test_enumerate_rejects_unknown_granularity():
