@@ -310,9 +310,10 @@ def audit_schedule(
     release + size lower bound on every flow completion, coflow completions
     being the max over their flows, and work conservation: no released,
     incomplete flow may sit idle while both of its ports are free on its
-    core. A segment or a placement of a flow that is not in the instance,
-    and a flow without a completion time or with a NaN one, are reported
-    too; such a flow is left out of the checks that need it.
+    core. A segment with a NaN time, a segment or a placement of a flow
+    that is not in the instance, and a flow without a completion time or
+    with a NaN one, are reported too; such a segment or flow is left out of
+    the checks that need it.
 
     The timeline is read once, into start, end, flow row and core columns,
     and every check runs on columns: the volume per flow is one
@@ -361,12 +362,16 @@ def audit_schedule(
 
     empty = end <= start
     known = row >= 0
-    for at in np.flatnonzero(empty | ~known).tolist():
+    timed = (start == start) & (end == end)  # NaN != NaN
+    for at in np.flatnonzero(empty | ~known | ~timed).tolist():
         seg = timeline[at]
+        if not timed[at]:
+            bad.append(f"segment {seg} has a time that is not a number")
         if empty[at]:
             bad.append(f"empty or reversed segment {seg}")
         if not known[at]:
             bad.append(f"segment {seg} of a flow not in the instance")
+    known &= timed  # a NaN segment, like an unknown flow's, joins no check below
 
     # bincount adds each flow's spans in timeline order, as a running += does.
     transmitted = np.bincount(row[known], weights=(end - start)[known], minlength=n)
@@ -468,7 +473,10 @@ def audit_schedule(
         cut = slice(seg_edge[h - 1], seg_edge[h])
         span_start, span_end, span_row = s_live[cut], e_live[cut], r_live[cut]
         rel_h, done_h = release[flows_h], done[flows_h]
-        bounds = np.unique(np.concatenate([span_start, span_end, rel_h, done_h]))
+        # No NaN reaches the grid, so one sort and a neighbour compare dedupe
+        # it, infinities included.
+        grid = np.sort(np.concatenate([span_start, span_end, rel_h, done_h]))
+        bounds = np.concatenate([grid[:1], grid[1:][grid[1:] != grid[:-1]]])
         if bounds.size < 2:
             continue
         for cell, pos in _starved_cells(

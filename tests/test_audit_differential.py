@@ -10,7 +10,11 @@ two grid points lie closer than the audit's tolerance. A second, smaller
 corpus tampers schedules of 1k+ segments with releases.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,7 @@ STAGES = {
     "flow": (order_flow_level, assign_fdls),
     "coflow": (order_coflow_level, assign_cdls),
 }
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 KINDS = ("shorten", "shift", "delete", "recore", "stretch", "nudge", "split")
 TAMPERS_PER_SCHEDULE = 8
 
@@ -143,6 +148,36 @@ def test_matches_reference_on_larger_tampered_timelines():
     assert tampered == 48
     # Pinned, so that a change to the corpus that makes it toothless shows.
     assert flagged == 46
+
+
+def test_matches_reference_with_many_empty_cores():
+    # CDLS puts six coflows on at most six of 16 cores, so most cores have
+    # no segment, and FDLS leaves cores with a flow or two each. A recore
+    # tamper can move a segment to core 17.
+    rng = random.Random(13)
+    tampered = flagged = applied = 0
+    for seed in range(700, 708):
+        instance = gen_mix(6, 5, seed, cores=16)
+        for granularity in sorted(STAGES):
+            order_fn, assign_fn = STAGES[granularity]
+            perm = order_fn(instance, 0.5)
+            assignment = assign_fn(instance, perm)
+            result = simulate(instance, perm, assignment, emit_timeline=True)
+            assert audit_schedule(instance, perm, assignment, result) == []
+            for _ in range(6):
+                timeline = list(result.timeline)
+                tamper(rng, timeline, KINDS[applied % len(KINDS)], instance.cores)
+                applied += 1
+                broken = ScheduleResult(
+                    result.flow_completion, result.coflow_completion, result.objective, timeline
+                )
+                got = audit_schedule(instance, perm, assignment, broken)
+                assert got == reference_audit(instance, perm, assignment, broken)
+                tampered += 1
+                flagged += bool(got)
+    assert tampered == 96
+    # Pinned, so that a change to the corpus that makes it toothless shows.
+    assert flagged == 76
 
 
 def test_reports_the_first_starved_flow_in_key_order():
@@ -258,3 +293,51 @@ def test_placement_of_an_unknown_flow_is_reported():
     assert audit_schedule(instance, perm, broken, result) == [
         "assignment places flow (9, 9, 99), which is not in the instance"
     ]
+
+
+@pytest.mark.parametrize("side", ["start", "end"])
+def test_nan_segment_time_is_reported(side):
+    # No comparison with NaN holds, so the reference passes a NaN end, and
+    # a NaN start shows there only as starvation. The audit reports the
+    # segment and leaves it out of every other check: its flow then lacks
+    # the segment's volume, and its span is free on both ports.
+    instance, perm, assignment, result = small_schedule()
+    timeline = list(result.timeline)
+    seg = timeline[4] = timeline[4]._replace(**{side: float("nan")})
+    assert seg.flow == FlowKey(3, 2, 5) and seg.core == 1
+    broken = ScheduleResult(
+        result.flow_completion, result.coflow_completion, result.objective, timeline
+    )
+    assert audit_schedule(instance, perm, assignment, broken) == [
+        f"segment {seg} has a time that is not a number",
+        "flow (3, 2, 5) transmitted 0.0, size 10",
+        "core 1: flow (3, 2, 5) idle at t=1.0 with both ports free",
+        "core 1: flow (3, 2, 3) idle at t=3.0 with both ports free",
+        "core 1: flow (3, 2, 3) idle at t=6.0 with both ports free",
+        "core 1: flow (3, 2, 3) idle at t=7.0 with both ports free",
+        "core 1: flow (3, 2, 3) idle at t=8.0 with both ports free",
+        "core 1: flow (3, 2, 3) idle at t=9.0 with both ports free",
+    ]
+
+
+def test_audit_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, which costs about 1.6 MB
+    # of resident memory in a fresh process; the audit's grid does without.
+    script = (
+        "import sys\n"
+        "from coflowsched import assign_fdls, audit_schedule, gen_mix, "
+        "order_flow_level, simulate\n"
+        "instance = gen_mix(5, 5, 3, cores=2, release_max=10)\n"
+        "perm = order_flow_level(instance, 0.5)\n"
+        "assignment = assign_fdls(instance, perm)\n"
+        "result = simulate(instance, perm, assignment, emit_timeline=True)\n"
+        "assert audit_schedule(instance, perm, assignment, result) == []\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
