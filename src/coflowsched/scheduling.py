@@ -68,8 +68,9 @@ def _order_list(order, n: int) -> list[int]:
 def assign_fdls(instance: Instance, order) -> Assignment:
     """Place each flow on the core with the least projected port load.
 
-    Coflows are visited in processing order, flows within a coflow by
-    non-increasing size. The score of core h for flow (i, j) is the load
+    Flows are visited in the flow-level list order of ``_priority_rows``:
+    coflows in processing order, flows within a coflow by non-increasing
+    size, then (i, j). The score of core h for flow (i, j) is the load
     already projected on input i plus output j of h; ties take the lowest
     core id. Each port that carries a flow keeps a Python list of its m
     projected loads per side, so the scores are exact ints and
@@ -82,16 +83,13 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     load_in = {i: [0] * m for i in set(fi)}
     load_out = {j: [0] * m for j in set(fj)}
     placement: dict[FlowKey, int] = {}
-    for k in seq:
-        flows = range(table.first[k - 1], table.first[k])
-        # A stable sort, so equal sizes keep their (i, j) order.
-        for idx in sorted(flows, key=size.__getitem__, reverse=True):
-            row_in, row_out = load_in[fi[idx]], load_out[fj[idx]]
-            score = list(map(add, row_in, row_out))
-            best = score.index(min(score))
-            placement[keys[idx]] = best + 1
-            row_in[best] += size[idx]
-            row_out[best] += size[idx]
+    for idx in _priority_rows(table, seq, "flow"):
+        row_in, row_out = load_in[fi[idx]], load_out[fj[idx]]
+        score = list(map(add, row_in, row_out))
+        best = score.index(min(score))
+        placement[keys[idx]] = best + 1
+        row_in[best] += size[idx]
+        row_out[best] += size[idx]
     return Assignment("flow", placement, None)
 
 
