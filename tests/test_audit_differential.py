@@ -14,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -323,16 +324,17 @@ def test_nan_segment_time_is_reported(side):
 def test_audit_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on its first call, which costs about 1.6 MB
     # of resident memory in a fresh process; the audit's grid does without.
-    script = (
-        "import sys\n"
-        "from coflowsched import assign_fdls, audit_schedule, gen_mix, "
-        "order_flow_level, simulate\n"
-        "instance = gen_mix(5, 5, 3, cores=2, release_max=10)\n"
-        "perm = order_flow_level(instance, 0.5)\n"
-        "assignment = assign_fdls(instance, perm)\n"
-        "result = simulate(instance, perm, assignment, emit_timeline=True)\n"
-        "assert audit_schedule(instance, perm, assignment, result) == []\n"
-        "print('numpy.ma' in sys.modules)\n"
+    script = textwrap.dedent(
+        """
+        import sys
+        from coflowsched import assign_fdls, audit_schedule, gen_mix, order_flow_level, simulate
+        instance = gen_mix(5, 5, 3, cores=2, release_max=10)
+        perm = order_flow_level(instance, 0.5)
+        assignment = assign_fdls(instance, perm)
+        result = simulate(instance, perm, assignment, emit_timeline=True)
+        assert audit_schedule(instance, perm, assignment, result) == []
+        print("numpy.ma" in sys.modules)
+        """
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([SRC, *filter(None, [env.get("PYTHONPATH")])])
