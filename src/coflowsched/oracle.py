@@ -67,7 +67,7 @@ def trivial_lower_bound(instance: Instance) -> float:
         for cells in (table.cells_in, table.cells_out):
             peak = max(cells.load[cells.first[c.id - 1] : cells.first[c.id]], default=0)
             floor = max(floor, float(peak) / m)
-        total += c.weight * floor
+        total += float(c.weight) * floor
     return total
 
 

@@ -187,17 +187,27 @@ def simulate(
     m = instance.cores
     keys = table.keys
 
-    known = set(keys)
-    for key, h in assignment.flow_to_core.items():
-        if key not in known:
-            raise ValueError(f"assignment references unknown flow {tuple(key)}")
-        if not (isinstance(h, _CORE_ID_TYPES) and not isinstance(h, bool) and 1 <= h <= m):
-            raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
-    missing = known.difference(assignment.flow_to_core)
-    if missing:
-        raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
+    placed = assignment.flow_to_core
+    core_of = list(map(placed.get, keys))
+    # A placement of every flow, and of nothing else, on plain int cores in
+    # 1..m passes in C-level passes; any other runs the loop that reports
+    # its first fault in dict order.
+    if not (
+        len(placed) == len(keys)
+        and set(map(type, core_of)) <= {int}
+        and 1 <= min(core_of, default=1)
+        and max(core_of, default=m) <= m
+    ):
+        known = set(keys)
+        for key, h in placed.items():
+            if key not in known:
+                raise ValueError(f"assignment references unknown flow {tuple(key)}")
+            if not (isinstance(h, _CORE_ID_TYPES) and not isinstance(h, bool) and 1 <= h <= m):
+                raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
+        missing = known.difference(placed)
+        if missing:
+            raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
 
-    core_of = list(map(assignment.flow_to_core.__getitem__, keys))
     # Each (core, port) gets its own key, so the cores share no busy runs.
     stride = instance.ports + 1
     key_in = [h * stride + i for h, i in zip(core_of, table.fi)]
@@ -231,13 +241,16 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
     flow starts at its release, skips every run of either port that covers
     the current time, and transmits until the next run start on either port
     or until its size is sent, and so on. Each piece is one timeline
-    segment; it is then merged into both ports' runs, so the flows after it
-    see it as busy; inserting or removing a run shifts the later runs of
-    that port's list, so a piece costs O(log runs) compares plus O(runs)
-    moves on each port. Returns the finish times in ``ranked`` order and
-    appends (start, end, flow row) to ``segs``. Unit rates over integer
+    segment; the loop merges it inline into both ports' runs, so the flows
+    after it see it as busy. Inserting or removing a run shifts the later
+    runs of that port's list, so a piece costs O(log runs) compares plus
+    O(runs) moves on each port. Returns the finish times in ``ranked`` order
+    and appends (start, end, flow row) to ``segs``.
+
+    A flow that never finishes raises at once: its infinite end would
+    overwrite the ``inf`` sentinel of its ports. Unit rates over integer
     sizes and releases below ``MAX_HORIZON`` keep every time an exact
-    integer.
+    integer, which one check over all finish times asserts after the loop.
     """
     never = float("inf")
     busy_in: dict = {}
@@ -267,8 +280,27 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
             end = t + left
             if end < stop:
                 stop = end
-            _occupy(runs_a, pa, t, stop)
-            _occupy(runs_b, pb, t, stop)
+            # Merge the free span [t, stop) into each port's runs: extend
+            # the run ending at t, the run starting at stop, both (joining
+            # them) or neither (a new run).
+            if pa and runs_a[pa - 1] == t:
+                if runs_a[pa] == stop:
+                    del runs_a[pa - 1 : pa + 1]
+                else:
+                    runs_a[pa - 1] = stop
+            elif runs_a[pa] == stop:
+                runs_a[pa] = t
+            else:
+                runs_a[pa:pa] = (t, stop)
+            if pb and runs_b[pb - 1] == t:
+                if runs_b[pb] == stop:
+                    del runs_b[pb - 1 : pb + 1]
+                else:
+                    runs_b[pb - 1] = stop
+            elif runs_b[pb] == stop:
+                runs_b[pb] = t
+            else:
+                runs_b[pb:pb] = (t, stop)
             if segs is not None:
                 segs.append((t, stop, r))
             if stop == end:
@@ -277,23 +309,10 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
             t = stop
         if not end < never:
             raise RuntimeError("no runnable flow and no pending release")
-        # Unit rates over integer demands keep every completion on the integer grid.
-        assert abs(end - round(end)) <= 1e-9
         finish.append(end)
+    # Unit rates over integer demands keep every completion on the integer grid.
+    assert all(map(float.is_integer, finish))
     return finish
-
-
-def _occupy(runs: list[float], p: int, a: float, b: float) -> None:
-    """Merge the free span [a, b) into ``runs``, where p = bisect_right(runs, a)."""
-    if p and runs[p - 1] == a:
-        if runs[p] == b:
-            del runs[p - 1 : p + 1]
-        else:
-            runs[p - 1] = b
-    elif runs[p] == b:
-        runs[p] = a
-    else:
-        runs[p:p] = (a, b)
 
 
 def audit_schedule(
@@ -311,7 +330,8 @@ def audit_schedule(
     core. A segment with a NaN time, a segment or a placement of a flow
     that is not in the instance, and a flow without a completion time or
     with a NaN one, are reported too; such a segment or flow is left out of
-    the checks that need it.
+    the checks that need it, as is a segment whose length is NaN (both
+    ends at one infinity).
 
     The timeline is read once, into start, end, flow row and core columns,
     and every check runs on columns: the volume per flow is one
@@ -361,6 +381,8 @@ def audit_schedule(
     empty = end <= start
     known = row >= 0
     timed = (start == start) & (end == end)  # NaN != NaN
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        length = end - start
     for at in np.flatnonzero(empty | ~known | ~timed).tolist():
         seg = timeline[at]
         if not timed[at]:
@@ -369,10 +391,13 @@ def audit_schedule(
             bad.append(f"empty or reversed segment {seg}")
         if not known[at]:
             bad.append(f"segment {seg} of a flow not in the instance")
-    known &= timed  # a NaN segment, like an unknown flow's, joins no check below
+    # A segment with a NaN time or length, like an unknown flow's, joins no
+    # check below. Both ends at one infinity give a NaN length; such a
+    # segment is reported above as empty.
+    known &= length == length
 
     # bincount adds each flow's spans in timeline order, as a running += does.
-    transmitted = np.bincount(row[known], weights=(end - start)[known], minlength=n)
+    transmitted = np.bincount(row[known], weights=length[known], minlength=n)
     # A missing completion is None here and NaN in ``done``.
     completion = list(map(result.flow_completion.get, keys))
     done = np.array(completion, dtype=float)

@@ -128,6 +128,17 @@ def test_trivial_bound_matches_dense_rows():
         assert repr(got) == repr(want)
 
 
+def test_trivial_bound_folds_weights_as_python_floats():
+    # A float32 weight times a float floor stays float32, so the sum would
+    # round to float32 (1.0 here) where enumerate_best's fold does not.
+    w1, w2 = np.float32(0.1), np.float32(0.7)
+    pair = inst([(0, w1, {(1, 1): 3}), (0, w2, {(2, 2): 1})])
+    got = trivial_lower_bound(pair)
+    assert type(got) is float
+    assert got == 0.0 + float(w1) * 3.0 + float(w2) * 1.0
+    assert got == enumerate_best(pair).best_cost
+
+
 def test_trivial_bound_below_best():
     assert trivial_lower_bound(UNIT_PAIR) <= enumerate_best(UNIT_PAIR).best_cost
 

@@ -17,6 +17,7 @@ from coflowsched.scheduling import (
     Assignment,
     assign_cdls,
     assign_fdls,
+    _list_schedule,
     audit_schedule,
     simulate,
 )
@@ -275,6 +276,20 @@ def test_simulate_accepts_numpy_integer_core():
     res = simulate(inst, [1], asg, emit_timeline=True)
     assert res.flow_completion == {FlowKey(1, 1, 1): 2.0, FlowKey(1, 2, 1): 3.0}
     assert [s.core for s in res.timeline] == [2, 1]
+
+
+def test_list_schedule_checks_fire():
+    # A fractional size leaves the integer grid; an infinite one never
+    # finishes, and is refused before a later flow on its port runs.
+    with pytest.raises(AssertionError):
+        _list_schedule([0], [1], [1], [1.5], [0], None)
+    with pytest.raises(AssertionError):
+        _list_schedule([0, 1], [1, 1], [1, 2], [1.5, 2], [0, 0], None)
+    message = "no runnable flow and no pending release"
+    with pytest.raises(RuntimeError, match=message):
+        _list_schedule([0], [1], [1], [float("inf")], [0], None)
+    with pytest.raises(RuntimeError, match=message):
+        _list_schedule([0, 1], [1, 1], [1, 1], [float("inf"), 2], [0, 0], None)
 
 
 def test_simulate_rejects_bad_order():

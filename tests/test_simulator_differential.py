@@ -13,6 +13,7 @@ checks large ones against the event loop.
 
 import random
 
+import numpy as np
 import pytest
 
 from _reference_sim import simulate as reference_simulate
@@ -177,3 +178,71 @@ def test_empty_coflows_and_an_idle_core():
     res = assert_same_schedule(instance, [3, 1, 2, 4], assignment)
     assert res.coflow_completion[2] == 7.0 and res.coflow_completion[4] == 0.0
     assert {s.core for s in res.timeline} == {1, 3}
+
+
+class Core(int):
+    """An int subclass, which is a valid core id."""
+
+
+# Coflow 1 has flows (1, 1, 1) and (1, 2, 1), coflow 2 has (2, 1, 2); m = 2.
+PLACED = Instance(
+    2, 2, (Coflow(1, 0, 1, {(1, 1): 2, (1, 2): 3}), Coflow(2, 0, 1, {(2, 1): 1}))
+)
+GOOD = {FlowKey(1, 1, 1): 1, FlowKey(1, 2, 1): 2, FlowKey(2, 1, 2): 1}
+STRAY = FlowKey(9, 9, 9)
+
+
+def with_core(core):
+    return {**GOOD, FlowKey(1, 2, 1): core}
+
+
+PLACEMENTS = {
+    "unknown-then-bad-core": {STRAY: 1, **with_core(0)},
+    "bad-core-then-unknown": {**with_core(0), STRAY: 1},
+    "two-bad-cores": {**with_core(3), FlowKey(2, 1, 2): 0},
+    "missing-and-unknown": {FlowKey(1, 1, 1): 1, FlowKey(1, 2, 1): 2, STRAY: 1},
+    "missing": {FlowKey(1, 1, 1): 1, FlowKey(2, 1, 2): 2},
+    "none": with_core(None),
+    "zero": with_core(0),
+    "above-m": with_core(3),
+    "float": with_core(1.0),
+    "np-bool": with_core(np.True_),
+    "np-int64": with_core(np.int64(2)),
+    "int-subclass": with_core(Core(2)),
+    "all-np-int64": {key: np.int64(h) for key, h in GOOD.items()},
+    "good": GOOD,
+}
+
+
+def outcome(run, instance, order, placement):
+    try:
+        res = run(instance, order, Assignment("flow", placement, None), emit_timeline=True)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return type(exc), str(exc)
+    return repr((res.flow_completion, res.coflow_completion, res.objective, res.timeline))
+
+
+@pytest.mark.parametrize("case", sorted(PLACEMENTS))
+def test_placement_check_matches_reference(case):
+    placement = PLACEMENTS[case]
+    got = outcome(simulate, PLACED, [1, 2], placement)
+    assert got == outcome(reference_simulate, PLACED, [1, 2], placement)
+    assert isinstance(got, str) == (case in ("good", "np-int64", "int-subclass", "all-np-int64"))
+
+
+def test_placement_of_a_bool_core():
+    # The reference takes True for core 1, as isinstance(True, int) holds;
+    # simulate refuses a bool with the message it gives any bad core.
+    placement = with_core(True)
+    assert isinstance(outcome(reference_simulate, PLACED, [1, 2], placement), str)
+    assert outcome(simulate, PLACED, [1, 2], placement) == (
+        ValueError,
+        "flow (1, 2, 1) assigned to core True, valid range 1..2",
+    )
+
+
+@pytest.mark.parametrize("placement", [{}, {STRAY: 1}, {STRAY: 0}])
+def test_placement_check_on_an_empty_instance(placement):
+    empty = Instance(1, 1, (Coflow(1, 3, 1, {}),))
+    got = outcome(simulate, empty, [1], placement)
+    assert got == outcome(reference_simulate, empty, [1], placement)
