@@ -189,9 +189,9 @@ def simulate(
 
     placed = assignment.flow_to_core
     core_of = list(map(placed.get, keys))
-    # A placement of every flow, and of nothing else, on plain int cores in
-    # 1..m passes in C-level passes; any other runs the loop that reports
-    # its first fault in dict order.
+    # C-level passes accept a placement of every flow, and of nothing else,
+    # on plain int cores in 1..m. Any other runs the loop, which reports
+    # the first fault in dict order and accepts np.integer cores.
     if not (
         len(placed) == len(keys)
         and set(map(type, core_of)) <= {int}

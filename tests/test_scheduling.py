@@ -15,9 +15,9 @@ from coflowsched.model import Coflow, FlowKey, Instance
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import (
     Assignment,
+    _list_schedule,
     assign_cdls,
     assign_fdls,
-    _list_schedule,
     audit_schedule,
     simulate,
 )

@@ -8,7 +8,9 @@ completions, the objective and the full timeline must be equal, compared
 with ``==`` and with ``repr`` so that a float and an equal int, or two
 floats printed differently, also count as a difference. The reference is
 quadratic, so these instances are small; ``test_simulator_scale.py``
-checks large ones against the event loop.
+checks large ones against the event loop. On a tampered placement both
+must raise the same exception with the same message, except on a bool
+core, which the reference takes for an int and ``simulate`` refuses.
 """
 
 import random
@@ -196,6 +198,7 @@ def with_core(core):
     return {**GOOD, FlowKey(1, 2, 1): core}
 
 
+# Placements tampered one way each; the last four are accepted.
 PLACEMENTS = {
     "unknown-then-bad-core": {STRAY: 1, **with_core(0)},
     "bad-core-then-unknown": {**with_core(0), STRAY: 1},
@@ -212,12 +215,14 @@ PLACEMENTS = {
     "all-np-int64": {key: np.int64(h) for key, h in GOOD.items()},
     "good": GOOD,
 }
+ACCEPTED = {"np-int64", "int-subclass", "all-np-int64", "good"}
 
 
 def outcome(run, instance, order, placement):
+    """The exception type and message a simulator raises, or its results' repr."""
     try:
         res = run(instance, order, Assignment("flow", placement, None), emit_timeline=True)
-    except Exception as exc:  # noqa: BLE001 - the type is compared
+    except Exception as exc:
         return type(exc), str(exc)
     return repr((res.flow_completion, res.coflow_completion, res.objective, res.timeline))
 
@@ -227,7 +232,7 @@ def test_placement_check_matches_reference(case):
     placement = PLACEMENTS[case]
     got = outcome(simulate, PLACED, [1, 2], placement)
     assert got == outcome(reference_simulate, PLACED, [1, 2], placement)
-    assert isinstance(got, str) == (case in ("good", "np-int64", "int-subclass", "all-np-int64"))
+    assert isinstance(got, str) == (case in ACCEPTED)
 
 
 def test_placement_of_a_bool_core():
