@@ -108,12 +108,6 @@ class ExperimentReport:
             for (point, algo), vals in groups.items()
         ]
 
-    def mean_ratio(self, point) -> float:
-        for entry in self.aggregates:
-            if entry["point"] == point:
-                return entry["mean"]
-        raise KeyError(f"no aggregate for point {point!r}")
-
 
 def write_rows_csv(report: ExperimentReport, path: Path) -> None:
     with open(path, "w", newline="") as fp:

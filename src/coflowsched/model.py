@@ -125,26 +125,28 @@ class PortCells(NamedTuple):
 
 
 def _port_cells(port: list[int], size: list[int], first: list[int], ports: int) -> PortCells:
-    """One side's cells, summed a coflow at a time in per-port accumulators.
+    """One side's cells, from one sort of the flows by (coflow, port).
 
-    A cell's load and squared sizes are at most MAX_PORT_TOTAL and its
-    square, so the sums stay exact even over np.int64 sizes; int() stores
-    each as a Python int.
+    Each run of equal codes ``coflow x (ports + 1) + port`` is one cell, and
+    ``np.add.reduceat`` sums its sizes and squared sizes. A cell's load and
+    squared sizes are at most MAX_PORT_TOTAL and its square, so int64 sums
+    are exact; ``tolist`` stores each as a Python int.
     """
-    cells = PortCells([0], [], [], [])
-    load, sq = [0] * (ports + 1), [0] * (ports + 1)
-    for lo, hi in zip(first, first[1:]):
-        for p, d in zip(port[lo:hi], size[lo:hi]):
-            load[p] += d
-            sq[p] += d * d
-        used = sorted(set(port[lo:hi]))
-        cells.port.extend(map(int, used))
-        cells.load.extend(map(int, map(load.__getitem__, used)))
-        cells.sq.extend(map(int, map(sq.__getitem__, used)))
-        for p in used:
-            load[p] = sq[p] = 0
-        cells.first.append(len(cells.port))
-    return cells
+    n = len(first) - 1
+    if not port:
+        return PortCells([0] * (n + 1), [], [], [])
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(first))
+    code = owner * (ports + 1) + np.array(port, dtype=np.int64)
+    by = np.argsort(code, kind="stable")
+    code, d = code[by], np.array(size, dtype=np.int64)[by]
+    heads = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
+    cell_owner, cell_port = np.divmod(code[heads], ports + 1)
+    return PortCells(
+        np.searchsorted(cell_owner, np.arange(n + 1)).tolist(),
+        cell_port.tolist(),
+        np.add.reduceat(d, heads).tolist(),
+        np.add.reduceat(d * d, heads).tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -167,6 +169,19 @@ class FlowTable:
     first: list[int]
     cells_in: PortCells
     cells_out: PortCells
+
+    @cached_property
+    def key_rank(self) -> np.ndarray:
+        """Each row's position in (i, j, k) key order, built on first use.
+
+        Rows are in (k, i, j) order, so a stable sort by (i, j) keeps equal
+        pairs in k order.
+        """
+        fi = np.array(self.fi, dtype=np.int64)
+        pair = fi * (max(self.fj, default=0) + 1) + np.array(self.fj, dtype=np.int64)
+        rank = np.empty(fi.size, dtype=np.int64)
+        rank[np.argsort(pair, kind="stable")] = np.arange(fi.size)
+        return rank
 
 
 # Largest total size any one port may carry, summed over all coflows:

@@ -16,7 +16,7 @@ integer.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add
@@ -37,21 +37,139 @@ class Segment(NamedTuple):
     core: int
 
 
-@dataclass
-class Assignment:
-    """Flow-to-core placement; coflow_to_core is set under coflow granularity."""
+class _Fields:
+    """``repr`` and ``==`` over ``_fields``, as a dataclass writes them.
 
-    granularity: str
-    flow_to_core: dict[FlowKey, int]
-    coflow_to_core: dict[int, int] | None
+    Both read the fields as attributes, so they build any view not yet built.
+    """
+
+    _fields: tuple[str, ...] = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = [getattr(self, name) for name in self._fields]
+        return values == [getattr(other, name) for name in self._fields]
 
 
-@dataclass
-class ScheduleResult:
-    flow_completion: dict[FlowKey, float]
-    coflow_completion: dict[int, float]
-    objective: float
-    timeline: list[Segment] | None = None
+class Assignment(_Fields):
+    """Flow-to-core placement; coflow_to_core is set under coflow granularity.
+
+    ``assign_fdls`` and ``assign_cdls`` keep one core per row of the
+    instance's flow table, and ``simulate`` and the audit read those rows.
+    ``flow_to_core`` is a view of them keyed by ``FlowKey``, built on first
+    read; from then on it is the placement and the rows are dropped, so an
+    edit made to it in place reaches ``simulate`` and the audit. A
+    hand-built Assignment holds the dict it is given.
+    """
+
+    _fields = ("granularity", "flow_to_core", "coflow_to_core")
+
+    def __init__(
+        self,
+        granularity: str,
+        flow_to_core: dict[FlowKey, int],
+        coflow_to_core: dict[int, int] | None,
+    ) -> None:
+        self.granularity = granularity
+        self.flow_to_core = flow_to_core
+        self.coflow_to_core = coflow_to_core
+        self._rows: tuple[list[FlowKey], list[int]] | None = None
+
+    @classmethod
+    def _of_rows(cls, granularity, keys, core_of, coflow_to_core) -> Assignment:
+        """The placement ``core_of[r]`` of flow ``keys[r]``, held by row."""
+        self = cls.__new__(cls)
+        self.granularity, self.coflow_to_core = granularity, coflow_to_core
+        self._rows = (keys, core_of)
+        return self
+
+    @cached_property
+    def flow_to_core(self) -> dict[FlowKey, int]:
+        keys, core_of = self._rows
+        self._rows = None
+        return dict(zip(keys, core_of))
+
+    def _core_rows(self, keys: list[FlowKey]) -> list[int] | None:
+        """The core of each row of ``keys``, while no view has been built."""
+        if self._rows is not None and self._rows[0] is keys:
+            return self._rows[1]
+        return None
+
+
+class ScheduleResult(_Fields):
+    """Completion times, the weighted objective and, on request, the timeline.
+
+    ``simulate`` keeps the finish time of each row of the instance's flow
+    table, and the timeline as start, end and flow row columns in
+    ``Segment`` order plus each row's core; the audit reads those.
+    ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a list of
+    ``Segment``) are views of them, each built on first read. From then on
+    the view is the result and its rows or columns are dropped, so an edit
+    made to it in place reaches the audit. A hand-built ScheduleResult holds
+    what it is given.
+    """
+
+    _fields = ("flow_completion", "coflow_completion", "objective", "timeline")
+
+    def __init__(
+        self,
+        flow_completion: dict[FlowKey, float],
+        coflow_completion: dict[int, float],
+        objective: float,
+        timeline: list[Segment] | None = None,
+    ) -> None:
+        self.flow_completion = flow_completion
+        self.coflow_completion = coflow_completion
+        self.objective = objective
+        self.timeline = timeline
+        self._keys: list[FlowKey] | None = None
+        self._finish: list[float] | None = None
+        self._columns: tuple | None = None
+
+    @classmethod
+    def _of_rows(cls, keys, finish, coflow_completion, objective, columns) -> ScheduleResult:
+        """A result held by row: flow ``keys[r]`` finishes at ``finish[r]``.
+
+        ``columns`` is None, or the timeline as (start, end, row) arrays in
+        Segment order and the list of each row's core.
+        """
+        self = cls.__new__(cls)
+        self.coflow_completion, self.objective = coflow_completion, objective
+        self._keys, self._finish, self._columns = keys, finish, columns
+        return self
+
+    @cached_property
+    def flow_completion(self) -> dict[FlowKey, float]:
+        finish, self._finish = self._finish, None
+        return dict(zip(self._keys, finish))
+
+    @cached_property
+    def timeline(self) -> list[Segment] | None:
+        columns, self._columns = self._columns, None
+        if columns is None:
+            return None
+        start, end, row, core_of = columns
+        rows = row.tolist()
+        flows = map(self._keys.__getitem__, rows)
+        cores = map(core_of.__getitem__, rows)
+        # tuple.__new__ is what Segment._make calls, minus a Python frame each.
+        return list(
+            map(tuple.__new__, repeat(Segment), zip(start.tolist(), end.tolist(), flows, cores))
+        )
+
+    def _finish_rows(self, keys: list[FlowKey]) -> list[float] | None:
+        """The finish time of each row of ``keys``, while no view has been built."""
+        return self._finish if self._keys is keys else None
+
+    def _timeline_columns(self, keys: list[FlowKey]) -> tuple | None:
+        """The timeline columns of ``keys``' rows, while no view has been built."""
+        return self._columns if self._keys is keys else None
 
 
 # A bool is an int, but not a core id; np.bool_ is no np.integer.
@@ -82,15 +200,15 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     keys, size, fi, fj = table.keys, table.size, table.fi, table.fj
     load_in = {i: [0] * m for i in set(fi)}
     load_out = {j: [0] * m for j in set(fj)}
-    placement: dict[FlowKey, int] = {}
+    core_of = [0] * len(keys)
     for idx in _priority_rows(table, seq, "flow"):
         row_in, row_out = load_in[fi[idx]], load_out[fj[idx]]
         score = list(map(add, row_in, row_out))
         best = score.index(min(score))
-        placement[keys[idx]] = best + 1
+        core_of[idx] = best + 1
         row_in[best] += size[idx]
         row_out[best] += size[idx]
-    return Assignment("flow", placement, None)
+    return Assignment._of_rows("flow", keys, core_of, None)
 
 
 def assign_cdls(instance: Instance, order) -> Assignment:
@@ -108,7 +226,8 @@ def assign_cdls(instance: Instance, order) -> Assignment:
     m = instance.cores
     sides = (table.cells_in, table.cells_out)
     loads = [{p: [0] * m for p in set(cells.port)} for cells in sides]
-    placement: dict[FlowKey, int] = {}
+    first = table.first
+    core_of = [0] * first[-1]
     coflow_core: dict[int, int] = {}
     for k in seq:
         score = [0] * m
@@ -120,12 +239,12 @@ def assign_cdls(instance: Instance, order) -> Assignment:
                 score = list(map(add, score, [max(map(add, on_h, own)) for on_h in by_core]))
         h = score.index(min(score)) + 1
         coflow_core[k] = h
-        placement.update(zip(table.keys[table.first[k - 1] : table.first[k]], repeat(h)))
+        core_of[first[k - 1] : first[k]] = [h] * (first[k] - first[k - 1])
         for cells, load_s in zip(sides, loads):
             lo, hi = cells.first[k - 1], cells.first[k]
             for p, v in zip(cells.port[lo:hi], cells.load[lo:hi]):
                 load_s[p][h - 1] += v
-    return Assignment("coflow", placement, coflow_core)
+    return Assignment._of_rows("coflow", table.keys, core_of, coflow_core)
 
 
 def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> list[int]:
@@ -186,12 +305,58 @@ def simulate(
     seq = _order_list(order, instance.n)
     m = instance.cores
     keys = table.keys
+    # The rows of assign_fdls or assign_cdls for this instance need no check.
+    core_of = assignment._core_rows(keys)
+    if core_of is None:
+        core_of = _checked_cores(assignment.flow_to_core, keys, m)
 
-    placed = assignment.flow_to_core
+    # Each (core, port) gets its own key, so the cores share no busy runs.
+    stride = instance.ports + 1
+    key_in = [h * stride + i for h, i in zip(core_of, table.fi)]
+    key_out = [h * stride + j for h, j in zip(core_of, table.fj)]
+    ranked = _priority_rows(table, seq, assignment.granularity)
+    segs: list[float] | None = [] if emit_timeline else None
+    finish = [0.0] * len(keys)
+    times = _list_schedule(ranked, key_in, key_out, table.size, table.release, segs)
+    for r, t in zip(ranked, times):
+        finish[r] = t
+
+    done, objective = _fold_completions(instance.coflows, table.first, finish)
+    coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
+
+    columns = None
+    if segs is not None:
+        flat = np.fromiter(segs, float, len(segs)).reshape(-1, 3)
+        start, end, row = flat[:, 0], flat[:, 1], flat[:, 2].astype(np.int64)
+        by = _segment_order(start, end, table.key_rank[row], len(keys))
+        columns = (start[by], end[by], row[by], core_of)
+    return ScheduleResult._of_rows(keys, finish, coflow_completion, objective, columns)
+
+
+def _segment_order(start, end, rank, flows: int) -> np.ndarray:
+    """The positions of simulated segments in ``Segment`` order.
+
+    That is by start, end, then the flow's rank in key order; the flow
+    fixes the core. Times are integers here, so while (latest end + 1)^2 x
+    ``flows`` fits in int64, one sort of the distinct codes
+    (start x (latest end + 1) + end) x flows + rank gives it, and else
+    ``np.lexsort`` does.
+    """
+    top = int(end.max(initial=0)) + 1
+    if top * top * flows >= 2**63:
+        return np.lexsort((rank, end, start))
+    code = start.astype(np.int64) * top + end.astype(np.int64)
+    return np.argsort(code * flows + rank)
+
+
+def _checked_cores(placed: dict, keys: list[FlowKey], m: int) -> list[int]:
+    """The core of each flow of ``keys`` in a hand-built placement.
+
+    C-level passes accept a placement of every flow, and of nothing else, on
+    plain int cores in 1..m. Any other runs the loop, which reports the
+    first fault in dict order and accepts np.integer cores.
+    """
     core_of = list(map(placed.get, keys))
-    # C-level passes accept a placement of every flow, and of nothing else,
-    # on plain int cores in 1..m. Any other runs the loop, which reports
-    # the first fault in dict order and accepts np.integer cores.
     if not (
         len(placed) == len(keys)
         and set(map(type, core_of)) <= {int}
@@ -207,28 +372,7 @@ def simulate(
         missing = known.difference(placed)
         if missing:
             raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
-
-    # Each (core, port) gets its own key, so the cores share no busy runs.
-    stride = instance.ports + 1
-    key_in = [h * stride + i for h, i in zip(core_of, table.fi)]
-    key_out = [h * stride + j for h, j in zip(core_of, table.fj)]
-    ranked = _priority_rows(table, seq, assignment.granularity)
-    segs: list[tuple[float, float, int]] | None = [] if emit_timeline else None
-    finish = [0.0] * len(keys)
-    times = _list_schedule(ranked, key_in, key_out, table.size, table.release, segs)
-    for r, t in zip(ranked, times):
-        finish[r] = t
-
-    flow_completion = dict(zip(keys, finish))
-    done, objective = _fold_completions(instance.coflows, table.first, finish)
-    coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
-
-    timeline = None
-    if segs is not None:
-        timeline = sorted(
-            Segment(s, e, keys[idx], core_of[idx]) for s, e, idx in segs
-        )
-    return ScheduleResult(flow_completion, coflow_completion, objective, timeline)
+    return core_of
 
 
 def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
@@ -245,7 +389,7 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
     after it see it as busy. Inserting or removing a run shifts the later
     runs of that port's list, so a piece costs O(log runs) compares plus
     O(runs) moves on each port. Returns the finish times in ``ranked`` order
-    and appends (start, end, flow row) to ``segs``.
+    and extends the flat list ``segs`` by start, end and flow row per piece.
 
     A flow that never finishes raises at once: its infinite end would
     overwrite the ``inf`` sentinel of its ports. Unit rates over integer
@@ -302,7 +446,7 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
             else:
                 runs_b[pb:pb] = (t, stop)
             if segs is not None:
-                segs.append((t, stop, r))
+                segs += (t, stop, r)
             if stop == end:
                 break
             left = end - stop
@@ -333,9 +477,10 @@ def audit_schedule(
     the checks that need it, as is a segment whose length is NaN (both
     ends at one infinity).
 
-    The timeline is read once, into start, end, flow row and core columns,
-    and every check runs on columns: the volume per flow is one
-    ``bincount`` in timeline order, and the segment, flow and coflow checks
+    The timeline comes as start, end, flow row and core columns: those
+    ``simulate`` keeps or, once the ``timeline`` view has been built, its
+    segments read once. Every check runs on columns: the volume per flow is
+    one ``bincount`` in timeline order, and the segment, flow and coflow checks
     are masks. Only what a mask flags is formatted, in the order a walk
     over the segments, flows and coflows would report it. One stable sort
     by core gives each core its segments as a slice in timeline order, and
@@ -353,30 +498,44 @@ def audit_schedule(
     covers, the starved flow first in (i, j, k) order.
 
     Cost: per segment and per flow, the Python work is a few C-level
-    passes, the transpose and the dict lookups that map flows to rows and
-    cores. The rest runs in numpy, O((segments + flows) log(segments +
-    flows)) over all cores plus a step per busy run that overlaps a flow's
-    window, with Python work only per core, per starved piece and per line
-    reported. Returns a list of violation descriptions, empty when clean.
+    passes; a built view adds its transpose and the dict lookups that map
+    flows to rows and cores. The rest runs in numpy, O((segments + flows)
+    log(segments + flows)) over all cores plus a step per busy run that
+    overlaps a flow's window, with Python work only per core, per starved
+    piece and per line reported. Returns a list of violation descriptions, empty when clean.
     """
-    if result.timeline is None:
-        raise ValueError("audit requires a result simulated with emit_timeline=True")
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
     table = instance.table
     keys, size, first = table.keys, table.size, table.first
     n = len(keys)
-    row_of = {key: r for r, key in enumerate(keys)}
+    columns = result._timeline_columns(keys)
+    placed = assignment._core_rows(keys)
+    # Only a view or a hand-built placement is keyed by FlowKey.
+    row_of = None
+    if columns is None or placed is None:
+        row_of = {key: r for r, key in enumerate(keys)}
     # Cores 1..m map to themselves and any other id to 0, matching ids the
     # way a dict keyed by core does.
     core_id = {h: h for h in range(1, m + 1)}
 
-    timeline = result.timeline
-    starts, ends, flows, cores = zip(*timeline) if timeline else ((),) * 4
-    start = np.array(starts, dtype=float)
-    end = np.array(ends, dtype=float)
-    row = _column(map(row_of.get, flows), -1)
-    core = _column(map(core_id.get, cores), 0)
+    if columns is not None:
+        start, end, row, core_of = columns
+        core = np.array(core_of, dtype=np.int64)[row]
+
+        def segment(at: int) -> Segment:
+            return Segment(float(start[at]), float(end[at]), keys[row[at]], core_of[row[at]])
+
+    else:
+        timeline = result.timeline
+        if timeline is None:
+            raise ValueError("audit requires a result simulated with emit_timeline=True")
+        segment = timeline.__getitem__
+        starts, ends, flows, cores = zip(*timeline) if timeline else ((),) * 4
+        start = np.array(starts, dtype=float)
+        end = np.array(ends, dtype=float)
+        row = _column(map(row_of.get, flows), -1)
+        core = _column(map(core_id.get, cores), 0)
 
     empty = end <= start
     known = row >= 0
@@ -384,7 +543,7 @@ def audit_schedule(
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
         length = end - start
     for at in np.flatnonzero(empty | ~known | ~timed).tolist():
-        seg = timeline[at]
+        seg = segment(at)
         if not timed[at]:
             bad.append(f"segment {seg} has a time that is not a number")
         if empty[at]:
@@ -399,7 +558,8 @@ def audit_schedule(
     # bincount adds each flow's spans in timeline order, as a running += does.
     transmitted = np.bincount(row[known], weights=length[known], minlength=n)
     # A missing completion is None here and NaN in ``done``.
-    completion = list(map(result.flow_completion.get, keys))
+    finish = result._finish_rows(keys)
+    completion = list(map(result.flow_completion.get, keys) if finish is None else finish)
     done = np.array(completion, dtype=float)
     size_a = np.array(size, dtype=np.int64)
     release = np.array(table.release, dtype=float)
@@ -436,12 +596,15 @@ def audit_schedule(
         if got_c is None or abs(got_c - want) > 1e-9:
             bad.append(f"coflow {c.id} completion {got_c}, expected {want}")
 
-    placed = list(map(assignment.flow_to_core.get, keys))
-    if len(assignment.flow_to_core) > n - placed.count(None):
-        for key in assignment.flow_to_core:
-            if key not in row_of:
-                bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
-    placed = _column(map(core_id.get, placed), 0)
+    if placed is None:
+        placed = list(map(assignment.flow_to_core.get, keys))
+        if len(assignment.flow_to_core) > n - placed.count(None):
+            for key in assignment.flow_to_core:
+                if key not in row_of:
+                    bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
+        placed = _column(map(core_id.get, placed), 0)
+    else:
+        placed = np.array(placed, dtype=np.int64)
 
     # The segments of known flows on cores 1..m, each core's a slice in
     # timeline order.
@@ -465,7 +628,7 @@ def audit_schedule(
         group = group[by]
         hit = (group[1:] == group[:-1]) & (s_live[by[1:]] < e_live[by[:-1]] - 1e-9)
         for p in np.flatnonzero(hit).tolist():
-            one, two = timeline[live[by[p]]], timeline[live[by[p + 1]]]
+            one, two = segment(live[by[p]]), segment(live[by[p + 1]])
             h, port = divmod(int(group[p]), ports + 1)
             overlaps.setdefault(h, []).append(
                 f"core {h} {name} port {port}: overlap at {two.start} before {one.end}"
@@ -473,10 +636,9 @@ def audit_schedule(
 
     # Each core's flows, the rows it runs or is placed with, as a slice in
     # (i, j, k) order: rank[r] is row r's position in key order.
-    k_of = np.repeat(np.arange(1, len(coflows) + 1), own_count)
-    by_key = np.argsort((fi * (ports + 1) + fj) * (len(coflows) + 1) + k_of)
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_key] = np.arange(n)
+    rank = table.key_rank
+    by_key = np.empty(n, dtype=np.int64)
+    by_key[rank] = np.arange(n)
     (on_core,) = np.nonzero(placed)
     pair = np.sort(
         np.concatenate([h_live * n + rank[r_live], placed[on_core] * n + rank[on_core]])

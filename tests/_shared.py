@@ -1,6 +1,7 @@
 """Helpers shared by scheduling, oracle and acceptance tests.
 
-``tiny_instance`` builds the 200 acceptance instances small enough to
+``corpus_instance`` builds the 1000 mixed instances of the acceptance
+corpus, and ``tiny_instance`` the 200 acceptance instances small enough to
 enumerate exhaustively.
 
 Per-coflow completion caps that the greedy list schedules must satisfy.
@@ -17,6 +18,7 @@ import numpy as np
 from _reference_table import compile_table
 from coflowsched.experiments import child_seed
 from coflowsched.model import Coflow, Instance
+from coflowsched.workload import gen_density, gen_mix
 
 
 def _prefix_walk(instance, order):
@@ -76,6 +78,19 @@ def cdls_bound(instance, order, completions, tol=1e-9):
         if completions[c.id] > bound + tol:
             bad.append(f"coflow {c.id}: C={completions[c.id]} > {bound}")
     return bad
+
+
+def corpus_instance(idx: int) -> Instance:
+    """Acceptance corpus instance idx of 0..999, from seed 0."""
+    seed = child_seed(0, 41, idx)
+    n = 1 + idx % 25
+    m = (1, 2, 5)[idx % 3]
+    release_max = 50 if idx % 5 == 4 else 0
+    style = idx % 4
+    if style == 0:
+        return gen_mix(n, 10, seed, cores=m, release_max=release_max)
+    mode = ("dense", "sparse", "combined")[style - 1]
+    return gen_density(n, 10, mode, seed, cores=m, release_max=release_max)
 
 
 def tiny_instance(idx: int) -> Instance:

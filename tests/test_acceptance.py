@@ -13,13 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from _shared import cdls_bound, fdls_bound, tiny_instance
-from coflowsched.experiments import child_seed, default_config, run_experiment
-from coflowsched.model import Instance
+from _shared import cdls_bound, corpus_instance, fdls_bound, tiny_instance
+from coflowsched.experiments import default_config, run_experiment
 from coflowsched.oracle import enumerate_best
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import assign_cdls, assign_fdls, audit_schedule, simulate
-from coflowsched.workload import filter_min_flows, gen_density, gen_mix, parse_trace
+from coflowsched.workload import filter_min_flows, parse_trace
 
 SEED = 0
 KAPPA = 0.5
@@ -49,18 +48,6 @@ def write_report():
 
 
 # --- shared corpora ----------------------------------------------------------
-
-
-def corpus_instance(idx: int) -> Instance:
-    seed = child_seed(SEED, 41, idx)
-    n = 1 + idx % 25
-    m = (1, 2, 5)[idx % 3]
-    release_max = 50 if idx % 5 == 4 else 0
-    style = idx % 4
-    if style == 0:
-        return gen_mix(n, 10, seed, cores=m, release_max=release_max)
-    mode = ("dense", "sparse", "combined")[style - 1]
-    return gen_density(n, 10, mode, seed, cores=m, release_max=release_max)
 
 
 @pytest.fixture(scope="module")

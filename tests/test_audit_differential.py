@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from _reference_audit import audit_schedule as reference_audit
+from _shared import corpus_instance
 from coflowsched.model import Coflow, FlowKey, Instance
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import (
@@ -238,6 +239,35 @@ def test_in_place_timeline_edits_reach_the_audit():
     moved = audit_schedule(instance, perm, assignment, result)
     assert moved and moved != got
     assert moved == reference_audit(instance, perm, assignment, result)
+
+
+def test_columns_and_views_give_the_same_audit():
+    # Until a view is read, the audit reads the rows and columns that
+    # assign_* and simulate keep; after, the views. On a slice of the
+    # acceptance corpus both give the same lists. Each schedule is also
+    # audited against the other policy's placement, which puts flows on
+    # cores they do not run on, so that not every list compared is empty.
+    flagged = 0
+    for idx in range(0, 1000, 10):
+        instance = corpus_instance(idx)
+        keys = instance.table.keys
+        runs = []
+        for order_fn, assign_fn in STAGES.values():
+            perm = order_fn(instance, 0.5)
+            assignment = assign_fn(instance, perm)
+            runs.append((perm, assignment, simulate(instance, perm, assignment, True)))
+        (fperm, fasg, fres), (cperm, casg, cres) = runs
+        cases = [(fperm, fasg, fres), (cperm, casg, cres), (fperm, casg, fres), (cperm, fasg, cres)]
+        from_columns = [audit_schedule(instance, *case) for case in cases]
+        for _, assignment, result in runs:
+            assert result._timeline_columns(keys) is not None
+            assignment.flow_to_core, result.flow_completion, result.timeline
+            assert result._timeline_columns(keys) is assignment._core_rows(keys) is None
+        assert [audit_schedule(instance, *case) for case in cases] == from_columns
+        assert from_columns[:2] == [[], []]
+        flagged += bool(from_columns[2]) + bool(from_columns[3])
+    # Pinned, so that a change to the corpus that makes it toothless shows.
+    assert flagged == 119
 
 
 def test_missing_flow_completion_is_reported():

@@ -95,10 +95,7 @@ def test_aggregate_groups_by_point():
     rep = report_fixture()
     rep.aggregate()
     assert [e["point"] for e in rep.aggregates] == [5, 9]
-    assert rep.mean_ratio(5) == pytest.approx(1.75)
-    assert rep.mean_ratio(9) == pytest.approx(1.0)
-    with pytest.raises(KeyError):
-        rep.mean_ratio(7)
+    assert [e["mean"] for e in rep.aggregates] == pytest.approx([1.75, 1.0])
 
 
 def test_rows_csv_round_trip(tmp_path):

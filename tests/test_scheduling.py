@@ -278,6 +278,32 @@ def test_simulate_accepts_numpy_integer_core():
     assert [s.core for s in res.timeline] == [2, 1]
 
 
+def test_in_place_view_edits_reach_simulate_and_the_audit():
+    # FDLS puts both flows on core 1. Once read, the flow_to_core view is
+    # the placement: moving (1, 1, 1) to core 2 in it moves the flow in the
+    # next simulate, and the audit of the schedule from before the move
+    # finds the flow idle on core 2. An edit of a read flow_completion view
+    # reaches the audit likewise.
+    inst = one_coflow({(1, 1): 2, (2, 2): 3}, cores=2)
+    asg = assign_fdls(inst, [1])
+    before = simulate(inst, [1], asg, emit_timeline=True)
+    assert asg.flow_to_core == {FlowKey(1, 1, 1): 1, FlowKey(2, 2, 1): 1}
+    asg.flow_to_core[FlowKey(1, 1, 1)] = 2
+    after = simulate(inst, [1], asg, emit_timeline=True)
+    assert [(s.flow, s.core) for s in after.timeline] == [
+        (FlowKey(1, 1, 1), 2),
+        (FlowKey(2, 2, 1), 1),
+    ]
+    assert audit_schedule(inst, [1], asg, after) == []
+    assert audit_schedule(inst, [1], asg, before) == [
+        "core 2: flow (1, 1, 1) idle at t=0.0 with both ports free"
+    ]
+    after.flow_completion[FlowKey(2, 2, 1)] = float("nan")
+    assert audit_schedule(inst, [1], asg, after) == [
+        "flow (2, 2, 1) completion is not a number"
+    ]
+
+
 def test_list_schedule_checks_fire():
     # A fractional size leaves the integer grid; an infinite one never
     # finishes, and is refused before a later flow on its port runs.

@@ -99,6 +99,49 @@ def test_matches_reference_on_random_orders_and_placements(granularity):
         assert_same_schedule(instance, order, assignment)
 
 
+@pytest.mark.parametrize("granularity", sorted(STAGES))
+def test_row_built_and_hand_built_placements_agree(granularity):
+    # assign_fdls and assign_cdls hold a core per table row, which simulate
+    # and the audit read unchecked; the same placement built by hand as a
+    # dict takes the checked path. Results, timelines and audits agree.
+    order_fn, assign_fn = STAGES[granularity]
+    for instance in seeded_instances(3):
+        keys = instance.table.keys
+        perm = order_fn(instance, 0.5)
+        rows = assign_fn(instance, perm)
+        placed = assign_fn(instance, perm)
+        hand = Assignment(granularity, dict(placed.flow_to_core), placed.coflow_to_core)
+        got = simulate(instance, perm, rows, emit_timeline=True)
+        want = simulate(instance, perm, hand, emit_timeline=True)
+        assert rows._core_rows(keys) is not None
+        assert audit_schedule(instance, perm, rows, got) == []
+        assert audit_schedule(instance, perm, hand, want) == []
+        assert repr(got) == repr(want)
+        assert repr(rows) == repr(hand)
+
+
+def test_timeline_order_past_the_int64_codes():
+    # A release of 2**40 leaves (latest end + 1)^2 x flows above int64, so
+    # the segments are put in Segment order by np.lexsort, not by one sort
+    # of int64 codes. Equal flows on disjoint ports share their start and
+    # end, so the key order breaks ties.
+    late = 2**40
+    instance = Instance(
+        2,
+        3,
+        (
+            Coflow(1, late, 2, {(3, 3): 3, (2, 2): 3, (1, 1): 3, (1, 2): 1}),
+            Coflow(2, 0, 1, {(2, 1): 4, (1, 3): 4, (3, 2): 4}),
+            Coflow(3, late, 1, {(2, 3): 2, (3, 1): 2}),
+        ),
+    )
+    for order_fn, assign_fn in STAGES.values():
+        perm = order_fn(instance, 0.5)
+        result = assert_same_schedule(instance, perm, assign_fn(instance, perm))
+        spans = [(s.start, s.end) for s in result.timeline]
+        assert max(spans)[1] > late and len(set(spans)) < len(spans)
+
+
 def one_core(coflows, ports):
     """A one-core instance, its coflows in id order, every flow on core 1."""
     instance = Instance(1, ports, tuple(coflows))

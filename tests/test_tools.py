@@ -25,7 +25,7 @@ def test_ladder_row_times_every_layer():
         "table_ms",
         *(
             f"{layer}_{g}_ms"
-            for layer in ("order", "simulate_no_timeline", "simulate", "audit")
+            for layer in ("order", "simulate_no_timeline", "simulate", "audit", "timeline_view")
             for g in ("flow", "coflow")
         ),
         "assign_fdls_ms",

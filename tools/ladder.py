@@ -13,8 +13,10 @@ so (n + 1) x (ports + 1) is ``MAX_TABLE_CELLS``, drawn with
 For each it times every layer of the pipeline on its own, ``REPEATS``
 times, and reports the median in ms: validate, the table compile alone
 (validation stubbed out), order at flow and coflow level (F/C), FDLS and
-CDLS placement, simulate without and with the timeline (F/C), and the audit
-(F/C), so that the cost of the timeline and the audit's cost against the
+CDLS placement, simulate without and with the timeline (F/C), the audit
+(F/C), and the build of the ``result.timeline`` view of ``Segment`` tuples
+on a fresh result (F/C), so that the cost of the timeline, the cost that
+its view defers to the first read, and the audit's cost against the
 simulation it checks read off one run. ``table_peak_kb`` is the
 ``tracemalloc`` peak of one more, untimed compile.
 One more row times ``oracle.enumerate_best`` at both granularities on a
@@ -135,6 +137,8 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
         )
         if bad:
             raise SystemExit(f"error: audit of {kind} n={n} ({tag}) failed: {bad[0]}")
+        fresh = iter([simulate(instance, perm, asg, emit_timeline=True) for _ in range(repeats)])
+        row[f"timeline_view_{tag}_ms"], _ = timed(lambda: next(fresh).timeline, repeats)
     return row
 
 
