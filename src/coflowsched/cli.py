@@ -179,13 +179,17 @@ def cmd_schedule(args) -> int:
         if args.out is None:
             raise ValueError("--emit-timeline needs --out")
         args.out.mkdir(parents=True, exist_ok=True)
+        # The fresh result still holds its timeline as columns, so the rows
+        # are written from them without building the Segment view.
+        start, end, row, core_of = result._timeline_columns(instance.table)
+        keys = instance.table.keys
         with open(args.out / f"timeline_{args.granularity}.csv", "w", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(["start", "end", "i", "j", "k", "core"])
-            for seg in result.timeline:
-                writer.writerow(
-                    [repr(seg.start), repr(seg.end), seg.flow.i, seg.flow.j, seg.flow.k, seg.core]
-                )
+            writer.writerows(
+                (repr(s), repr(e), *keys[r], core_of[r])
+                for s, e, r in zip(start.tolist(), end.tolist(), row.tolist())
+            )
     _emit(args, f"schedule_{args.granularity}.json", json.dumps(doc, indent=2) + "\n")
     return 0
 

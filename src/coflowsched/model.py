@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, countOf, itemgetter, sub
 from typing import IO, Any, NamedTuple
 
 import numpy as np
@@ -86,28 +87,27 @@ class Instance:
         """The validated, compiled flow table, built on first use.
 
         Raises ValueError if the instance is invalid. The table is computed
-        once, so the instance must not be mutated afterwards.
+        once, so the instance must not be mutated afterwards. The table
+        keeps the flows as columns; their ``FlowKey`` rows are built only
+        when ``FlowTable.keys`` is first read.
         """
         require_valid(self)
         pairs: list[tuple[int, int]] = []
         size: list[int] = []
-        owner: list[int] = []
         release: list[int] = []
         first = [0]
         for c in self.coflows:
             own = sorted(c.demands)
             pairs += own
             size += map(c.demands.__getitem__, own)
-            owner += [c.id] * len(own)
             release += [c.release] * len(own)
             first.append(len(pairs))
         fi = list(map(itemgetter(0), pairs))
         fj = list(map(itemgetter(1), pairs))
-        # tuple.__new__ is what FlowKey._make calls, minus a Python frame per flow.
-        keys = list(map(tuple.__new__, repeat(FlowKey), zip(fi, fj, owner)))
-        cells_in = _port_cells(fi, size, first, self.ports)
-        cells_out = _port_cells(fj, size, first, self.ports)
-        return FlowTable(keys, fi, fj, size, release, first, cells_in, cells_out)
+        sizes = np.fromiter(size, np.int64, len(size))
+        cells_in = _port_cells(fi, sizes, first, self.ports)
+        cells_out = _port_cells(fj, sizes, first, self.ports)
+        return FlowTable(fi, fj, size, release, first, cells_in, cells_out)
 
 
 class PortCells(NamedTuple):
@@ -124,21 +124,22 @@ class PortCells(NamedTuple):
     sq: list[int]
 
 
-def _port_cells(port: list[int], size: list[int], first: list[int], ports: int) -> PortCells:
+def _port_cells(port: list[int], size: np.ndarray, first: list[int], ports: int) -> PortCells:
     """One side's cells, from one sort of the flows by (coflow, port).
 
-    Each run of equal codes ``coflow x (ports + 1) + port`` is one cell, and
-    ``np.add.reduceat`` sums its sizes and squared sizes. A cell's load and
-    squared sizes are at most MAX_PORT_TOTAL and its square, so int64 sums
-    are exact; ``tolist`` stores each as a Python int.
+    ``port`` holds each flow's port on this side and ``size`` its size, as
+    int64. Each run of equal codes ``coflow x (ports + 1) + port`` is one
+    cell, and ``np.add.reduceat`` sums its sizes and squared sizes. A cell's
+    load and squared sizes are at most MAX_PORT_TOTAL and its square, so
+    int64 sums are exact; ``tolist`` stores each as a Python int.
     """
     n = len(first) - 1
     if not port:
         return PortCells([0] * (n + 1), [], [], [])
     owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(first))
-    code = owner * (ports + 1) + np.array(port, dtype=np.int64)
+    code = owner * (ports + 1) + np.fromiter(port, np.int64, len(port))
     by = np.argsort(code, kind="stable")
-    code, d = code[by], np.array(size, dtype=np.int64)[by]
+    code, d = code[by], size[by]
     heads = np.flatnonzero(np.concatenate(([True], code[1:] != code[:-1])))
     cell_owner, cell_port = np.divmod(code[heads], ports + 1)
     return PortCells(
@@ -153,15 +154,15 @@ def _port_cells(port: list[int], size: list[int], first: list[int], ports: int) 
 class FlowTable:
     """An instance compiled once into the flat form every stage reads.
 
-    Flows are listed in (coflow, i, j) order, and coflow k's flows are
-    ``keys[first[k - 1]:first[k]]``. ``fi`` and ``fj`` hold each flow's
-    input and output port, ``size`` and ``release`` its size and its
+    Flows are listed in (coflow, i, j) order, one row each, and coflow k's
+    flows are rows ``first[k - 1]:first[k]``. ``fi`` and ``fj`` hold each
+    flow's input and output port, ``size`` and ``release`` its size and its
     coflow's release. ``cells_in`` and ``cells_out`` hold each coflow's
     nonzero input and output ports with its load and squared flow sizes
-    there.
+    there. ``keys``, each row's ``FlowKey``, is a view built on first read:
+    ordering, placement and simulation read only the columns.
     """
 
-    keys: list[FlowKey]
     fi: list[int]
     fj: list[int]
     size: list[int]
@@ -169,6 +170,17 @@ class FlowTable:
     first: list[int]
     cells_in: PortCells
     cells_out: PortCells
+
+    @cached_property
+    def keys(self) -> list[FlowKey]:
+        """Each row's ``FlowKey(i, j, k)``, built on first read.
+
+        Row r belongs to coflow k when ``first[k - 1] <= r < first[k]``.
+        """
+        first = self.first
+        owner = chain.from_iterable(map(repeat, range(1, len(first)), map(sub, first[1:], first)))
+        # tuple.__new__ is what FlowKey._make calls, minus a Python frame per flow.
+        return list(map(tuple.__new__, repeat(FlowKey), zip(self.fi, self.fj, owner)))
 
     @cached_property
     def key_rank(self) -> np.ndarray:
@@ -201,6 +213,7 @@ MAX_CORES = 256
 # flow table keeps only each coflow's nonzero port cells, at most one per
 # flow and side. The limit stays as a check on the input.
 MAX_TABLE_CELLS = 1_000_000
+_FLOAT_MAX = sys.float_info.max
 
 
 def _is_int(x: Any) -> bool:
@@ -216,12 +229,82 @@ def _is_finite_real(x: Any) -> bool:
         return False
 
 
+def _clears(instance: Instance) -> bool:
+    """True when C-level passes show that ``instance`` is well formed.
+
+    The passes test types first (plain ints; ints and floats for weights;
+    each demand key a tuple of two), then ranges by ``min`` and ``max``, the
+    horizon by one ``sum`` of the sizes and, when that sum exceeds
+    ``MAX_PORT_TOTAL``, each side's port totals by one float64
+    ``np.bincount``. Those sums are exact: the horizon check has bounded
+    every port total by the total size, at most ``MAX_HORIZON`` = 2**53.
+    False means only that the loop in ``validate`` must decide: numpy
+    scalars, bools, a non-finite or huge int weight, a key that is not a
+    pair and every fault are left to it, and it alone writes messages.
+    """
+    cores, ports, coflows = instance.cores, instance.ports, instance.coflows
+    n = len(coflows)
+    if not (
+        type(cores) is int
+        and 1 <= cores <= MAX_CORES
+        and type(ports) is int
+        and 1 <= ports <= MAX_PORTS
+        and (n + 1) * (ports + 1) <= MAX_TABLE_CELLS
+    ):
+        return False
+    ids = list(map(attrgetter("id"), coflows))
+    release = list(map(attrgetter("release"), coflows))
+    weight = list(map(attrgetter("weight"), coflows))
+    demands = list(map(attrgetter("demands"), coflows))
+    # Types first, so that every comparison after them is between ints or floats.
+    if not (
+        set(map(type, chain(ids, release))) <= {int}
+        and set(map(type, weight)) <= {int, float}
+        and set(map(type, demands)) <= {dict}
+        and ids == list(range(1, n + 1))
+        and min(release, default=0) >= 0
+        # Past the largest float, an int weight would overflow math.isfinite.
+        and max(weight, default=1) <= _FLOAT_MAX
+        and all(map(math.isfinite, weight))
+        and min(weight, default=1) > 0
+    ):
+        return False
+    pairs = list(chain.from_iterable(demands))
+    flows = len(pairs)
+    # Per flow, counting types is cheaper than collecting them in a set.
+    if not (countOf(map(type, pairs), tuple) == flows and countOf(map(len, pairs), 2) == flows):
+        return False
+    fi = list(map(itemgetter(0), pairs))
+    fj = list(map(itemgetter(1), pairs))
+    size = list(chain.from_iterable(map(dict.values, demands)))
+    if countOf(map(type, chain(fi, fj, size)), int) != 3 * flows:
+        return False
+    used = set(chain(fi, fj))
+    total = sum(size)
+    if not (
+        1 <= min(used, default=1)
+        and max(used, default=1) <= ports
+        and min(size, default=1) >= 1
+        and max(release, default=0) + total <= MAX_HORIZON
+    ):
+        return False
+    # No port carries more than the total size.
+    return total <= MAX_PORT_TOTAL or all(
+        np.bincount(side, weights=size).max() <= MAX_PORT_TOTAL for side in (fi, fj)
+    )
+
+
 def validate(instance: Instance) -> list[str]:
     """Return a list of violations, empty when the instance is well formed.
 
-    The per-flow checks test ``type(x) is int`` before the general integer
-    test and format a flow's location only for a message they write.
+    ``_clears`` accepts a well-formed instance of plain ints and floats in
+    C-level passes. Any other instance runs the loop over the flows, which
+    writes every message: its per-flow checks test ``type(x) is int`` before
+    the general integer test and format a flow's location only for a message
+    they write.
     """
+    if _clears(instance):
+        return []
     bad: list[str] = []
     ports = instance.ports
     if not _is_int(instance.cores) or instance.cores < 1:
@@ -253,7 +336,12 @@ def validate(instance: Instance) -> list[str]:
             max_release = max(max_release, c.release)
         if not (_is_finite_real(c.weight) and c.weight > 0):
             bad.append(f"{where}: weight must be positive and finite, got {c.weight!r}")
-        for (i, j), d in c.demands.items():
+        for key, d in c.demands.items():
+            try:
+                i, j = key
+            except (TypeError, ValueError):
+                bad.append(f"{where} flow {key!r}: demand key must be an (i, j) port pair")
+                continue
             if not ((type(i) is int or _is_int(i)) and (type(j) is int or _is_int(j))):
                 bad.append(f"{where} flow ({i},{j}): ports must be integers")
                 continue
@@ -308,7 +396,7 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 
 
 def _objects(value: Any, what: str) -> list[dict[str, Any]]:
-    if not (isinstance(value, list) and all(isinstance(x, dict) for x in value)):
+    if not (isinstance(value, list) and all(map(isinstance, value, repeat(dict)))):
         raise ValueError(f"instance JSON: {what} must be a list of objects")
     return value
 

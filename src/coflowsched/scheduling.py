@@ -60,12 +60,12 @@ class _Fields:
 class Assignment(_Fields):
     """Flow-to-core placement; coflow_to_core is set under coflow granularity.
 
-    ``assign_fdls`` and ``assign_cdls`` keep one core per row of the
-    instance's flow table, and ``simulate`` and the audit read those rows.
+    ``assign_fdls`` and ``assign_cdls`` keep the instance's flow table and
+    one core per row of it, and ``simulate`` and the audit read those rows.
     ``flow_to_core`` is a view of them keyed by ``FlowKey``, built on first
-    read; from then on it is the placement and the rows are dropped, so an
-    edit made to it in place reaches ``simulate`` and the audit. A
-    hand-built Assignment holds the dict it is given.
+    read from the table's ``keys``; from then on it is the placement and the
+    rows are dropped, so an edit made to it in place reaches ``simulate``
+    and the audit. A hand-built Assignment holds the dict it is given.
     """
 
     _fields = ("granularity", "flow_to_core", "coflow_to_core")
@@ -79,25 +79,25 @@ class Assignment(_Fields):
         self.granularity = granularity
         self.flow_to_core = flow_to_core
         self.coflow_to_core = coflow_to_core
-        self._rows: tuple[list[FlowKey], list[int]] | None = None
+        self._rows: tuple[FlowTable, list[int]] | None = None
 
     @classmethod
-    def _of_rows(cls, granularity, keys, core_of, coflow_to_core) -> Assignment:
-        """The placement ``core_of[r]`` of flow ``keys[r]``, held by row."""
+    def _of_rows(cls, granularity, table, core_of, coflow_to_core) -> Assignment:
+        """The placement ``core_of[r]`` of row r of ``table``, held by row."""
         self = cls.__new__(cls)
         self.granularity, self.coflow_to_core = granularity, coflow_to_core
-        self._rows = (keys, core_of)
+        self._rows = (table, core_of)
         return self
 
     @cached_property
     def flow_to_core(self) -> dict[FlowKey, int]:
-        keys, core_of = self._rows
+        table, core_of = self._rows
         self._rows = None
-        return dict(zip(keys, core_of))
+        return dict(zip(table.keys, core_of))
 
-    def _core_rows(self, keys: list[FlowKey]) -> list[int] | None:
-        """The core of each row of ``keys``, while no view has been built."""
-        if self._rows is not None and self._rows[0] is keys:
+    def _core_rows(self, table: FlowTable) -> list[int] | None:
+        """The core of each row of ``table``, while no view has been built."""
+        if self._rows is not None and self._rows[0] is table:
             return self._rows[1]
         return None
 
@@ -105,14 +105,14 @@ class Assignment(_Fields):
 class ScheduleResult(_Fields):
     """Completion times, the weighted objective and, on request, the timeline.
 
-    ``simulate`` keeps the finish time of each row of the instance's flow
-    table, and the timeline as start, end and flow row columns in
+    ``simulate`` keeps the instance's flow table, the finish time of each
+    of its rows, and the timeline as start, end and flow row columns in
     ``Segment`` order plus each row's core; the audit reads those.
     ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a list of
-    ``Segment``) are views of them, each built on first read. From then on
-    the view is the result and its rows or columns are dropped, so an edit
-    made to it in place reaches the audit. A hand-built ScheduleResult holds
-    what it is given.
+    ``Segment``) are views of them, each built on first read with the
+    table's ``keys``. From then on the view is the result and its rows or
+    columns are dropped, so an edit made to it in place reaches the audit. A
+    hand-built ScheduleResult holds what it is given.
     """
 
     _fields = ("flow_completion", "coflow_completion", "objective", "timeline")
@@ -128,26 +128,26 @@ class ScheduleResult(_Fields):
         self.coflow_completion = coflow_completion
         self.objective = objective
         self.timeline = timeline
-        self._keys: list[FlowKey] | None = None
+        self._table: FlowTable | None = None
         self._finish: list[float] | None = None
         self._columns: tuple | None = None
 
     @classmethod
-    def _of_rows(cls, keys, finish, coflow_completion, objective, columns) -> ScheduleResult:
-        """A result held by row: flow ``keys[r]`` finishes at ``finish[r]``.
+    def _of_rows(cls, table, finish, coflow_completion, objective, columns) -> ScheduleResult:
+        """A result held by row: row r of ``table`` finishes at ``finish[r]``.
 
         ``columns`` is None, or the timeline as (start, end, row) arrays in
         Segment order and the list of each row's core.
         """
         self = cls.__new__(cls)
         self.coflow_completion, self.objective = coflow_completion, objective
-        self._keys, self._finish, self._columns = keys, finish, columns
+        self._table, self._finish, self._columns = table, finish, columns
         return self
 
     @cached_property
     def flow_completion(self) -> dict[FlowKey, float]:
         finish, self._finish = self._finish, None
-        return dict(zip(self._keys, finish))
+        return dict(zip(self._table.keys, finish))
 
     @cached_property
     def timeline(self) -> list[Segment] | None:
@@ -156,20 +156,20 @@ class ScheduleResult(_Fields):
             return None
         start, end, row, core_of = columns
         rows = row.tolist()
-        flows = map(self._keys.__getitem__, rows)
+        flows = map(self._table.keys.__getitem__, rows)
         cores = map(core_of.__getitem__, rows)
         # tuple.__new__ is what Segment._make calls, minus a Python frame each.
         return list(
             map(tuple.__new__, repeat(Segment), zip(start.tolist(), end.tolist(), flows, cores))
         )
 
-    def _finish_rows(self, keys: list[FlowKey]) -> list[float] | None:
-        """The finish time of each row of ``keys``, while no view has been built."""
-        return self._finish if self._keys is keys else None
+    def _finish_rows(self, table: FlowTable) -> list[float] | None:
+        """The finish time of each row of ``table``, while no view has been built."""
+        return self._finish if self._table is table else None
 
-    def _timeline_columns(self, keys: list[FlowKey]) -> tuple | None:
-        """The timeline columns of ``keys``' rows, while no view has been built."""
-        return self._columns if self._keys is keys else None
+    def _timeline_columns(self, table: FlowTable) -> tuple | None:
+        """The timeline columns of ``table``'s rows, while no view has been built."""
+        return self._columns if self._table is table else None
 
 
 # A bool is an int, but not a core id; np.bool_ is no np.integer.
@@ -197,10 +197,10 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     table = instance.table
     seq = _order_list(order, instance.n)
     m = instance.cores
-    keys, size, fi, fj = table.keys, table.size, table.fi, table.fj
+    size, fi, fj = table.size, table.fi, table.fj
     load_in = {i: [0] * m for i in set(fi)}
     load_out = {j: [0] * m for j in set(fj)}
-    core_of = [0] * len(keys)
+    core_of = [0] * len(fi)
     for idx in _priority_rows(table, seq, "flow"):
         row_in, row_out = load_in[fi[idx]], load_out[fj[idx]]
         score = list(map(add, row_in, row_out))
@@ -208,7 +208,7 @@ def assign_fdls(instance: Instance, order) -> Assignment:
         core_of[idx] = best + 1
         row_in[best] += size[idx]
         row_out[best] += size[idx]
-    return Assignment._of_rows("flow", keys, core_of, None)
+    return Assignment._of_rows("flow", table, core_of, None)
 
 
 def assign_cdls(instance: Instance, order) -> Assignment:
@@ -244,7 +244,7 @@ def assign_cdls(instance: Instance, order) -> Assignment:
             lo, hi = cells.first[k - 1], cells.first[k]
             for p, v in zip(cells.port[lo:hi], cells.load[lo:hi]):
                 load_s[p][h - 1] += v
-    return Assignment._of_rows("coflow", table.keys, core_of, coflow_core)
+    return Assignment._of_rows("coflow", table, core_of, coflow_core)
 
 
 def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> list[int]:
@@ -304,11 +304,11 @@ def simulate(
     table = instance.table
     seq = _order_list(order, instance.n)
     m = instance.cores
-    keys = table.keys
+    n = len(table.fi)
     # The rows of assign_fdls or assign_cdls for this instance need no check.
-    core_of = assignment._core_rows(keys)
+    core_of = assignment._core_rows(table)
     if core_of is None:
-        core_of = _checked_cores(assignment.flow_to_core, keys, m)
+        core_of = _checked_cores(assignment.flow_to_core, table.keys, m)
 
     # Each (core, port) gets its own key, so the cores share no busy runs.
     stride = instance.ports + 1
@@ -316,7 +316,7 @@ def simulate(
     key_out = [h * stride + j for h, j in zip(core_of, table.fj)]
     ranked = _priority_rows(table, seq, assignment.granularity)
     segs: list[float] | None = [] if emit_timeline else None
-    finish = [0.0] * len(keys)
+    finish = [0.0] * n
     times = _list_schedule(ranked, key_in, key_out, table.size, table.release, segs)
     for r, t in zip(ranked, times):
         finish[r] = t
@@ -328,9 +328,9 @@ def simulate(
     if segs is not None:
         flat = np.fromiter(segs, float, len(segs)).reshape(-1, 3)
         start, end, row = flat[:, 0], flat[:, 1], flat[:, 2].astype(np.int64)
-        by = _segment_order(start, end, table.key_rank[row], len(keys))
+        by = _segment_order(start, end, table.key_rank[row], n)
         columns = (start[by], end[by], row[by], core_of)
-    return ScheduleResult._of_rows(keys, finish, coflow_completion, objective, columns)
+    return ScheduleResult._of_rows(table, finish, coflow_completion, objective, columns)
 
 
 def _segment_order(start, end, rank, flows: int) -> np.ndarray:
@@ -497,6 +497,9 @@ def audit_schedule(
     over the starved pieces reports, for every cell that any of them
     covers, the starved flow first in (i, j, k) order.
 
+    The table's ``FlowKey`` view is read only to name a flow in a report or
+    to map a built view or a hand-built placement to rows.
+
     Cost: per segment and per flow, the Python work is a few C-level
     passes; a built view adds its transpose and the dict lookups that map
     flows to rows and cores. The rest runs in numpy, O((segments + flows)
@@ -507,14 +510,18 @@ def audit_schedule(
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
     table = instance.table
-    keys, size, first = table.keys, table.size, table.first
-    n = len(keys)
-    columns = result._timeline_columns(keys)
-    placed = assignment._core_rows(keys)
+    size, first = table.size, table.first
+    n = len(size)
+    columns = result._timeline_columns(table)
+    placed = assignment._core_rows(table)
     # Only a view or a hand-built placement is keyed by FlowKey.
     row_of = None
     if columns is None or placed is None:
-        row_of = {key: r for r, key in enumerate(keys)}
+        row_of = {key: r for r, key in enumerate(table.keys)}
+
+    def flow(r: int) -> tuple:
+        """Row r's (i, j, k), as a report names the flow."""
+        return tuple(table.keys[r])
     # Cores 1..m map to themselves and any other id to 0, matching ids the
     # way a dict keyed by core does.
     core_id = {h: h for h in range(1, m + 1)}
@@ -524,7 +531,8 @@ def audit_schedule(
         core = np.array(core_of, dtype=np.int64)[row]
 
         def segment(at: int) -> Segment:
-            return Segment(float(start[at]), float(end[at]), keys[row[at]], core_of[row[at]])
+            r = row[at]
+            return Segment(float(start[at]), float(end[at]), table.keys[r], core_of[r])
 
     else:
         timeline = result.timeline
@@ -558,24 +566,24 @@ def audit_schedule(
     # bincount adds each flow's spans in timeline order, as a running += does.
     transmitted = np.bincount(row[known], weights=length[known], minlength=n)
     # A missing completion is None here and NaN in ``done``.
-    finish = result._finish_rows(keys)
-    completion = list(map(result.flow_completion.get, keys) if finish is None else finish)
+    finish = result._finish_rows(table)
+    completion = list(map(result.flow_completion.get, table.keys) if finish is None else finish)
     done = np.array(completion, dtype=float)
     size_a = np.array(size, dtype=np.int64)
     release = np.array(table.release, dtype=float)
     # Every row the checks below report, and more: NaN fails the >= test.
     suspect = (np.abs(transmitted - size_a) > 1e-6) | ~(done >= release + size_a - 1e-9)
     for r in np.flatnonzero(suspect).tolist():
-        key, d, sent, comp = keys[r], size[r], float(transmitted[r]), completion[r]
+        d, sent, comp = size[r], float(transmitted[r]), completion[r]
         if abs(sent - d) > 1e-6:
-            bad.append(f"flow {tuple(key)} transmitted {sent}, size {d}")
+            bad.append(f"flow {flow(r)} transmitted {sent}, size {d}")
         if comp is None:
-            bad.append(f"flow {tuple(key)} has no completion time")
+            bad.append(f"flow {flow(r)} has no completion time")
         elif comp != comp:
-            bad.append(f"flow {tuple(key)} completion is not a number")
+            bad.append(f"flow {flow(r)} completion is not a number")
             completion[r] = None
         elif comp < table.release[r] + d - 1e-9:
-            bad.append(f"flow {tuple(key)} completed at {comp}, before release + size")
+            bad.append(f"flow {flow(r)} completed at {comp}, before release + size")
     has_done = done == done
 
     coflows = instance.coflows
@@ -597,7 +605,7 @@ def audit_schedule(
             bad.append(f"coflow {c.id} completion {got_c}, expected {want}")
 
     if placed is None:
-        placed = list(map(assignment.flow_to_core.get, keys))
+        placed = list(map(assignment.flow_to_core.get, table.keys))
         if len(assignment.flow_to_core) > n - placed.count(None):
             for key in assignment.flow_to_core:
                 if key not in row_of:
@@ -677,9 +685,9 @@ def audit_schedule(
             fi[flows_h],
             fj[flows_h] + ports,
         ):
-            key = keys[flows_h[pos]]
             bad.append(
-                f"core {h}: flow {tuple(key)} idle at t={bounds[cell]} with both ports free"
+                f"core {h}: flow {flow(flows_h[pos])} idle at t={bounds[cell]} "
+                "with both ports free"
             )
     return bad
 

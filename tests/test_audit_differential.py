@@ -250,7 +250,7 @@ def test_columns_and_views_give_the_same_audit():
     flagged = 0
     for idx in range(0, 1000, 10):
         instance = corpus_instance(idx)
-        keys = instance.table.keys
+        table = instance.table
         runs = []
         for order_fn, assign_fn in STAGES.values():
             perm = order_fn(instance, 0.5)
@@ -260,9 +260,9 @@ def test_columns_and_views_give_the_same_audit():
         cases = [(fperm, fasg, fres), (cperm, casg, cres), (fperm, casg, fres), (cperm, fasg, cres)]
         from_columns = [audit_schedule(instance, *case) for case in cases]
         for _, assignment, result in runs:
-            assert result._timeline_columns(keys) is not None
+            assert result._timeline_columns(table) is not None
             assignment.flow_to_core, result.flow_completion, result.timeline
-            assert result._timeline_columns(keys) is assignment._core_rows(keys) is None
+            assert result._timeline_columns(table) is assignment._core_rows(table) is None
         assert [audit_schedule(instance, *case) for case in cases] == from_columns
         assert from_columns[:2] == [[], []]
         flagged += bool(from_columns[2]) + bool(from_columns[3])

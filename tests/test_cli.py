@@ -1,12 +1,15 @@
 """End-to-end runs of the command line front end."""
 
 import csv
+import io
 import json
 
 import pytest
 
+from _shared import corpus_instance
 from coflowsched import model
 from coflowsched.cli import main
+from coflowsched.experiments import run_pipeline
 
 
 def run(capsys, *argv):
@@ -101,6 +104,32 @@ def test_schedule_document_and_timeline(tmp_path, capsys):
     assert rows[0] == ["start", "end", "i", "j", "k", "core"]
     assert len(rows) > 1
     assert all(float(r[1]) > float(r[0]) for r in rows[1:])
+
+
+@pytest.mark.parametrize("granularity", ["flow", "coflow"])
+def test_timeline_csv_matches_the_segment_view(tmp_path, capsys, granularity):
+    # The CSV is written from the result's timeline columns. Its bytes equal
+    # those written row by row from the Segment view of the same schedule.
+    for idx in range(0, 1000, 43):
+        path = tmp_path / f"instance_{idx}.json"
+        path.write_text(model.dumps_instance(corpus_instance(idx)))
+        outdir = tmp_path / f"out_{idx}"
+        code, _, err = run(
+            capsys, "schedule", str(path), "--granularity", granularity,
+            "--emit-timeline", "--out", str(outdir),
+        )
+        assert code == 0 and err == ""
+        instance = model.loads_instance(path.read_text())
+        result = run_pipeline(instance, granularity, 0.5, emit_timeline=True).result
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["start", "end", "i", "j", "k", "core"])
+        for seg in result.timeline:
+            writer.writerow(
+                [repr(seg.start), repr(seg.end), seg.flow.i, seg.flow.j, seg.flow.k, seg.core]
+            )
+        got = (outdir / f"timeline_{granularity}.csv").read_bytes()
+        assert got == want.getvalue().encode()
 
 
 def test_schedule_rerun_byte_identical(tmp_path, capsys):

@@ -120,6 +120,19 @@ def test_validate_port_out_of_range():
     assert any("port out of range" in p for p in problems)
 
 
+@pytest.mark.parametrize("key", [(1, 2, 3), (1,), 5])
+def test_validate_reports_a_demand_key_that_is_not_a_pair(key):
+    # A key that is not an (i, j) pair is a violation like any other, and
+    # the next flow is still checked.
+    inst = make(ports=3, coflows=[Coflow(id=1, release=0, weight=1, demands={key: 5, (1, 2): 0})])
+    assert validate(inst) == [
+        f"coflow 1 flow {key!r}: demand key must be an (i, j) port pair",
+        "coflow 1 flow (1,2): zero demand must be absent",
+    ]
+    with pytest.raises(ValueError, match="invalid instance"):
+        inst.table
+
+
 def test_validate_id_gap():
     inst = make(coflows=[Coflow(id=2, release=0, weight=1, demands={(1, 1): 1})])
     assert any("ids must be 1..n" in p for p in validate(inst))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from _shared import cdls_bound, fdls_bound
+from coflowsched.experiments import run_pipeline
 from coflowsched.model import Coflow, FlowKey, Instance
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import (
@@ -302,6 +303,24 @@ def test_in_place_view_edits_reach_simulate_and_the_audit():
     assert audit_schedule(inst, [1], asg, after) == [
         "flow (2, 2, 1) completion is not a number"
     ]
+
+
+def test_pipeline_and_clean_audit_leave_the_keys_unbuilt():
+    # Ordering, placement, simulation and a clean audit read only the flow
+    # table's columns. Its FlowKey rows are built when a keyed view is read.
+    instance = gen_mix(30, 8, 5, cores=3, release_max=40)
+    for granularity, order_fn, assign_fn in (
+        ("flow", order_flow_level, assign_fdls),
+        ("coflow", order_coflow_level, assign_cdls),
+    ):
+        run_pipeline(instance, granularity, 0.5, emit_timeline=True)
+        perm = order_fn(instance, 0.5)
+        assignment = assign_fn(instance, perm)
+        result = simulate(instance, perm, assignment, emit_timeline=True)
+        assert audit_schedule(instance, perm, assignment, result) == []
+    assert "keys" not in vars(instance.table)
+    assert result.timeline[0].flow in instance.table.keys
+    assert "keys" in vars(instance.table)
 
 
 def test_list_schedule_checks_fire():

@@ -106,14 +106,13 @@ def test_row_built_and_hand_built_placements_agree(granularity):
     # dict takes the checked path. Results, timelines and audits agree.
     order_fn, assign_fn = STAGES[granularity]
     for instance in seeded_instances(3):
-        keys = instance.table.keys
         perm = order_fn(instance, 0.5)
         rows = assign_fn(instance, perm)
         placed = assign_fn(instance, perm)
         hand = Assignment(granularity, dict(placed.flow_to_core), placed.coflow_to_core)
         got = simulate(instance, perm, rows, emit_timeline=True)
         want = simulate(instance, perm, hand, emit_timeline=True)
-        assert rows._core_rows(keys) is not None
+        assert rows._core_rows(instance.table) is not None
         assert audit_schedule(instance, perm, rows, got) == []
         assert audit_schedule(instance, perm, hand, want) == []
         assert repr(got) == repr(want)

@@ -23,6 +23,7 @@ def test_ladder_row_times_every_layer():
     assert layers == {
         "validate_ms",
         "table_ms",
+        "keys_view_ms",
         *(
             f"{layer}_{g}_ms"
             for layer in ("order", "simulate_no_timeline", "simulate", "audit", "timeline_view")

@@ -19,6 +19,7 @@ from coflowsched.model import (
     MAX_TABLE_CELLS,
     Coflow,
     Instance,
+    _clears,
     validate,
 )
 from coflowsched.workload import gen_density, gen_mix
@@ -88,6 +89,20 @@ def cases():
             yield f"fuzz-j-{tag}", make(coflow(demands={(1, value): 3, (2, 1): 1}))
         yield f"fuzz-cores-{tag}", make(coflow(), cores=value)
         yield f"fuzz-ports-{tag}", make(coflow(demands={(1, 2): 3, (9, 9): 1}), ports=value)
+    # Inputs the accept pass leaves to the loop, and the edges of its sums.
+    yield "deferred-int64-ports-and-sizes", make(
+        coflow(demands={(np.int64(1), np.int64(3)): np.int64(2), (2, 2): np.int64(4)})
+    )
+    yield "deferred-float64-weight", make(coflow(weight=np.float64(1.5)), coflow(2))
+    yield "deferred-huge-int-weight", make(coflow(weight=10**400))
+    yield "deferred-bool-size", make(coflow(demands={(1, 2): True, (2, 1): 3}))
+    for extra in (0, 1):
+        # Two ports at the limit, so the total is above it: the accept pass
+        # adds up each side's ports.
+        yield f"split-total+{extra}", make(
+            coflow(demands={(1, 1): MAX_PORT_TOTAL, (2, 2): MAX_PORT_TOTAL}),
+            coflow(2, demands={(1, 3) if extra else (3, 3): 1}),
+        )
     yield "many-faults", make(
         coflow(3, -1, 0, {(0, 1): 0, ("a", 1): 1, (1, 1): 2.5, (2, 2): -4}),
         coflow(2, 1, float("nan"), {(1, 1): True, (3, 3): 10**30}),
@@ -133,6 +148,25 @@ def test_every_branch_is_reached():
         assert name in valid
 
 
+def test_accept_pass_never_accepts_what_the_loop_rejects():
+    # The accept pass may defer any instance to the loop, but whatever it
+    # accepts must be valid. It must also accept the well-formed instances
+    # of plain ints and floats, or it would defer everything.
+    accepted = {name for name, inst in CASES.items() if _clears(inst)}
+    for name in accepted:
+        assert reference_validate(CASES[name]) == [], name
+    assert {
+        "valid", "empty", "cores-limit+0", "ports-limit+0", "input-total+0",
+        "output-total+0", "split-total+0", "horizon+0", "table-cells+0",
+    } <= accepted
+    for name in (
+        "deferred-int64-ports-and-sizes", "deferred-float64-weight",
+        "deferred-huge-int-weight", "deferred-bool-size", "split-total+1",
+        "input-total+1", "horizon+1",
+    ):
+        assert name not in accepted, name
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_generated_instances_match_reference(seed):
     for instance in (
@@ -140,3 +174,4 @@ def test_generated_instances_match_reference(seed):
         gen_density(20, 6, "combined", seed),
     ):
         assert validate(instance) == reference_validate(instance) == []
+        assert _clears(instance)

@@ -12,13 +12,16 @@ so (n + 1) x (ports + 1) is ``MAX_TABLE_CELLS``, drawn with
 ``random.Random(SEED)``.
 For each it times every layer of the pipeline on its own, ``REPEATS``
 times, and reports the median in ms: validate, the table compile alone
-(validation stubbed out), order at flow and coflow level (F/C), FDLS and
-CDLS placement, simulate without and with the timeline (F/C), the audit
-(F/C), and the build of the ``result.timeline`` view of ``Segment`` tuples
-on a fresh result (F/C), so that the cost of the timeline, the cost that
-its view defers to the first read, and the audit's cost against the
+(validation stubbed out), the build of the table's ``keys`` view of
+``FlowKey`` rows on a fresh table, order at flow and coflow level (F/C),
+FDLS and CDLS placement, simulate without and with the timeline (F/C), the
+audit (F/C), and the build of the ``result.timeline`` view of ``Segment``
+tuples on a fresh result (F/C), so that the cost of the timeline, the cost
+that its view defers to the first read, and the audit's cost against the
 simulation it checks read off one run. ``table_peak_kb`` is the
-``tracemalloc`` peak of one more, untimed compile.
+``tracemalloc`` peak of one more, untimed compile. ``flows`` is read from
+the table's columns, so that no row builds the ``keys`` view before it is
+timed.
 One more row times ``oracle.enumerate_best`` at both granularities on a
 seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
 flows, so 720 x 256 pairs at flow level.
@@ -106,7 +109,7 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
         instance = limit_instance(n, ports)
     else:
         instance = gen_density(n, ports, "dense", SEED, cores=CORES)
-    row: dict = {"flows": len(instance.table.keys), "repeats": repeats}
+    row: dict = {"flows": len(instance.table.fi), "repeats": repeats}
     row["validate_ms"], _ = timed(lambda: model.validate(instance), repeats)
 
     def compile_table():
@@ -119,6 +122,10 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
         row["table_peak_kb"] = peak_kb(compile_table)
     finally:
         model.require_valid = require_valid
+    fresh_tables = iter([compile_table() for _ in range(repeats)])
+    row["keys_view_ms"], _ = timed(lambda: next(fresh_tables).keys, repeats)
+    # Built here, so that the first timeline view below does not time it.
+    instance.table.keys
 
     for tag, order_fn, assign_fn in (
         ("flow", order_flow_level, assign_fdls),
@@ -162,7 +169,7 @@ def oracle_row(repeats: int) -> dict:
     from coflowsched.oracle import enumerate_best
 
     instance = oracle_instance()
-    row: dict = {"flows": len(instance.table.keys), "repeats": repeats}
+    row: dict = {"flows": len(instance.table.fi), "repeats": repeats}
     for tag in ("flow", "coflow"):
         row[f"oracle_{tag}_ms"], best = timed(lambda: enumerate_best(instance, tag), repeats)
         row[f"pairs_{tag}"] = best.schedules_examined
