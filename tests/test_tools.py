@@ -21,6 +21,7 @@ def test_ladder_row_times_every_layer():
     assert row["flows"] == 751
     layers = {key for key in row if key.endswith("_ms")}
     assert layers == {
+        "generate_ms",
         "validate_ms",
         "table_ms",
         "keys_view_ms",

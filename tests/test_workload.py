@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import random
 
 import pytest
 
@@ -53,6 +54,21 @@ def test_mix_rejects_tiny_port_count():
             lambda: gen_density(0, 3, "combined", 0, release_max=-1),
             "release_max must be >= 0",
             id="density-rel",
+        ),
+        # Above 10,000 ports numpy's choice leaves Floyd's algorithm, which
+        # gen_mix reproduces; validation would reject such instances anyway.
+        pytest.param(
+            lambda: gen_mix(5, 10_001, 0), "ports 10001 above the limit 10000", id="mix-ports"
+        ),
+        pytest.param(
+            lambda: gen_mix(1, 10, 0, release_max=2**63),
+            r"release_max must be below 2\*\*63",
+            id="mix-rel-int64",
+        ),
+        pytest.param(
+            lambda: gen_density(1, 3, "sparse", 0, release_max=2**63),
+            r"release_max must be below 2\*\*63",
+            id="density-rel-int64",
         ),
     ],
 )
@@ -147,13 +163,44 @@ def test_density_rejects_unknown_mode():
 
 # sha256 of dumps_instance, computed before the generators drew each coflow's
 # sizes in one call. Equal digests mean the same random stream, byte for byte.
+# The entries from "mix-4-ports" on were computed while gen_mix and
+# parse_trace still drew through numpy's Generator methods one call at a time.
 PINNED_BYTES = {
     "box-seeds-0-19": "92349e8fbd4fd1dd960532f8db68be39c2389aba4a8b18eedb597532870950c0",
     "mix-releases": "0082bf0b61beaa4ac071f05ead8475ba583745b95db2c0939d4bd0a2424c2acf",
     "dense": "d13db78253d8174f30a97e4a27daf363253d03694fa6865f1ff554cba8915ac1",
     "sparse": "b29e60c0bbd12334ec86dbce4152764da56e077f2d4d7fd20adefac8bde8d8ad",
     "combined": "881217a4bd644ca970de9d30fc3407995fb425c9f72e93dbf44cfee92ca22910",
+    "mix-4-ports": "61e54351bb2272303a3b4eba2e00b8a169f9b805596e23027bc900814e7f4e75",
+    "mix-release-2**31": "f891b22d21167edfff063fee2f533fd7fa053b88d426d5a39eeff740384f7cf4",
+    "mix-release-2**32-1": "d61a028c5aa27422bf9231aa0bd6336f2828cdc43b75bd90e65972dcc1300c65",
+    "mix-release-2**40": "fdc5aac17337e988e436305165fd57037da948677d3508a0b8d3401ae644b789",
+    "mix-10000-ports": "84c742a0783412c646ae28c276d75468c642e99ac24aee51b812e3802cf2dd97",
+    "trace-fb2010": "4c26d14e096814e5b6d5bfb8db3fbc7914842e57172f3b2bb6adc869b597fb0b",
 }
+RELEASE_PINS = {
+    "mix-release-2**31": 2**31,
+    "mix-release-2**32-1": 2**32 - 1,
+    "mix-release-2**40": 2**40,
+}
+
+
+def fb2010_text(seed, coflows=60, racks=150):
+    """A seeded trace in the FB2010 text format; mapper racks may repeat."""
+    rng = random.Random(seed)
+    lines = [f"3000 {coflows}"]
+    arrival = 0
+    for cid in range(1, coflows + 1):
+        arrival += rng.randint(0, 120_000)
+        mappers = [rng.randint(1, racks) for _ in range(rng.randint(1, 12))]
+        reducers = [
+            f"{rng.randint(1, racks)}:{rng.uniform(0.1, 900):.1f}" for _ in range(rng.randint(1, 8))
+        ]
+        lines.append(
+            f"{cid} {arrival} {len(mappers)} {' '.join(map(str, mappers))} "
+            f"{len(reducers)} {' '.join(reducers)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _pinned_instances(name):
@@ -161,6 +208,15 @@ def _pinned_instances(name):
         return [gen_mix(25, 10, seed, cores=5) for seed in range(20)]
     if name == "mix-releases":
         return [gen_mix(40, 20, 7, cores=3, release_max=500)]
+    if name == "mix-4-ports":
+        # Wide templates span exactly 4 ports: their widths draw nothing.
+        return [gen_mix(30, 4, seed) for seed in range(10)]
+    if name in RELEASE_PINS:
+        return [gen_mix(40, 20, 7, cores=3, release_max=RELEASE_PINS[name])]
+    if name == "mix-10000-ports":
+        return [gen_mix(4, 10_000, 1, cores=2)]
+    if name == "trace-fb2010":
+        return [parse_trace(fb2010_text(seed), 150, seed) for seed in range(3)]
     return [gen_density(25, 10, name, 3, cores=5, release_max=100 if name == "combined" else 0)]
 
 
@@ -215,6 +271,22 @@ def test_trace_ids_renumbered_in_file_order():
     )
     assert [c.id for c in inst.coflows] == [1, 2]
     assert inst.coflows[1].release == 64
+
+
+@pytest.mark.parametrize(
+    "arrival_ms, release",
+    [
+        (0, 0),
+        (3, 0),
+        (4, 1),
+        (1000, 128),
+        # 880628121620217.472: in floats the product reads ...217.5 and rounds up.
+        (6879907200157949, 880628121620217),
+    ],
+)
+def test_trace_release_is_the_nearest_integer(arrival_ms, release):
+    inst = parse_trace(trace(f"1 {arrival_ms} 1 1 1 2:4"), rack_count=2, weight_seed=0)
+    assert inst.coflows[0].release == release
 
 
 def test_trace_accepts_file_object():

@@ -10,18 +10,19 @@ most ordering steps take the release-driven (alpha) branch. The last row
 sits at the table-cell limit: 99 coflows of 1-4 flows each on 9,999 ports,
 so (n + 1) x (ports + 1) is ``MAX_TABLE_CELLS``, drawn with
 ``random.Random(SEED)``.
-For each it times every layer of the pipeline on its own, ``REPEATS``
-times, and reports the median in ms: validate, the table compile alone
-(validation stubbed out), the build of the table's ``keys`` view of
-``FlowKey`` rows on a fresh table, order at flow and coflow level (F/C),
-FDLS and CDLS placement, simulate without and with the timeline (F/C), the
-audit (F/C), and the build of the ``result.timeline`` view of ``Segment``
-tuples on a fresh result (F/C), so that the cost of the timeline, the cost
-that its view defers to the first read, and the audit's cost against the
-simulation it checks read off one run. ``table_peak_kb`` is the
-``tracemalloc`` peak of one more, untimed compile. ``flows`` is read from
-the table's columns, so that no row builds the ``keys`` view before it is
-timed.
+For each it times every layer of the pipeline on its own, ``REPEATS`` times,
+and reports the median in ms: the generator call that builds the row's
+instance, with its validation and table compile, then validate, the table
+compile alone (validation stubbed out), the build of the table's ``keys``
+view of ``FlowKey`` rows on a fresh table, order at flow and coflow level
+(F/C), FDLS and CDLS placement, simulate without and with the timeline
+(F/C), the audit (F/C), and the build of the ``result.timeline`` view of
+``Segment`` tuples on a fresh result (F/C), so that the cost of the
+timeline, the cost that its view defers to the first read, and the audit's
+cost against the simulation it checks read off one run. ``table_peak_kb`` is
+the ``tracemalloc`` peak of one more, untimed compile. ``flows`` is read
+from the table's columns, so that no row builds the ``keys`` view before it
+is timed.
 One more row times ``oracle.enumerate_best`` at both granularities on a
 seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
 flows, so 720 x 256 pairs at flow level.
@@ -102,14 +103,18 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     from coflowsched.scheduling import assign_cdls, assign_fdls, audit_schedule, simulate
     from coflowsched.workload import gen_density, gen_mix
 
-    if kind in ("mix", "release"):
-        release_max = RELEASE_MAX if kind == "release" else 0
-        instance = gen_mix(n, ports, SEED, cores=CORES, release_max=release_max)
-    elif kind == "limit":
-        instance = limit_instance(n, ports)
-    else:
-        instance = gen_density(n, ports, "dense", SEED, cores=CORES)
-    row: dict = {"flows": len(instance.table.fi), "repeats": repeats}
+    def generate():
+        if kind in ("mix", "release"):
+            release_max = RELEASE_MAX if kind == "release" else 0
+            return gen_mix(n, ports, SEED, cores=CORES, release_max=release_max)
+        if kind == "limit":
+            instance = limit_instance(n, ports)
+            instance.table  # validated and compiled, as the generators return theirs
+            return instance
+        return gen_density(n, ports, "dense", SEED, cores=CORES)
+
+    generate_ms, instance = timed(generate, repeats)
+    row: dict = {"flows": len(instance.table.fi), "repeats": repeats, "generate_ms": generate_ms}
     row["validate_ms"], _ = timed(lambda: model.validate(instance), repeats)
 
     def compile_table():
