@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
-from operator import length_hint
+from itertools import product
 from typing import IO, Iterable
 
 import numpy as np
@@ -25,9 +24,6 @@ DENSITY_MODES = ("dense", "sparse", "combined")
 _INT64_MAX = 2**63 - 1
 _MASK32 = 2**32 - 1
 _MASK64 = 2**64 - 1
-# From this many draws up a block of 32-bit draws is cheaper in numpy than
-# one Python call per draw (box-config coflows have 1 to 100 flows).
-_BLOCK_MIN = 32
 
 
 @dataclass(frozen=True)
@@ -62,33 +58,28 @@ def _check_counts(n: int, release_max: int) -> None:
 
 
 class _Draws:
-    """numpy 2.4 ``Generator`` draws, made from PCG64's raw words.
+    """numpy 2.4 ``Generator`` draws, made in Python from PCG64's raw words.
 
     ``default_rng(seed)`` seeds the bit generator; its 64-bit words are read
     in chunks through ``random_raw`` and turned into draws the way numpy's C
     code turns them: ``uint32`` hands out a word's low half and keeps the
-    high half pending, ``random`` takes a whole word, ``bounded`` and
-    ``block`` are Lemire's method, and ``sample`` is Floyd's algorithm with
-    numpy's shuffle. Each call gives the value the ``Generator`` call named
-    in its docstring gives at the same point of the stream.
+    high half pending, ``random`` takes a whole word, ``bounded`` is Lemire's
+    method, and ``sample`` is Floyd's algorithm with numpy's shuffle. Each
+    call gives the value the ``Generator`` method named in its docstring
+    gives at the same point of the stream.
     """
 
     def __init__(self, seed: int, chunk: int):
         self._bits = np.random.default_rng(seed).bit_generator
         self._chunk = chunk
-        self._load(np.empty(0, np.uint64))
+        self._words = iter(())
         self._half: int | None = None
-
-    def _load(self, words: np.ndarray) -> None:
-        """Make words the buffer that ``_word`` walks through."""
-        self._buf = words
-        self._words = iter(words.tolist())
 
     def _word(self) -> int:
         try:
             return next(self._words)
         except StopIteration:
-            self._load(self._bits.random_raw(self._chunk))
+            self._words = iter(self._bits.random_raw(self._chunk).tolist())
             return next(self._words)
 
     def uint32(self) -> int:
@@ -131,42 +122,6 @@ class _Draws:
             while (m & _MASK64) < threshold:
                 m = self._word() * excl
         return m >> 64
-
-    def block(self, low: int, span: int, count: int) -> list[int]:
-        """``rng.integers(low, low + span + 1, size=count).tolist()`` for low >= 0.
-
-        A long block of 32-bit draws runs in numpy. Lemire's method accepts
-        a 32-bit half when the low 32 bits of half * (span + 1) reach
-        2**32 % (span + 1) and draws the next half otherwise, so the block
-        is the first count accepted halves of the stream, pending half first.
-        """
-        if count < _BLOCK_MIN or not 0 < span < _MASK32:
-            return [low + self.bounded(span) for _ in range(count)]
-        excl = span + 1
-        threshold = 2**32 % excl
-        lead = [] if self._half is None else [self._half]
-        want = count
-        while True:
-            pos = len(self._buf) - length_hint(self._words)
-            words = self._buf[pos : pos + (want + 1) // 2]
-            if 2 * len(words) + len(lead) < want:
-                fresh = self._bits.random_raw(max(self._chunk, want))
-                self._load(np.concatenate((self._buf[pos:], fresh)))
-                continue
-            # Viewed as little-endian 32-bit pairs, each word gives its low half first.
-            halves = np.concatenate(
-                (np.array(lead, np.uint64), words.astype("<u8", copy=False).view("<u4"))
-            )
-            m = halves * excl
-            taken = np.flatnonzero((m & _MASK32) >= threshold)[:count]
-            if len(taken) == count:
-                break
-            want *= 2
-        used = int(taken[-1]) + 1 - len(lead)  # halves taken from the words
-        self._half = int(halves[len(lead) + used]) if used % 2 else None
-        skip = (used + 1) // 2
-        next(islice(self._words, skip, skip), None)
-        return ((m[taken] >> 32) + low).tolist()
 
     def sample(self, pop: int, size: int) -> list[int]:
         """``rng.choice(pop, size, replace=False).tolist()`` for pop <= 10,000.
@@ -237,7 +192,8 @@ def gen_mix(
         w2 = t.width_min + bounded(t.width_max - t.width_min)
         inputs = sorted(p + 1 for p in draws.sample(ports, w1))
         outputs = sorted(p + 1 for p in draws.sample(ports, w2))
-        sizes = draws.block(t.size_min, t.size_max - t.size_min, w1 * w2)
+        span = t.size_max - t.size_min
+        sizes = [t.size_min + bounded(span) for _ in range(w1 * w2)]
         demands = dict(zip(product(inputs, outputs), sizes))
         release = bounded(release_max)
         weight = 1 + bounded(99)

@@ -1,8 +1,7 @@
 """The generator's raw-word draws against a live numpy ``Generator``.
 
-``workload._Draws`` rebuilds numpy's bounded integers (one at a time and in
-blocks), doubles and ``choice(..., replace=False)`` from the PCG64 bit
-stream. Each test makes
+``workload._Draws`` rebuilds numpy's bounded integers, doubles and
+``choice(..., replace=False)`` from the PCG64 bit stream. Each test makes
 the same calls on both sides from one seed and compares every value, and a
 final ``random()`` on each side shows the streams are still in step.
 """
@@ -34,20 +33,13 @@ def test_scalar_integers_match(span):
 
 
 @pytest.mark.parametrize("span", SPANS)
-@pytest.mark.parametrize("lead", [0, 1])
-def test_block_integers_match(span, lead):
-    # Counts on both sides of the numpy path's minimum, and blocks longer
-    # than the 7-word chunk; lead=1 starts each block on a pending half.
-    for seed in range(4):
+def test_block_integers_match(span):
+    for seed in range(10):
         draws, rng = pair(seed)
-        for size in (1, 5, 31, 32, 33, 200, 1500):
-            for _ in range(lead):
-                assert draws.bounded(9) == int(rng.integers(0, 10))
-            got = draws.block(7, span, size)
+        for size in (1, 2, 5, 40):
+            got = [7 + draws.bounded(span) for _ in range(size)]
             assert got == rng.integers(7, 7 + span + 1, size=size).tolist()
-            # The state after the block: its pending half, then a whole word.
-            assert draws.bounded(99) == int(rng.integers(0, 100))
-            assert_in_step(draws, rng)
+        assert_in_step(draws, rng)
 
 
 class CountingDraws(_Draws):
@@ -66,9 +58,6 @@ def test_rejection_heavy_span_rejects_and_still_matches():
     got = [draws.bounded(span) for _ in range(500)]
     assert got == rng.integers(0, span + 1, size=500).tolist()
     assert draws.words > 400
-    assert_in_step(draws, rng)
-    # In one block the first guess of 500 halves falls short, so it retries.
-    assert draws.block(0, span, 500) == rng.integers(0, span + 1, size=500).tolist()
     assert_in_step(draws, rng)
 
 
@@ -96,13 +85,14 @@ def test_sample_matches_choice_without_replacement(pop):
 
 
 def test_mixed_call_sequence_matches():
-    # The order gen_mix uses: a double, a width, a sample, a size block, a release.
+    # The order gen_mix uses: a double, widths, two samples, a size block.
     draws, rng = pair(11)
     for _ in range(50):
         assert draws.random() == rng.random()
         w1 = 1 + draws.bounded(9)
         assert w1 == int(rng.integers(1, 11))
         assert draws.sample(10, w1) == rng.choice(10, size=w1, replace=False).tolist()
-        assert draws.block(10, 990, w1 * 7) == rng.integers(10, 1001, size=w1 * 7).tolist()
+        got = [10 + draws.bounded(990) for _ in range(w1 * 3)]
+        assert got == rng.integers(10, 1001, size=w1 * 3).tolist()
         assert draws.bounded(2**40) == int(rng.integers(0, 2**40 + 1))
     assert_in_step(draws, rng)
