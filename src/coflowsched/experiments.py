@@ -96,6 +96,8 @@ def run_pipeline(
     Flow granularity pairs the flow-level dual with FDLS placement, coflow
     granularity the coflow-level dual with CDLS.
     """
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
     if granularity == "flow":
         perm = order_flow_level(instance, kappa)
         assignment = assign_fdls(instance, perm)

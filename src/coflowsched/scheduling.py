@@ -76,6 +76,8 @@ class Assignment(_Fields):
         flow_to_core: dict[FlowKey, int],
         coflow_to_core: dict[int, int] | None,
     ) -> None:
+        if granularity not in ("flow", "coflow"):
+            raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
         self.granularity = granularity
         self.flow_to_core = flow_to_core
         self.coflow_to_core = coflow_to_core
@@ -172,13 +174,21 @@ class ScheduleResult(_Fields):
         return self._columns if self._table is table else None
 
 
-# A bool is an int, but not a core id; np.bool_ is no np.integer.
-_CORE_ID_TYPES = (int, np.integer)
+# A bool is an int, but no core or coflow id; np.bool_ is no np.integer.
+_ID_TYPES = (int, np.integer)
 
 
 def _order_list(order, n: int) -> list[int]:
+    """``order`` as a list, when it is a permutation of the coflow ids 1..n.
+
+    Its entries must be ints or np.integers, and no bool: True sorts as 1.
+    """
     seq = list(order.order) if isinstance(order, Permutation) else list(order)
-    if sorted(seq) != list(range(1, n + 1)):
+    types = set(map(type, seq))
+    if not (
+        all(issubclass(t, _ID_TYPES) and not issubclass(t, bool) for t in types)
+        and sorted(seq) == list(range(1, n + 1))
+    ):
         raise ValueError(f"order must be a permutation of 1..{n}, got {seq}")
     return seq
 
@@ -350,29 +360,20 @@ def _segment_order(start, end, rank, flows: int) -> np.ndarray:
 
 
 def _checked_cores(placed: dict, keys: list[FlowKey], m: int) -> list[int]:
-    """The core of each flow of ``keys`` in a hand-built placement.
+    """The core of each flow of ``keys`` in a hand-built placement or a read view.
 
-    C-level passes accept a placement of every flow, and of nothing else, on
-    plain int cores in 1..m. Any other runs the loop, which reports the
-    first fault in dict order and accepts np.integer cores.
+    Reports the first fault in dict order; np.integer cores are accepted.
     """
-    core_of = list(map(placed.get, keys))
-    if not (
-        len(placed) == len(keys)
-        and set(map(type, core_of)) <= {int}
-        and 1 <= min(core_of, default=1)
-        and max(core_of, default=m) <= m
-    ):
-        known = set(keys)
-        for key, h in placed.items():
-            if key not in known:
-                raise ValueError(f"assignment references unknown flow {tuple(key)}")
-            if not (isinstance(h, _CORE_ID_TYPES) and not isinstance(h, bool) and 1 <= h <= m):
-                raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
-        missing = known.difference(placed)
-        if missing:
-            raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
-    return core_of
+    known = set(keys)
+    for key, h in placed.items():
+        if key not in known:
+            raise ValueError(f"assignment references unknown flow {tuple(key)}")
+        if not (isinstance(h, _ID_TYPES) and not isinstance(h, bool) and 1 <= h <= m):
+            raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
+    missing = known.difference(placed)
+    if missing:
+        raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
+    return list(map(placed.get, keys))
 
 
 def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
@@ -475,7 +476,9 @@ def audit_schedule(
     that is not in the instance, and a flow without a completion time or
     with a NaN one, are reported too; such a segment or flow is left out of
     the checks that need it, as is a segment whose length is NaN (both
-    ends at one infinity).
+    ends at one infinity). ``order`` is not read: every check is on the
+    placement and the result. It stays in the signature because callers,
+    the benchmark among them, pass it.
 
     The timeline comes as start, end, flow row and core columns: those
     ``simulate`` keeps or, once the ``timeline`` view has been built, its
@@ -542,8 +545,8 @@ def audit_schedule(
         starts, ends, flows, cores = zip(*timeline) if timeline else ((),) * 4
         start = np.array(starts, dtype=float)
         end = np.array(ends, dtype=float)
-        row = _column(map(row_of.get, flows), -1)
-        core = _column(map(core_id.get, cores), 0)
+        row = np.fromiter(map(row_of.get, flows, repeat(-1)), np.int64, len(flows))
+        core = np.fromiter(map(core_id.get, cores, repeat(0)), np.int64, len(cores))
 
     empty = end <= start
     known = row >= 0
@@ -605,12 +608,12 @@ def audit_schedule(
             bad.append(f"coflow {c.id} completion {got_c}, expected {want}")
 
     if placed is None:
-        placed = list(map(assignment.flow_to_core.get, table.keys))
-        if len(assignment.flow_to_core) > n - placed.count(None):
-            for key in assignment.flow_to_core:
-                if key not in row_of:
-                    bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
-        placed = _column(map(core_id.get, placed), 0)
+        flow_to_core = assignment.flow_to_core
+        for key in flow_to_core:
+            if key not in row_of:
+                bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
+        placed = map(flow_to_core.get, table.keys)
+        placed = np.fromiter(map(core_id.get, placed, repeat(0)), np.int64, n)
     else:
         placed = np.array(placed, dtype=np.int64)
 
@@ -690,14 +693,6 @@ def audit_schedule(
                 "with both ports free"
             )
     return bad
-
-
-def _column(values, missing: int) -> np.ndarray:
-    """An int64 array of ``values``, with ``missing`` in place of None."""
-    values = list(values)
-    if None in values:
-        values = [missing if v is None else v for v in values]
-    return np.array(values, dtype=np.int64)
 
 
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

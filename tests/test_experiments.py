@@ -61,6 +61,15 @@ def test_run_pipeline_shape():
     assert cperm.order == perm.order
 
 
+@pytest.mark.parametrize("granularity", ["Flow", "per-port", ""])
+def test_run_pipeline_rejects_an_unknown_granularity(granularity):
+    # Any value but "flow" used to run the coflow-level pipeline.
+    inst = gen_mix(5, 6, 1, cores=2)
+    message = f"granularity must be flow or coflow, got {granularity!r}"
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(inst, granularity, 0.5)
+
+
 @pytest.mark.parametrize("granularity", ["flow", "coflow"])
 def test_each_instance_is_validated_once(monkeypatch, granularity):
     text = model.dumps_instance(gen_mix(5, 6, 3, cores=2, release_max=9))

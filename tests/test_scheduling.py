@@ -344,6 +344,41 @@ def test_simulate_rejects_bad_order():
         simulate(inst, [1, 1], asg)
 
 
+@pytest.mark.parametrize("order", [[True, 2, 3, 4, 5], [1.0, 2, 3, 4, 5], [np.True_, 2, 3, 4, 5]])
+def test_every_order_reader_rejects_a_non_integer_id(order):
+    # True sorts as 1, so it passed for coflow 1; a float got as far as a
+    # list index and raised TypeError there.
+    inst = gen_mix(5, 6, 1, cores=2)
+    asg = assign_fdls(inst, order_flow_level(inst))
+    message = re.escape(f"order must be a permutation of 1..5, got {order}")
+    for call in (
+        lambda: assign_fdls(inst, order),
+        lambda: assign_cdls(inst, order),
+        lambda: simulate(inst, order, asg),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_order_readers_accept_numpy_integer_ids():
+    inst = gen_mix(5, 6, 1, cores=2)
+    order = order_flow_level(inst).order
+    asg = assign_fdls(inst, order)
+    as_numpy = np.array(order, dtype=np.int64)
+    assert assign_fdls(inst, as_numpy) == asg
+    assert simulate(inst, as_numpy, asg) == simulate(inst, order, asg)
+
+
+@pytest.mark.parametrize("granularity", ["Flow", "per-port", None])
+def test_assignment_rejects_an_unknown_granularity(granularity):
+    # Any value but "flow" used to be simulated with coflow-level priorities.
+    inst = gen_mix(5, 6, 1, cores=2)
+    placed = assign_fdls(inst, order_flow_level(inst))
+    message = f"granularity must be flow or coflow, got {granularity!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Assignment(granularity, dict(placed.flow_to_core), None)
+
+
 # --- schedule-wide properties ----------------------------------------------
 
 
