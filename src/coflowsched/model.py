@@ -211,7 +211,9 @@ MAX_PORTS = 10_000
 MAX_CORES = 256
 # Largest (coflows + 1) x (ports + 1). No array of that shape is built: the
 # flow table keeps only each coflow's nonzero port cells, at most one per
-# flow and side. The limit stays as a check on the input.
+# flow and side. The limit bounds the ordering's time: every beta step scans
+# its bottleneck side's ports + 1 totals again, so a beta-heavy ordering costs
+# up to coflows x ports.
 MAX_TABLE_CELLS = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 

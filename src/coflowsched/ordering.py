@@ -20,11 +20,14 @@ sizes there, and keeps, for each port on each side, a column {coflow: load}
 over the unscheduled coflows and integer sums: the total load and the squares
 the granularity prices. The latest-released coflow comes from a list sorted
 once, the smallest slack from a lazy heap that gets one entry per dual
-change. A step costs one max over each side's port totals, a scan of the
-bottleneck column, and the cells of the removed coflow. Integer sums are
-exact, and every float must come from the same IEEE operations in the same
-order as in the dense numpy reference in ``tests/_reference_ordering.py``;
-the differential tests compare the two bit for bit.
+change. Each side holds its busiest port from its last scan and scans its
+port totals again only when that port's total has fallen: on the bottleneck
+side after every beta step, otherwise only when the placed coflow loaded
+that port. A step costs those scans, a scan of the bottleneck column, and
+the cells of the removed coflow. Integer sums are exact, and every float
+must come from the same IEEE operations in the same order as in the dense
+numpy reference in ``tests/_reference_ordering.py``; the differential tests
+compare the two bit for bit.
 """
 
 from __future__ import annotations
@@ -158,16 +161,28 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
     order = [0] * n
     dual = 0.0
     nxt = 0
+    # Each side's busiest total and the lowest port holding it, as of that
+    # side's last scan. Totals only fall, so while the held port keeps its
+    # total no port can pass it or tie it from a lower id, and the side
+    # needs no scan. The -1 makes the first step scan both sides.
+    tot_in, tot_out = tots
+    best_in = best_out = -1
+    port_in = port_out = 1
 
     for r in range(n, 0, -1):
         while slack[by_release[nxt]] is None:
             nxt += 1
         latest = by_release[nxt]
-        best_in, best_out = max(tots[0]), max(tots[1])
+        if tot_in[port_in] != best_in:
+            best_in = max(tot_in)
+            port_in = tot_in.index(best_in, 1)
+        if tot_out[port_out] != best_out:
+            best_out = max(tot_out)
+            port_out = tot_out.index(best_out, 1)
         s = 0 if best_in > best_out else 1
         side = ("input", "output")[s]
         port_total = (best_in, best_out)[s]
-        port = tots[s].index(port_total, 1)
+        port = (port_in, port_out)[s]
         col = cols[s][port]
 
         if release[latest] > kappa * port_total / m:

@@ -545,8 +545,8 @@ def audit_schedule(
         starts, ends, flows, cores = zip(*timeline) if timeline else ((),) * 4
         start = np.array(starts, dtype=float)
         end = np.array(ends, dtype=float)
-        row = np.fromiter(map(row_of.get, flows, repeat(-1)), np.int64, len(flows))
-        core = np.fromiter(map(core_id.get, cores, repeat(0)), np.int64, len(cores))
+        row = _ids(row_of, flows, -1)
+        core = _ids(core_id, cores, 0)
 
     empty = end <= start
     known = row >= 0
@@ -612,8 +612,7 @@ def audit_schedule(
         for key in flow_to_core:
             if key not in row_of:
                 bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
-        placed = map(flow_to_core.get, table.keys)
-        placed = np.fromiter(map(core_id.get, placed, repeat(0)), np.int64, n)
+        placed = _ids(core_id, list(map(flow_to_core.get, table.keys)), 0)
     else:
         placed = np.array(placed, dtype=np.int64)
 
@@ -693,6 +692,21 @@ def audit_schedule(
                 "with both ports free"
             )
     return bad
+
+
+def _ids(ids: dict, keys: Sequence, default: int) -> np.ndarray:
+    """``ids.get(key, default)`` for each key, as int64.
+
+    No dict holds an unhashable key, such as a list, so it gets ``default``.
+    """
+
+    def get(key):
+        try:
+            return ids.get(key, default)
+        except TypeError:
+            return default
+
+    return np.fromiter(map(get, keys), np.int64, len(keys))
 
 
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,10 @@
-"""Helpers shared by scheduling, oracle and acceptance tests.
+"""Helpers shared by scheduling, oracle, ordering and acceptance tests.
 
 ``corpus_instance`` builds the 1000 mixed instances of the acceptance
-corpus, and ``tiny_instance`` the 200 acceptance instances small enough to
-enumerate exhaustively.
+corpus, ``tiny_instance`` the 200 acceptance instances small enough to
+enumerate exhaustively, ``fb2010_text`` a seeded shuffle trace, and
+``load_script`` loads a script of the repository, such as
+``tools/ladder.py``, as a module.
 
 Per-coflow completion caps that the greedy list schedules must satisfy.
 Both caps walk the processing order, accumulate per-port prefix loads, and
@@ -13,12 +15,18 @@ over m cores under split placement, all on one core under whole-coflow
 placement), minus the double-counted share of its own transmission.
 """
 
+import importlib.util
+import random
+from pathlib import Path
+
 import numpy as np
 
 from _reference_table import compile_table
 from coflowsched.experiments import child_seed
 from coflowsched.model import Coflow, Instance
 from coflowsched.workload import gen_density, gen_mix
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _prefix_walk(instance, order):
@@ -113,3 +121,30 @@ def tiny_instance(idx: int) -> Instance:
             Coflow(id=k, release=release, weight=int(rng.integers(1, 11)), demands=demands)
         )
     return Instance(cores=m, ports=3, coflows=tuple(coflows))
+
+
+def fb2010_text(seed, coflows=60, racks=150):
+    """A seeded trace in the FB2010 text format; mapper racks may repeat."""
+    rng = random.Random(seed)
+    lines = [f"3000 {coflows}"]
+    arrival = 0
+    for cid in range(1, coflows + 1):
+        arrival += rng.randint(0, 120_000)
+        mappers = [rng.randint(1, racks) for _ in range(rng.randint(1, 12))]
+        reducers = [
+            f"{rng.randint(1, racks)}:{rng.uniform(0.1, 900):.1f}" for _ in range(rng.randint(1, 8))
+        ]
+        lines.append(
+            f"{cid} {arrival} {len(mappers)} {' '.join(map(str, mappers))} "
+            f"{len(reducers)} {' '.join(reducers)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def load_script(relative: str):
+    """The repository's script at ``relative``, such as ``tools/ladder.py``, as a module."""
+    path = ROOT / relative
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -316,6 +316,38 @@ def test_segment_of_an_unknown_flow_is_reported():
     ]
 
 
+@pytest.mark.parametrize("flow", [[9, 9, 9], (9, 9, 9)])
+def test_segment_of_an_unhashable_flow_is_reported(flow):
+    # A list is no key of any dict; it is reported like the tuple.
+    instance = gen_mix(5, 6, 1, cores=2)
+    perm = order_flow_level(instance, 0.5)
+    assignment = assign_fdls(instance, perm)
+    result = simulate(instance, perm, assignment, emit_timeline=True)
+    stray = Segment(0.0, 3.0, flow, 1)
+    result.timeline.append(stray)
+    assert audit_schedule(instance, perm, assignment, result) == [
+        f"segment {stray} of a flow not in the instance"
+    ]
+
+
+def test_segment_on_an_unhashable_core_is_on_no_core():
+    # A list core is mapped to 0, like the unknown core id 99: either way
+    # the segment leaves every core, and its flow reads idle on its own.
+    instance = gen_mix(5, 6, 1, cores=2)
+    perm = order_flow_level(instance, 0.5)
+    assignment = assign_fdls(instance, perm)
+    result = simulate(instance, perm, assignment, emit_timeline=True)
+    audits = []
+    for core in ([1], 99):
+        timeline = list(result.timeline)
+        timeline[2] = timeline[2]._replace(core=core)
+        moved = ScheduleResult(
+            result.flow_completion, result.coflow_completion, result.objective, timeline
+        )
+        audits.append(audit_schedule(instance, perm, assignment, moved))
+    assert audits[0] == audits[1] and audits[0]
+
+
 def test_placement_of_an_unknown_flow_is_reported():
     instance, perm, assignment, result = small_schedule()
     placement = {**assignment.flow_to_core, FlowKey(9, 9, 99): 1}

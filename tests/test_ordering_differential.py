@@ -10,10 +10,10 @@ records as ``"beta"``.
 import pytest
 
 import _reference_ordering as reference
-from _shared import tiny_instance
+from _shared import fb2010_text, load_script, tiny_instance
 from coflowsched import ordering
 from coflowsched.model import MAX_PORT_TOTAL, Coflow, Instance
-from coflowsched.workload import gen_density, gen_mix
+from coflowsched.workload import gen_density, gen_mix, parse_trace
 
 PAIRS = [
     (ordering.order_flow_level, reference.order_flow_level),
@@ -61,6 +61,62 @@ def test_generated_instances_match_reference(release_max):
 def test_tiny_corpus_matches_reference(kappa):
     for idx in range(200):
         assert_same(tiny_instance(idx), kappa)
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
+def test_trace_instances_match_reference(kappa):
+    # Release-driven: mostly alpha steps, so each side keeps its bottleneck
+    # port across most steps.
+    for seed in range(3):
+        perm = assert_same(parse_trace(fb2010_text(seed), 150, seed, cores=5), kappa)
+        if kappa == 0.5:
+            assert {rec.branch for rec in perm.trace.records} == {"alpha"}
+
+
+def test_sparse_ports_match_reference():
+    # 99 coflows of 1-4 flows on 9,999 ports: most ports carry nothing.
+    assert_same(load_script("tools/ladder.py").limit_instance(99, 9_999))
+
+
+def bottlenecks(perm):
+    return [(rec.side, rec.port, rec.port_load) for rec in perm.trace.records]
+
+
+def test_held_port_falls_and_stays_the_strict_maximum():
+    # Input 1 carries 10 and input 2 carries 3; every output at most 4.
+    # Coflow 3 is released last, so the first step places it and input 1
+    # falls to 8, still above every other port.
+    coflows = (
+        Coflow(1, 0, 1, {(1, 1): 4, (1, 2): 4}),
+        Coflow(2, 0, 1, {(2, 3): 3}),
+        Coflow(3, 100, 1, {(1, 4): 2}),
+    )
+    perm = assert_same(Instance(1, 4, coflows))
+    assert bottlenecks(perm)[:2] == [("input", 1, 10), ("input", 1, 8)]
+
+
+def test_held_port_falls_to_a_tie_with_a_lower_port():
+    # Input 2 carries 10 and input 1 carries 8. Placing coflow 3 brings
+    # input 2 down to 8, and the tie goes to the lower id, input 1.
+    coflows = (
+        Coflow(1, 0, 1, {(1, 1): 4, (1, 2): 4}),
+        Coflow(2, 0, 1, {(2, 3): 4, (2, 4): 4}),
+        Coflow(3, 100, 1, {(2, 5): 2}),
+    )
+    perm = assert_same(Instance(1, 5, coflows))
+    assert bottlenecks(perm)[:2] == [("input", 2, 10), ("input", 1, 8)]
+
+
+def test_held_port_falls_below_another_port():
+    # Input 1 carries 10 and input 2 carries 9. Placing coflow 3 brings
+    # input 1 down to 7, below input 2.
+    coflows = (
+        Coflow(1, 0, 1, {(1, 1): 4, (1, 2): 3}),
+        Coflow(2, 0, 1, {(2, 3): 5, (2, 4): 4}),
+        Coflow(3, 100, 1, {(1, 5): 3}),
+    )
+    perm = assert_same(Instance(1, 5, coflows))
+    assert bottlenecks(perm)[:2] == [("input", 1, 10), ("input", 2, 9)]
 
 
 def test_tied_port_totals_on_both_sides():

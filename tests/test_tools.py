@@ -1,22 +1,11 @@
 """Smoke test of the ladder script in ``tools/``."""
 
-import importlib.util
-from pathlib import Path
-
+from _shared import load_script
 from coflowsched.model import MAX_TABLE_CELLS, validate
-
-LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
-
-
-def load_ladder():
-    spec = importlib.util.spec_from_file_location("ladder", LADDER)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    return ladder
 
 
 def test_ladder_row_times_every_layer():
-    ladder = load_ladder()
+    ladder = load_script("tools/ladder.py")
     row = ladder.ladder_row("mix", 25, 10, 1)
     assert row["flows"] == 751
     layers = {key for key in row if key.endswith("_ms")}
@@ -40,7 +29,7 @@ def test_ladder_row_times_every_layer():
 
 
 def test_limit_row_sits_at_the_table_cell_limit():
-    ladder = load_ladder()
+    ladder = load_script("tools/ladder.py")
     assert ("limit n=99 N=9999", "limit", 99, 9_999) in ladder.ROWS
     instance = ladder.limit_instance(99, 9_999)
     assert (instance.n + 1) * (instance.ports + 1) == MAX_TABLE_CELLS
@@ -50,7 +39,7 @@ def test_limit_row_sits_at_the_table_cell_limit():
 
 
 def test_oracle_row_times_both_granularities():
-    ladder = load_ladder()
+    ladder = load_script("tools/ladder.py")
     instance = ladder.oracle_instance()
     assert (instance.n, instance.ports, instance.cores) == (6, 3, 2)
     row = ladder.oracle_row(1)

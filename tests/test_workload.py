@@ -2,10 +2,10 @@
 
 import hashlib
 import io
-import random
 
 import pytest
 
+from _shared import fb2010_text
 from coflowsched.model import dumps_instance
 from coflowsched.workload import (
     DENSITY_MODES,
@@ -183,24 +183,6 @@ RELEASE_PINS = {
     "mix-release-2**32-1": 2**32 - 1,
     "mix-release-2**40": 2**40,
 }
-
-
-def fb2010_text(seed, coflows=60, racks=150):
-    """A seeded trace in the FB2010 text format; mapper racks may repeat."""
-    rng = random.Random(seed)
-    lines = [f"3000 {coflows}"]
-    arrival = 0
-    for cid in range(1, coflows + 1):
-        arrival += rng.randint(0, 120_000)
-        mappers = [rng.randint(1, racks) for _ in range(rng.randint(1, 12))]
-        reducers = [
-            f"{rng.randint(1, racks)}:{rng.uniform(0.1, 900):.1f}" for _ in range(rng.randint(1, 8))
-        ]
-        lines.append(
-            f"{cid} {arrival} {len(mappers)} {' '.join(map(str, mappers))} "
-            f"{len(reducers)} {' '.join(reducers)}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _pinned_instances(name):
