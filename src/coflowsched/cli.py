@@ -17,7 +17,7 @@ from pathlib import Path
 from . import experiments, metrics, model, workload
 from .oracle import enumerate_best, trivial_lower_bound
 from .ordering import order_coflow_level, order_flow_level
-from .scheduling import ScheduleResult
+from .scheduling import GRANULARITIES, ScheduleResult
 
 
 def main(argv=None) -> int:
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a batch experiment into CSV/JSON files")
     p.add_argument("kind", choices=experiments.KINDS)
-    p.add_argument("--granularity", choices=experiments.GRANULARITIES, default="flow")
+    p.add_argument("--granularity", choices=GRANULARITIES, default="flow")
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cores", type=int, nargs="+")
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--granularity", choices=experiments.GRANULARITIES, default="flow")
+    p.add_argument("--granularity", choices=GRANULARITIES, default="flow")
     p.add_argument("--kappa", type=float, default=0.5)
     p.add_argument("--out", type=Path, help="output directory (default: stdout)")
 
@@ -179,16 +179,16 @@ def cmd_schedule(args) -> int:
         if args.out is None:
             raise ValueError("--emit-timeline needs --out")
         args.out.mkdir(parents=True, exist_ok=True)
-        # The fresh result still holds its timeline as columns, so the rows
-        # are written from them without building the Segment view.
-        start, end, row, core_of = result._timeline_columns(instance.table)
+        # The rows are written from the timeline columns, without building
+        # the Segment view.
+        start, end, row, core = result.columns
         keys = instance.table.keys
         with open(args.out / f"timeline_{args.granularity}.csv", "w", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(["start", "end", "i", "j", "k", "core"])
             writer.writerows(
-                (repr(s), repr(e), *keys[r], core_of[r])
-                for s, e, r in zip(start.tolist(), end.tolist(), row.tolist())
+                (repr(s), repr(e), *keys[r], h)
+                for s, e, r, h in zip(start.tolist(), end.tolist(), row.tolist(), core.tolist())
             )
     _emit(args, f"schedule_{args.granularity}.json", json.dumps(doc, indent=2) + "\n")
     return 0

@@ -19,10 +19,9 @@ import numpy as np
 from . import metrics, workload
 from .model import Instance
 from .ordering import Permutation, _require_kappa, order_coflow_level, order_flow_level
-from .scheduling import ScheduleResult, assign_cdls, assign_fdls, simulate
+from .scheduling import ScheduleResult, assign_cdls, assign_fdls, require_granularity, simulate
 
 KINDS = ("ratio-vs-coflows", "ratio-vs-cores", "density", "trace-threshold", "box", "cdf")
-GRANULARITIES = ("flow", "coflow")
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ def child_seed(seed: int, point_index: int, instance_index: int) -> int:
 def _validate(config: ExperimentConfig) -> None:
     if config.kind not in KINDS:
         raise ValueError(f"unknown experiment kind {config.kind!r}, expected one of {KINDS}")
-    if config.granularity not in GRANULARITIES:
-        raise ValueError(f"granularity must be flow or coflow, got {config.granularity!r}")
+    require_granularity(config.granularity)
     if config.instances < 1:
         raise ValueError("instances must be >= 1")
     _require_kappa(config.kappa)
@@ -96,8 +94,7 @@ def run_pipeline(
     Flow granularity pairs the flow-level dual with FDLS placement, coflow
     granularity the coflow-level dual with CDLS.
     """
-    if granularity not in GRANULARITIES:
-        raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
+    require_granularity(granularity)
     if granularity == "flow":
         perm = order_flow_level(instance, kappa)
         assignment = assign_fdls(instance, perm)

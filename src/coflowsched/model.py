@@ -218,8 +218,13 @@ MAX_TABLE_CELLS = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
 
+# A bool is an int, but no id, size or core; np.bool_ is no np.integer.
+def _is_int_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+
+
 def _is_int(x: Any) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return _is_int_type(type(x))
 
 
 def _is_finite_real(x: Any) -> bool:

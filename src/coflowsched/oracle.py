@@ -31,7 +31,7 @@ from itertools import islice, permutations, product
 import numpy as np
 
 from .model import FlowKey, FlowTable, Instance
-from .scheduling import _list_schedule, _priority_rows
+from .scheduling import _list_schedule, _priority_rows, require_granularity
 
 # Cells (permutations x placements x flows) of one scoring block. A
 # permutation has at most as many distinct core masks as placements, so this
@@ -88,8 +88,7 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
     """
     table = instance.table
     keys = table.keys
-    if granularity not in ("flow", "coflow"):
-        raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
+    require_granularity(granularity)
     n, m = instance.n, instance.cores
     if n > ORACLE_MAX_COFLOWS or instance.ports > ORACLE_MAX_PORTS or m > ORACLE_MAX_CORES:
         raise ValueError(

@@ -20,11 +20,12 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
 from operator import add
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Coflow, FlowKey, FlowTable, Instance
+from .model import Coflow, FlowKey, FlowTable, Instance, _is_int, _is_int_type
 from .ordering import Permutation
 
 
@@ -38,9 +39,11 @@ class Segment(NamedTuple):
 
 
 class _Fields:
-    """``repr`` and ``==`` over ``_fields``, as a dataclass writes them.
+    """``repr`` over ``_fields``, as a dataclass writes it, and ``==`` over ``_rows()``.
 
-    Both read the fields as attributes, so they build any view not yet built.
+    ``repr`` reads the fields as attributes, so it builds any view not yet
+    built; ``==`` compares only what the object holds, as each subclass's
+    ``_rows`` returns it.
     """
 
     _fields: tuple[str, ...] = ()
@@ -53,129 +56,148 @@ class _Fields:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        values = [getattr(self, name) for name in self._fields]
-        return values == [getattr(other, name) for name in self._fields]
+        return self._rows() == other._rows()
+
+
+GRANULARITIES = ("flow", "coflow")
+
+
+def require_granularity(granularity: str) -> None:
+    """Raise ValueError unless ``granularity`` is one of ``GRANULARITIES``."""
+    if granularity not in GRANULARITIES:
+        raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
 
 
 class Assignment(_Fields):
     """Flow-to-core placement; coflow_to_core is set under coflow granularity.
 
-    ``assign_fdls`` and ``assign_cdls`` keep the instance's flow table and
-    one core per row of it, and ``simulate`` and the audit read those rows.
-    ``flow_to_core`` is a view of them keyed by ``FlowKey``, built on first
-    read from the table's ``keys``; from then on it is the placement and the
-    rows are dropped, so an edit made to it in place reaches ``simulate``
-    and the audit. A hand-built Assignment holds the dict it is given.
+    It holds the instance's flow table and ``core_of``, the core of each
+    row of it, however it was built: by ``assign_fdls``, ``assign_cdls`` or,
+    from a dict keyed by ``FlowKey``, ``of_flows``. ``flow_to_core`` is a
+    read-only view of the rows keyed by ``FlowKey``, built on first read.
     """
 
     _fields = ("granularity", "flow_to_core", "coflow_to_core")
 
     def __init__(
-        self,
-        granularity: str,
-        flow_to_core: dict[FlowKey, int],
-        coflow_to_core: dict[int, int] | None,
+        self, granularity: str, table: FlowTable, core_of: list[int], coflow_to_core: dict | None
     ) -> None:
-        if granularity not in ("flow", "coflow"):
-            raise ValueError(f"granularity must be flow or coflow, got {granularity!r}")
+        require_granularity(granularity)
         self.granularity = granularity
-        self.flow_to_core = flow_to_core
+        self.table = table
+        self.core_of = core_of
         self.coflow_to_core = coflow_to_core
-        self._rows: tuple[FlowTable, list[int]] | None = None
 
     @classmethod
-    def _of_rows(cls, granularity, table, core_of, coflow_to_core) -> Assignment:
-        """The placement ``core_of[r]`` of row r of ``table``, held by row."""
-        self = cls.__new__(cls)
-        self.granularity, self.coflow_to_core = granularity, coflow_to_core
-        self._rows = (table, core_of)
-        return self
+    def of_flows(
+        cls, instance: Instance, granularity: str, flow_to_core: Mapping, coflow_to_core=None
+    ) -> Assignment:
+        """The placement ``flow_to_core`` of ``instance``'s flows.
+
+        Raises ValueError unless it places every flow of the instance, and
+        only those, on an int core in 1..m; the first fault in dict order
+        is reported, and np.integer cores are accepted.
+        """
+        table, m = instance.table, instance.cores
+        known = set(table.keys)
+        for key, h in flow_to_core.items():
+            if key not in known:
+                name = tuple(key) if isinstance(key, tuple) else repr(key)
+                raise ValueError(f"assignment references unknown flow {name}")
+            if not (_is_int(h) and 1 <= h <= m):
+                raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
+        missing = known.difference(flow_to_core)
+        if missing:
+            raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
+        return cls(granularity, table, list(map(flow_to_core.get, table.keys)), coflow_to_core)
+
+    def _rows(self) -> tuple:
+        return self.granularity, self.table, self.core_of, self.coflow_to_core
 
     @cached_property
-    def flow_to_core(self) -> dict[FlowKey, int]:
-        table, core_of = self._rows
-        self._rows = None
-        return dict(zip(table.keys, core_of))
-
-    def _core_rows(self, table: FlowTable) -> list[int] | None:
-        """The core of each row of ``table``, while no view has been built."""
-        if self._rows is not None and self._rows[0] is table:
-            return self._rows[1]
-        return None
+    def flow_to_core(self) -> Mapping[FlowKey, int]:
+        return MappingProxyType(dict(zip(self.table.keys, self.core_of)))
 
 
 class ScheduleResult(_Fields):
     """Completion times, the weighted objective and, on request, the timeline.
 
-    ``simulate`` keeps the instance's flow table, the finish time of each
-    of its rows, and the timeline as start, end and flow row columns in
-    ``Segment`` order plus each row's core; the audit reads those.
-    ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a list of
-    ``Segment``) are views of them, each built on first read with the
-    table's ``keys``. From then on the view is the result and its rows or
-    columns are dropped, so an edit made to it in place reaches the audit. A
-    hand-built ScheduleResult holds what it is given.
+    It holds the instance's flow table and ``finish``, the completion time
+    of each row of it (None for a flow a hand-built result gives none),
+    however it was built: by ``simulate`` or, from dicts keyed by
+    ``FlowKey`` and a ``Segment`` list, by ``of_flows``. ``columns`` is
+    None, or the timeline as start, end, flow row and core arrays in
+    timeline order. ``flow_completion`` (keyed by ``FlowKey``) and
+    ``timeline`` (a tuple of ``Segment``) are read-only views of them,
+    each built on first read.
     """
 
     _fields = ("flow_completion", "coflow_completion", "objective", "timeline")
 
     def __init__(
-        self,
-        flow_completion: dict[FlowKey, float],
-        coflow_completion: dict[int, float],
-        objective: float,
-        timeline: list[Segment] | None = None,
+        self, table: FlowTable, finish: list, coflow_completion: dict, objective: float, columns
     ) -> None:
-        self.flow_completion = flow_completion
+        self.table = table
+        self.finish = finish
         self.coflow_completion = coflow_completion
         self.objective = objective
-        self.timeline = timeline
-        self._table: FlowTable | None = None
-        self._finish: list[float] | None = None
-        self._columns: tuple | None = None
+        self.columns = columns
 
     @classmethod
-    def _of_rows(cls, table, finish, coflow_completion, objective, columns) -> ScheduleResult:
-        """A result held by row: row r of ``table`` finishes at ``finish[r]``.
+    def of_flows(
+        cls, instance: Instance, flow_completion, coflow_completion, objective, timeline=None
+    ) -> ScheduleResult:
+        """A result of ``instance`` given by flow, with the timeline in its order.
 
-        ``columns`` is None, or the timeline as (start, end, row) arrays in
-        Segment order and the list of each row's core.
+        Raises ValueError for a completion or a segment of a flow that is
+        not in the instance, and for a segment whose core is no int64
+        integer. Any other fault, such as a NaN time or a core outside
+        1..m, is left to the audit. A segment is held as float times, its
+        flow's row and an int64 core, so the ``timeline`` view and the
+        audit's reports name it with float times, a ``FlowKey`` and an int
+        core, whatever types it was given with.
         """
-        self = cls.__new__(cls)
-        self.coflow_completion, self.objective = coflow_completion, objective
-        self._table, self._finish, self._columns = table, finish, columns
-        return self
+        table = instance.table
+        row_of = {key: r for r, key in enumerate(table.keys)}
+        for key in flow_completion:
+            if key not in row_of:
+                raise ValueError(f"completion of unknown flow {key!r}")
+        finish = list(map(flow_completion.get, table.keys))
+        columns = None
+        if timeline is not None:
+            rows = []
+            start, end, flows, core = zip(*timeline) if timeline else ((),) * 4
+            for seg, flow, h in zip(timeline, flows, core):
+                try:
+                    rows.append(row_of[flow])
+                except (KeyError, TypeError):  # a list is no key of any dict
+                    raise ValueError(f"segment {seg} of a flow not in the instance") from None
+                if not (_is_int(h) and -(2**63) <= h < 2**63):
+                    raise ValueError(f"segment {seg} is on core {h!r}, no int64 integer")
+            columns = tuple(
+                map(np.array, (start, end, rows, core), (float, float, np.int64, np.int64))
+            )
+        return cls(table, finish, coflow_completion, objective, columns)
+
+    def _rows(self) -> tuple:
+        columns = None if self.columns is None else [column.tolist() for column in self.columns]
+        return self.table, self.finish, self.coflow_completion, self.objective, columns
 
     @cached_property
-    def flow_completion(self) -> dict[FlowKey, float]:
-        finish, self._finish = self._finish, None
-        return dict(zip(self._table.keys, finish))
+    def flow_completion(self) -> Mapping[FlowKey, float]:
+        pairs = zip(self.table.keys, self.finish)
+        if None in self.finish:
+            pairs = [(key, t) for key, t in pairs if t is not None]
+        return MappingProxyType(dict(pairs))
 
     @cached_property
-    def timeline(self) -> list[Segment] | None:
-        columns, self._columns = self._columns, None
-        if columns is None:
+    def timeline(self) -> tuple[Segment, ...] | None:
+        if self.columns is None:
             return None
-        start, end, row, core_of = columns
-        rows = row.tolist()
-        flows = map(self._table.keys.__getitem__, rows)
-        cores = map(core_of.__getitem__, rows)
+        start, end, row, core = (column.tolist() for column in self.columns)
+        flows = map(self.table.keys.__getitem__, row)
         # tuple.__new__ is what Segment._make calls, minus a Python frame each.
-        return list(
-            map(tuple.__new__, repeat(Segment), zip(start.tolist(), end.tolist(), flows, cores))
-        )
-
-    def _finish_rows(self, table: FlowTable) -> list[float] | None:
-        """The finish time of each row of ``table``, while no view has been built."""
-        return self._finish if self._table is table else None
-
-    def _timeline_columns(self, table: FlowTable) -> tuple | None:
-        """The timeline columns of ``table``'s rows, while no view has been built."""
-        return self._columns if self._table is table else None
-
-
-# A bool is an int, but no core or coflow id; np.bool_ is no np.integer.
-_ID_TYPES = (int, np.integer)
+        return tuple(map(tuple.__new__, repeat(Segment), zip(start, end, flows, core)))
 
 
 def _order_list(order, n: int) -> list[int]:
@@ -184,11 +206,7 @@ def _order_list(order, n: int) -> list[int]:
     Its entries must be ints or np.integers, and no bool: True sorts as 1.
     """
     seq = list(order.order) if isinstance(order, Permutation) else list(order)
-    types = set(map(type, seq))
-    if not (
-        all(issubclass(t, _ID_TYPES) and not issubclass(t, bool) for t in types)
-        and sorted(seq) == list(range(1, n + 1))
-    ):
+    if not (all(map(_is_int_type, set(map(type, seq)))) and sorted(seq) == list(range(1, n + 1))):
         raise ValueError(f"order must be a permutation of 1..{n}, got {seq}")
     return seq
 
@@ -218,7 +236,7 @@ def assign_fdls(instance: Instance, order) -> Assignment:
         core_of[idx] = best + 1
         row_in[best] += size[idx]
         row_out[best] += size[idx]
-    return Assignment._of_rows("flow", table, core_of, None)
+    return Assignment("flow", table, core_of, None)
 
 
 def assign_cdls(instance: Instance, order) -> Assignment:
@@ -254,7 +272,7 @@ def assign_cdls(instance: Instance, order) -> Assignment:
             lo, hi = cells.first[k - 1], cells.first[k]
             for p, v in zip(cells.port[lo:hi], cells.load[lo:hi]):
                 load_s[p][h - 1] += v
-    return Assignment._of_rows("coflow", table, core_of, coflow_core)
+    return Assignment("coflow", table, core_of, coflow_core)
 
 
 def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> list[int]:
@@ -313,12 +331,8 @@ def simulate(
     """
     table = instance.table
     seq = _order_list(order, instance.n)
-    m = instance.cores
+    core_of = _placed_cores(instance, assignment)
     n = len(table.fi)
-    # The rows of assign_fdls or assign_cdls for this instance need no check.
-    core_of = assignment._core_rows(table)
-    if core_of is None:
-        core_of = _checked_cores(assignment.flow_to_core, table.keys, m)
 
     # Each (core, port) gets its own key, so the cores share no busy runs.
     stride = instance.ports + 1
@@ -339,8 +353,40 @@ def simulate(
         flat = np.fromiter(segs, float, len(segs)).reshape(-1, 3)
         start, end, row = flat[:, 0], flat[:, 1], flat[:, 2].astype(np.int64)
         by = _segment_order(start, end, table.key_rank[row], n)
-        columns = (start[by], end[by], row[by], core_of)
-    return ScheduleResult._of_rows(table, finish, coflow_completion, objective, columns)
+        row = row[by]
+        columns = (start[by], end[by], row, np.array(core_of, dtype=np.int64)[row])
+    return ScheduleResult(table, finish, coflow_completion, objective, columns)
+
+
+def _require_table(held: FlowTable, table: FlowTable, what: str) -> None:
+    """Raise ValueError unless ``held``, the table ``what`` was built on, is or equals ``table``."""
+    if held is not table and held != table:
+        raise ValueError(f"{what} was built for another instance")
+
+
+def _placed_cores(instance: Instance, assignment: Assignment) -> list[int]:
+    """``assignment.core_of``, once it is known to place ``instance``'s flows.
+
+    Raises ValueError unless the placement holds rows of the instance's
+    table or of an equal one, one per flow, each an int core in 1..m. An
+    equal table says nothing of the core count, and the row constructor
+    checks nothing, so every call checks the cores: one type-set pass plus
+    ``min`` and ``max``, and a walk for the message only when one fails.
+    """
+    table, m = instance.table, instance.cores
+    _require_table(assignment.table, table, "assignment")
+    core_of = assignment.core_of
+    if len(core_of) != len(table.fi):
+        raise ValueError(f"assignment holds {len(core_of)} cores for {len(table.fi)} flows")
+    if not (
+        all(map(_is_int_type, set(map(type, core_of))))
+        and 1 <= min(core_of, default=1)
+        and max(core_of, default=1) <= m
+    ):
+        for key, h in zip(table.keys, core_of):
+            if not (_is_int(h) and 1 <= h <= m):
+                raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
+    return core_of
 
 
 def _segment_order(start, end, rank, flows: int) -> np.ndarray:
@@ -357,23 +403,6 @@ def _segment_order(start, end, rank, flows: int) -> np.ndarray:
         return np.lexsort((rank, end, start))
     code = start.astype(np.int64) * top + end.astype(np.int64)
     return np.argsort(code * flows + rank)
-
-
-def _checked_cores(placed: dict, keys: list[FlowKey], m: int) -> list[int]:
-    """The core of each flow of ``keys`` in a hand-built placement or a read view.
-
-    Reports the first fault in dict order; np.integer cores are accepted.
-    """
-    known = set(keys)
-    for key, h in placed.items():
-        if key not in known:
-            raise ValueError(f"assignment references unknown flow {tuple(key)}")
-        if not (isinstance(h, _ID_TYPES) and not isinstance(h, bool) and 1 <= h <= m):
-            raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
-    missing = known.difference(placed)
-    if missing:
-        raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
-    return list(map(placed.get, keys))
 
 
 def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
@@ -472,23 +501,24 @@ def audit_schedule(
     release + size lower bound on every flow completion, coflow completions
     being the max over their flows, and work conservation: no released,
     incomplete flow may sit idle while both of its ports are free on its
-    core. A segment with a NaN time, a segment or a placement of a flow
-    that is not in the instance, and a flow without a completion time or
-    with a NaN one, are reported too; such a segment or flow is left out of
-    the checks that need it, as is a segment whose length is NaN (both
-    ends at one infinity). ``order`` is not read: every check is on the
-    placement and the result. It stays in the signature because callers,
-    the benchmark among them, pass it.
+    core. A segment with a NaN time and a flow without a completion time
+    or with a NaN one are reported too; such a segment or flow is left out
+    of the checks that need it, as is a segment whose length is NaN (both
+    ends at one infinity). A segment on a core outside 1..m is on no core.
+    ``order`` is not read: every check is on the placement and the result.
+    It stays in the signature because callers, the benchmark among them,
+    pass it. The placement and the result must hold rows of the instance's
+    flow table or of an equal one, and the placement an int core in 1..m
+    per flow, as ``simulate`` requires; any other raises ValueError.
 
-    The timeline comes as start, end, flow row and core columns: those
-    ``simulate`` keeps or, once the ``timeline`` view has been built, its
-    segments read once. Every check runs on columns: the volume per flow is
-    one ``bincount`` in timeline order, and the segment, flow and coflow checks
-    are masks. Only what a mask flags is formatted, in the order a walk
-    over the segments, flows and coflows would report it. One stable sort
-    by core gives each core its segments as a slice in timeline order, and
-    one sort per side by (core, port, start, end) puts each port's spans
-    next to the spans they could overlap.
+    Every check runs on the rows and timeline columns the placement and the
+    result hold: the volume per flow is one ``bincount`` in timeline order,
+    and the segment, flow and coflow checks are masks. Only what a mask
+    flags is formatted, in the order a walk over the segments, flows and
+    coflows would report it. One stable sort by core gives each core its
+    segments as a slice in timeline order, and one sort per side by (core,
+    port, start, end) puts each port's spans next to the spans they could
+    overlap.
 
     Work conservation is checked per core on a grid: the sorted distinct
     segment starts and ends, releases and completions on that core, each
@@ -500,77 +530,55 @@ def audit_schedule(
     over the starved pieces reports, for every cell that any of them
     covers, the starved flow first in (i, j, k) order.
 
-    The table's ``FlowKey`` view is read only to name a flow in a report or
-    to map a built view or a hand-built placement to rows.
+    The table's ``FlowKey`` view is read only to name a flow in a report;
+    a segment is named as the ``timeline`` view reads it.
 
     Cost: per segment and per flow, the Python work is a few C-level
-    passes; a built view adds its transpose and the dict lookups that map
-    flows to rows and cores. The rest runs in numpy, O((segments + flows)
+    passes. The rest runs in numpy, O((segments + flows)
     log(segments + flows)) over all cores plus a step per busy run that
     overlaps a flow's window, with Python work only per core, per starved
-    piece and per line reported. Returns a list of violation descriptions, empty when clean.
+    piece and per line reported. Returns a list of violation descriptions,
+    empty when clean.
     """
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
     table = instance.table
+    placed = np.array(_placed_cores(instance, assignment), dtype=np.int64)
+    _require_table(result.table, table, "result")
+    if result.columns is None:
+        raise ValueError("audit requires a result simulated with emit_timeline=True")
+    start, end, row, seg_core = result.columns
+    # A segment on a core outside 1..m is on core 0, which is no core.
+    core = np.where((seg_core >= 1) & (seg_core <= m), seg_core, 0)
     size, first = table.size, table.first
     n = len(size)
-    columns = result._timeline_columns(table)
-    placed = assignment._core_rows(table)
-    # Only a view or a hand-built placement is keyed by FlowKey.
-    row_of = None
-    if columns is None or placed is None:
-        row_of = {key: r for r, key in enumerate(table.keys)}
 
     def flow(r: int) -> tuple:
         """Row r's (i, j, k), as a report names the flow."""
         return tuple(table.keys[r])
-    # Cores 1..m map to themselves and any other id to 0, matching ids the
-    # way a dict keyed by core does.
-    core_id = {h: h for h in range(1, m + 1)}
 
-    if columns is not None:
-        start, end, row, core_of = columns
-        core = np.array(core_of, dtype=np.int64)[row]
-
-        def segment(at: int) -> Segment:
-            r = row[at]
-            return Segment(float(start[at]), float(end[at]), table.keys[r], core_of[r])
-
-    else:
-        timeline = result.timeline
-        if timeline is None:
-            raise ValueError("audit requires a result simulated with emit_timeline=True")
-        segment = timeline.__getitem__
-        starts, ends, flows, cores = zip(*timeline) if timeline else ((),) * 4
-        start = np.array(starts, dtype=float)
-        end = np.array(ends, dtype=float)
-        row = _ids(row_of, flows, -1)
-        core = _ids(core_id, cores, 0)
+    def segment(at: int) -> Segment:
+        return Segment(float(start[at]), float(end[at]), table.keys[row[at]], int(seg_core[at]))
 
     empty = end <= start
-    known = row >= 0
     timed = (start == start) & (end == end)  # NaN != NaN
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
         length = end - start
-    for at in np.flatnonzero(empty | ~known | ~timed).tolist():
+    for at in np.flatnonzero(empty | ~timed).tolist():
         seg = segment(at)
         if not timed[at]:
             bad.append(f"segment {seg} has a time that is not a number")
         if empty[at]:
             bad.append(f"empty or reversed segment {seg}")
-        if not known[at]:
-            bad.append(f"segment {seg} of a flow not in the instance")
-    # A segment with a NaN time or length, like an unknown flow's, joins no
-    # check below. Both ends at one infinity give a NaN length; such a
-    # segment is reported above as empty.
-    known &= length == length
+    # A segment with a NaN time or length joins no check below. Both ends at
+    # one infinity give a NaN length; such a segment is reported above as
+    # empty.
+    known = length == length
 
     # bincount adds each flow's spans in timeline order, as a running += does.
     transmitted = np.bincount(row[known], weights=length[known], minlength=n)
     # A missing completion is None here and NaN in ``done``.
-    finish = result._finish_rows(table)
-    completion = list(map(result.flow_completion.get, table.keys) if finish is None else finish)
+    completion = list(result.finish)
     done = np.array(completion, dtype=float)
     size_a = np.array(size, dtype=np.int64)
     release = np.array(table.release, dtype=float)
@@ -607,15 +615,6 @@ def audit_schedule(
         if got_c is None or abs(got_c - want) > 1e-9:
             bad.append(f"coflow {c.id} completion {got_c}, expected {want}")
 
-    if placed is None:
-        flow_to_core = assignment.flow_to_core
-        for key in flow_to_core:
-            if key not in row_of:
-                bad.append(f"assignment places flow {tuple(key)}, which is not in the instance")
-        placed = _ids(core_id, list(map(flow_to_core.get, table.keys)), 0)
-    else:
-        placed = np.array(placed, dtype=np.int64)
-
     # The segments of known flows on cores 1..m, each core's a slice in
     # timeline order.
     (live,) = np.nonzero(known & (core > 0))
@@ -649,10 +648,7 @@ def audit_schedule(
     rank = table.key_rank
     by_key = np.empty(n, dtype=np.int64)
     by_key[rank] = np.arange(n)
-    (on_core,) = np.nonzero(placed)
-    pair = np.sort(
-        np.concatenate([h_live * n + rank[r_live], placed[on_core] * n + rank[on_core]])
-    )
+    pair = np.sort(np.concatenate([h_live * n + rank[r_live], placed * n + rank]))
     pair = pair[np.diff(pair, prepend=-1) > 0]
     pair_core, pair_row = np.divmod(pair, n)
     pair_row = by_key[pair_row]
@@ -692,21 +688,6 @@ def audit_schedule(
                 "with both ports free"
             )
     return bad
-
-
-def _ids(ids: dict, keys: Sequence, default: int) -> np.ndarray:
-    """``ids.get(key, default)`` for each key, as int64.
-
-    No dict holds an unhashable key, such as a list, so it gets ``default``.
-    """
-
-    def get(key):
-        try:
-            return ids.get(key, default)
-        except TypeError:
-            return default
-
-    return np.fromiter(map(get, keys), np.int64, len(keys))
 
 
 def _union(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

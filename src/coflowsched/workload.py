@@ -221,6 +221,9 @@ def gen_density(
     _check_counts(n, release_max)
     if ports < 1:
         raise ValueError(f"ports must be >= 1, got {ports}")
+    # A dense coflow draws up to ports^2 distinct cells, so the limit comes first.
+    if ports > MAX_PORTS:
+        raise ValueError(f"ports {ports} above the limit {MAX_PORTS}")
     if mode not in DENSITY_MODES:
         raise ValueError(f"density mode must be one of {DENSITY_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)

@@ -49,4 +49,4 @@ def assign_cdls(instance: Instance, order) -> Assignment:
             placement[key] = h
         load_in[:, h] += own_in
         load_out[:, h] += own_out
-    return Assignment("coflow", placement, coflow_core)
+    return Assignment.of_flows(instance, "coflow", placement, coflow_core)

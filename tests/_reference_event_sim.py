@@ -79,7 +79,7 @@ def simulate(
         timeline = sorted(
             Segment(s, e, keys[idx], core_of[idx]) for s, e, idx in segs
         )
-    return ScheduleResult(flow_completion, coflow_completion, objective, timeline)
+    return ScheduleResult.of_flows(instance, flow_completion, coflow_completion, objective, timeline)
 
 
 def _list_schedule(ranked, sizes, rel, finish, segs) -> None:

@@ -36,4 +36,4 @@ def assign_fdls(instance: Instance, order) -> Assignment:
             placement[keys[idx]] = h
             load_in[i, h] += size[idx]
             load_out[j, h] += size[idx]
-    return Assignment("flow", placement, None)
+    return Assignment.of_flows(instance, "flow", placement)

@@ -47,11 +47,11 @@ def enumerate_best(
         for cores in choices:
             if granularity == "flow":
                 placement = dict(zip(keys, cores))
-                assignment = Assignment("flow", placement, None)
+                assignment = Assignment.of_flows(instance, "flow", placement)
             else:
                 by_coflow = dict(zip(range(1, n + 1), cores))
                 placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment("coflow", placement, by_coflow)
+                assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
             result = simulate(instance, list(perm), assignment)
             examined += 1
             if result.objective < best_cost - 1e-12:

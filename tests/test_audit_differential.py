@@ -12,6 +12,7 @@ corpus tampers schedules of 1k+ segments with releases.
 
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -72,6 +73,13 @@ def tamper(rng, timeline, kind, cores):
         timeline[at] = seg._replace(**{side: getattr(seg, side) + step})
 
 
+def rebuilt(instance, result, timeline):
+    """``result`` with ``timeline`` in place of its own."""
+    return ScheduleResult.of_flows(
+        instance, result.flow_completion, result.coflow_completion, result.objective, timeline
+    )
+
+
 def corpus():
     """Yield (instance, order, assignment, result, tampers) over 80 schedules.
 
@@ -101,9 +109,7 @@ def corpus():
                 for _ in range(tampers):
                     tamper(rng, timeline, KINDS[applied % len(KINDS)], cores)
                     applied += 1
-                tampered = ScheduleResult(
-                    result.flow_completion, result.coflow_completion, result.objective, timeline
-                )
+                tampered = rebuilt(instance, result, timeline)
                 yield instance, perm, assignment, tampered, tampers
 
 
@@ -141,9 +147,7 @@ def test_matches_reference_on_larger_tampered_timelines():
                 timeline = list(result.timeline)
                 for _ in range(1 + made % 3):
                     tamper(rng, timeline, rng.choice(KINDS), instance.cores)
-                broken = ScheduleResult(
-                    result.flow_completion, result.coflow_completion, result.objective, timeline
-                )
+                broken = rebuilt(instance, result, timeline)
                 got = audit_schedule(instance, perm, assignment, broken)
                 assert got == reference_audit(instance, perm, assignment, broken)
                 tampered += 1
@@ -171,9 +175,7 @@ def test_matches_reference_with_many_empty_cores():
                 timeline = list(result.timeline)
                 tamper(rng, timeline, KINDS[applied % len(KINDS)], instance.cores)
                 applied += 1
-                broken = ScheduleResult(
-                    result.flow_completion, result.coflow_completion, result.objective, timeline
-                )
+                broken = rebuilt(instance, result, timeline)
                 got = audit_schedule(instance, perm, assignment, broken)
                 assert got == reference_audit(instance, perm, assignment, broken)
                 tampered += 1
@@ -199,8 +201,9 @@ def test_reports_the_first_starved_flow_in_key_order():
         ),
     )
     placement = {key: 1 for key in instance.table.keys}
-    assignment = Assignment("flow", placement, None)
-    result = ScheduleResult(
+    assignment = Assignment.of_flows(instance, "flow", placement)
+    result = ScheduleResult.of_flows(
+        instance,
         {FlowKey(1, 1, 1): 2.0, FlowKey(1, 2, 2): 6.0, FlowKey(2, 2, 3): 6.0},
         {1: 2.0, 2: 6.0, 3: 6.0},
         14.0,
@@ -226,31 +229,34 @@ def small_schedule():
     return instance, perm, assignment, simulate(instance, perm, assignment, emit_timeline=True)
 
 
-def test_in_place_timeline_edits_reach_the_audit():
-    # The audit reads result.timeline afresh on every call, so an edit made
-    # in place after a first audit is seen by the next one.
+def test_edited_timelines_reach_the_audit():
+    # The timeline view is a tuple, so an edit is a new result built from
+    # it; each audit reads the timeline of the result it is given.
     instance, perm, assignment, result = small_schedule()
     assert audit_schedule(instance, perm, assignment, result) == []
-    lost = result.timeline.pop(len(result.timeline) // 2)
-    got = audit_schedule(instance, perm, assignment, result)
+    timeline = list(result.timeline)
+    lost = timeline.pop(len(timeline) // 2)
+    popped = rebuilt(instance, result, timeline)
+    got = audit_schedule(instance, perm, assignment, popped)
     assert f"flow {tuple(lost.flow)} transmitted" in got[0]
-    assert got == reference_audit(instance, perm, assignment, result)
-    result.timeline.append(lost._replace(start=lost.start + 1.0, end=lost.end + 1.0))
-    moved = audit_schedule(instance, perm, assignment, result)
+    assert got == reference_audit(instance, perm, assignment, popped)
+    timeline.append(lost._replace(start=lost.start + 1.0, end=lost.end + 1.0))
+    moved_result = rebuilt(instance, result, timeline)
+    moved = audit_schedule(instance, perm, assignment, moved_result)
     assert moved and moved != got
-    assert moved == reference_audit(instance, perm, assignment, result)
+    assert moved == reference_audit(instance, perm, assignment, moved_result)
 
 
 def test_columns_and_views_give_the_same_audit():
-    # Until a view is read, the audit reads the rows and columns that
-    # assign_* and simulate keep; after, the views. On a slice of the
-    # acceptance corpus both give the same lists. Each schedule is also
-    # audited against the other policy's placement, which puts flows on
-    # cores they do not run on, so that not every list compared is empty.
+    # The audit reads the rows and columns that assign_* and simulate
+    # keep. The placements and results of_flows builds from their views
+    # give the same lists on a slice of the acceptance corpus. Each
+    # schedule is also audited against the other policy's placement, which
+    # puts flows on cores they do not run on, so that not every list
+    # compared is empty.
     flagged = 0
     for idx in range(0, 1000, 10):
         instance = corpus_instance(idx)
-        table = instance.table
         runs = []
         for order_fn, assign_fn in STAGES.values():
             perm = order_fn(instance, 0.5)
@@ -259,11 +265,17 @@ def test_columns_and_views_give_the_same_audit():
         (fperm, fasg, fres), (cperm, casg, cres) = runs
         cases = [(fperm, fasg, fres), (cperm, casg, cres), (fperm, casg, fres), (cperm, fasg, cres)]
         from_columns = [audit_schedule(instance, *case) for case in cases]
+        views = {}
         for _, assignment, result in runs:
-            assert result._timeline_columns(table) is not None
-            assignment.flow_to_core, result.flow_completion, result.timeline
-            assert result._timeline_columns(table) is assignment._core_rows(table) is None
-        assert [audit_schedule(instance, *case) for case in cases] == from_columns
+            views[id(assignment)] = Assignment.of_flows(
+                instance, assignment.granularity, assignment.flow_to_core, assignment.coflow_to_core
+            )
+            views[id(result)] = rebuilt(instance, result, result.timeline)
+        from_views = [
+            audit_schedule(instance, perm, views[id(asg)], views[id(res)])
+            for perm, asg, res in cases
+        ]
+        assert from_views == from_columns
         assert from_columns[:2] == [[], []]
         flagged += bool(from_columns[2]) + bool(from_columns[3])
     # Pinned, so that a change to the corpus that makes it toothless shows.
@@ -275,8 +287,8 @@ def test_missing_flow_completion_is_reported():
     gone = instance.table.keys[3]
     completion = dict(result.flow_completion)
     del completion[gone]
-    broken = ScheduleResult(
-        completion, result.coflow_completion, result.objective, result.timeline
+    broken = ScheduleResult.of_flows(
+        instance, completion, result.coflow_completion, result.objective, result.timeline
     )
     with pytest.raises(KeyError):
         reference_audit(instance, perm, assignment, broken)
@@ -291,8 +303,8 @@ def test_nan_flow_completion_is_reported():
     instance, perm, assignment, result = small_schedule()
     bad_key = instance.table.keys[3]
     completion = {**result.flow_completion, bad_key: float("nan")}
-    broken = ScheduleResult(
-        completion, result.coflow_completion, result.objective, result.timeline
+    broken = ScheduleResult.of_flows(
+        instance, completion, result.coflow_completion, result.objective, result.timeline
     )
     assert reference_audit(instance, perm, assignment, broken) == []
     assert audit_schedule(instance, perm, assignment, broken) == [
@@ -301,62 +313,52 @@ def test_nan_flow_completion_is_reported():
 
 
 def test_segment_of_an_unknown_flow_is_reported():
+    # No row holds a flow that is not in the instance, so of_flows refuses it.
     instance, perm, assignment, result = small_schedule()
     stray = Segment(0.0, 1.0, FlowKey(1, 1, 99), 1)
-    broken = ScheduleResult(
-        result.flow_completion,
-        result.coflow_completion,
-        result.objective,
-        [*result.timeline, stray],
-    )
-    with pytest.raises(KeyError):
-        reference_audit(instance, perm, assignment, broken)
-    assert audit_schedule(instance, perm, assignment, broken) == [
-        f"segment {stray} of a flow not in the instance"
-    ]
+    message = f"segment {stray} of a flow not in the instance"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rebuilt(instance, result, [*result.timeline, stray])
 
 
 @pytest.mark.parametrize("flow", [[9, 9, 9], (9, 9, 9)])
 def test_segment_of_an_unhashable_flow_is_reported(flow):
-    # A list is no key of any dict; it is reported like the tuple.
+    # A list is no key of any dict; it is refused like the tuple.
     instance = gen_mix(5, 6, 1, cores=2)
     perm = order_flow_level(instance, 0.5)
     assignment = assign_fdls(instance, perm)
     result = simulate(instance, perm, assignment, emit_timeline=True)
     stray = Segment(0.0, 3.0, flow, 1)
-    result.timeline.append(stray)
-    assert audit_schedule(instance, perm, assignment, result) == [
-        f"segment {stray} of a flow not in the instance"
-    ]
+    message = f"segment {stray} of a flow not in the instance"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rebuilt(instance, result, [*result.timeline, stray])
 
 
 def test_segment_on_an_unhashable_core_is_on_no_core():
-    # A list core is mapped to 0, like the unknown core id 99: either way
-    # the segment leaves every core, and its flow reads idle on its own.
+    # No int64 column holds a list core, so of_flows refuses it. The
+    # unknown core id 99 is held: the segment leaves every core, and its
+    # flow reads idle on its own.
     instance = gen_mix(5, 6, 1, cores=2)
     perm = order_flow_level(instance, 0.5)
     assignment = assign_fdls(instance, perm)
     result = simulate(instance, perm, assignment, emit_timeline=True)
-    audits = []
-    for core in ([1], 99):
-        timeline = list(result.timeline)
-        timeline[2] = timeline[2]._replace(core=core)
-        moved = ScheduleResult(
-            result.flow_completion, result.coflow_completion, result.objective, timeline
-        )
-        audits.append(audit_schedule(instance, perm, assignment, moved))
-    assert audits[0] == audits[1] and audits[0]
+    timeline = list(result.timeline)
+    timeline[2] = timeline[2]._replace(core=[1])
+    with pytest.raises(ValueError, match=re.escape("is on core [1], no int64 integer")):
+        rebuilt(instance, result, timeline)
+    timeline[2] = timeline[2]._replace(core=99)
+    moved = rebuilt(instance, result, timeline)
+    assert moved.timeline[2].core == 99
+    got = audit_schedule(instance, perm, assignment, moved)
+    assert got and got == reference_audit(instance, perm, assignment, moved)
 
 
 def test_placement_of_an_unknown_flow_is_reported():
+    # No row holds a flow that is not in the instance, so of_flows refuses it.
     instance, perm, assignment, result = small_schedule()
     placement = {**assignment.flow_to_core, FlowKey(9, 9, 99): 1}
-    broken = Assignment("flow", placement, None)
-    with pytest.raises(KeyError):
-        reference_audit(instance, perm, broken, result)
-    assert audit_schedule(instance, perm, broken, result) == [
-        "assignment places flow (9, 9, 99), which is not in the instance"
-    ]
+    with pytest.raises(ValueError, match=re.escape("assignment references unknown flow (9, 9, 99)")):
+        Assignment.of_flows(instance, "flow", placement)
 
 
 @pytest.mark.parametrize("side", ["start", "end"])
@@ -369,9 +371,7 @@ def test_nan_segment_time_is_reported(side):
     timeline = list(result.timeline)
     seg = timeline[4] = timeline[4]._replace(**{side: float("nan")})
     assert seg.flow == FlowKey(3, 2, 5) and seg.core == 1
-    broken = ScheduleResult(
-        result.flow_completion, result.coflow_completion, result.objective, timeline
-    )
+    broken = rebuilt(instance, result, timeline)
     assert audit_schedule(instance, perm, assignment, broken) == [
         f"segment {seg} has a time that is not a number",
         "flow (3, 2, 5) transmitted 0.0, size 10",
@@ -394,9 +394,7 @@ def test_segment_at_one_infinity_is_reported_once(bound):
     timeline = list(result.timeline)
     seg = timeline[4] = timeline[4]._replace(start=bound, end=bound)
     assert seg.flow == FlowKey(3, 2, 5) and seg.core == 1
-    broken = ScheduleResult(
-        result.flow_completion, result.coflow_completion, result.objective, timeline
-    )
+    broken = rebuilt(instance, result, timeline)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = audit_schedule(instance, perm, assignment, broken)

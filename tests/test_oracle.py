@@ -302,11 +302,11 @@ def undercuts(instance, granularity):
         for cores in product(range(1, m + 1), repeat=slots):
             if granularity == "flow":
                 placement = dict(zip(keys, cores))
-                assignment = Assignment("flow", placement, None)
+                assignment = Assignment.of_flows(instance, "flow", placement)
             else:
                 by_coflow = dict(zip(range(1, n + 1), cores))
                 placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment("coflow", placement, by_coflow)
+                assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
             cost = simulate(instance, list(perm), assignment).objective
             if cost < best - 1e-12:
                 best, best_perm = cost, perm
@@ -393,7 +393,7 @@ def test_numpy_weights_fold_as_python_floats():
     instance = inst([(0, weights[0], {(1, 1): 3}), (0, weights[1], {(2, 2): 2})], cores=2)
     for granularity in ("flow", "coflow"):
         best = enumerate_best(instance, granularity)
-        assignment = Assignment(granularity, best.best_assignment, None)
+        assignment = Assignment.of_flows(instance, granularity, best.best_assignment)
         objective = simulate(instance, best.best_order, assignment).objective
         assert type(objective) is float
         assert objective == best.best_cost == float(weights[0]) * 3 + float(weights[1]) * 2

@@ -12,10 +12,12 @@ import pytest
 
 from _shared import cdls_bound, fdls_bound
 from coflowsched.experiments import run_pipeline
-from coflowsched.model import Coflow, FlowKey, Instance
+from coflowsched.model import Coflow, FlowKey, Instance, dumps_instance, loads_instance
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import (
     Assignment,
+    ScheduleResult,
+    Segment,
     _list_schedule,
     assign_cdls,
     assign_fdls,
@@ -249,47 +251,53 @@ def test_completion_times_are_integral():
 
 def test_simulate_rejects_incomplete_assignment():
     inst = one_coflow({(1, 1): 2, (1, 2): 2}, cores=2)
-    partial = Assignment("flow", {FlowKey(1, 1, 1): 1}, None)
     with pytest.raises(ValueError):
-        simulate(inst, [1], partial)
+        simulate(inst, [1], Assignment.of_flows(inst, "flow", {FlowKey(1, 1, 1): 1}))
 
 
 def test_simulate_rejects_core_out_of_range():
     inst = one_coflow({(1, 1): 2})
-    bad = Assignment("flow", {FlowKey(1, 1, 1): 2}, None)
     with pytest.raises(ValueError):
-        simulate(inst, [1], bad)
+        simulate(inst, [1], Assignment.of_flows(inst, "flow", {FlowKey(1, 1, 1): 2}))
 
 
 @pytest.mark.parametrize("core", [True, np.True_])
 def test_simulate_rejects_bool_core(core):
     # True equals 1, but a bool is not a core id.
     inst = one_coflow({(1, 1): 2, (1, 2): 3})
-    bad = Assignment("flow", {FlowKey(1, 1, 1): 1, FlowKey(1, 2, 1): core}, None)
+    bad = {FlowKey(1, 1, 1): 1, FlowKey(1, 2, 1): core}
     message = f"flow (1, 2, 1) assigned to core {core!r}, valid range 1..1"
     with pytest.raises(ValueError, match=re.escape(message)):
-        simulate(inst, [1], bad)
+        simulate(inst, [1], Assignment.of_flows(inst, "flow", bad))
+
+
+@pytest.mark.parametrize("key", [5, "flow"])
+def test_placement_key_that_is_no_flow_is_refused(key):
+    inst = one_coflow({(1, 1): 2})
+    message = f"assignment references unknown flow {key!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Assignment.of_flows(inst, "flow", {FlowKey(1, 1, 1): 1, key: 1})
 
 
 def test_simulate_accepts_numpy_integer_core():
     inst = one_coflow({(1, 1): 2, (1, 2): 3}, cores=2)
-    asg = Assignment("flow", {FlowKey(1, 1, 1): np.int64(2), FlowKey(1, 2, 1): 1}, None)
+    asg = Assignment.of_flows(inst, "flow", {FlowKey(1, 1, 1): np.int64(2), FlowKey(1, 2, 1): 1})
     res = simulate(inst, [1], asg, emit_timeline=True)
     assert res.flow_completion == {FlowKey(1, 1, 1): 2.0, FlowKey(1, 2, 1): 3.0}
     assert [s.core for s in res.timeline] == [2, 1]
 
 
-def test_in_place_view_edits_reach_simulate_and_the_audit():
-    # FDLS puts both flows on core 1. Once read, the flow_to_core view is
-    # the placement: moving (1, 1, 1) to core 2 in it moves the flow in the
-    # next simulate, and the audit of the schedule from before the move
-    # finds the flow idle on core 2. An edit of a read flow_completion view
-    # reaches the audit likewise.
+def test_edited_copies_reach_simulate_and_the_audit():
+    # FDLS puts both flows on core 1. The views are read-only, so an edit
+    # is a new object built from them: moving (1, 1, 1) to core 2 moves the
+    # flow in the next simulate, and the audit of the schedule from before
+    # the move finds the flow idle on core 2. A result with an edited
+    # flow_completion reaches the audit likewise.
     inst = one_coflow({(1, 1): 2, (2, 2): 3}, cores=2)
-    asg = assign_fdls(inst, [1])
-    before = simulate(inst, [1], asg, emit_timeline=True)
-    assert asg.flow_to_core == {FlowKey(1, 1, 1): 1, FlowKey(2, 2, 1): 1}
-    asg.flow_to_core[FlowKey(1, 1, 1)] = 2
+    before = simulate(inst, [1], assign_fdls(inst, [1]), emit_timeline=True)
+    old = assign_fdls(inst, [1]).flow_to_core
+    assert old == {FlowKey(1, 1, 1): 1, FlowKey(2, 2, 1): 1}
+    asg = Assignment.of_flows(inst, "flow", {**old, FlowKey(1, 1, 1): 2})
     after = simulate(inst, [1], asg, emit_timeline=True)
     assert [(s.flow, s.core) for s in after.timeline] == [
         (FlowKey(1, 1, 1), 2),
@@ -299,10 +307,108 @@ def test_in_place_view_edits_reach_simulate_and_the_audit():
     assert audit_schedule(inst, [1], asg, before) == [
         "core 2: flow (1, 1, 1) idle at t=0.0 with both ports free"
     ]
-    after.flow_completion[FlowKey(2, 2, 1)] = float("nan")
-    assert audit_schedule(inst, [1], asg, after) == [
+    nan = ScheduleResult.of_flows(
+        inst,
+        {**after.flow_completion, FlowKey(2, 2, 1): float("nan")},
+        after.coflow_completion,
+        after.objective,
+        after.timeline,
+    )
+    assert audit_schedule(inst, [1], asg, nan) == [
         "flow (2, 2, 1) completion is not a number"
     ]
+
+
+def test_views_are_read_only():
+    inst = one_coflow({(1, 1): 2, (2, 2): 3}, cores=2)
+    asg = assign_fdls(inst, [1])
+    res = simulate(inst, [1], asg, emit_timeline=True)
+    seg = res.timeline[0]
+    with pytest.raises(TypeError):
+        asg.flow_to_core[FlowKey(1, 1, 1)] = 2
+    with pytest.raises(TypeError):
+        res.flow_completion[FlowKey(1, 1, 1)] = 1.0
+    with pytest.raises(TypeError):
+        res.timeline[0] = seg._replace(core=2)
+    # The rows behind the views are unchanged.
+    assert asg.core_of == [1, 1] and res.finish == [2.0, 3.0]
+    assert audit_schedule(inst, [1], asg, res) == []
+
+
+def test_an_equal_instance_is_accepted_and_another_refused():
+    # Rows of the instance's own table or of an equal one, such as that of
+    # the instance loaded again, are read; those of any other raise.
+    inst = gen_mix(5, 6, 1, cores=2)
+    perm = order_flow_level(inst, 0.5)
+    asg = assign_fdls(inst, perm)
+    res = simulate(inst, perm, asg, emit_timeline=True)
+    again = loads_instance(dumps_instance(inst))
+    assert again.table is not inst.table
+    assert simulate(again, perm, asg, emit_timeline=True) == res
+    assert audit_schedule(again, perm, asg, res) == []
+    other = gen_mix(5, 6, 2, cores=2)
+    with pytest.raises(ValueError, match="assignment was built for another instance"):
+        simulate(other, perm, asg)
+    with pytest.raises(ValueError, match="assignment was built for another instance"):
+        audit_schedule(other, perm, asg, res)
+    other_asg = assign_fdls(other, perm)
+    with pytest.raises(ValueError, match="result was built for another instance"):
+        audit_schedule(other, perm, other_asg, res)
+
+
+def test_a_placement_on_more_cores_than_the_instance_is_refused():
+    # The flow table holds no core count, so a 2-core instance with the
+    # coflows of a 4-core one has an equal table. Its cores are checked all
+    # the same: a flow on core 3 or 4 would run on a core it does not have.
+    wide = gen_mix(5, 6, 1, cores=4)
+    narrow = Instance(cores=2, ports=wide.ports, coflows=wide.coflows)
+    assert narrow.table == wide.table
+    perm = order_flow_level(wide, 0.5)
+    asg = assign_fdls(wide, perm)
+    res = simulate(wide, perm, asg, emit_timeline=True)
+    r, h = next((r, h) for r, h in enumerate(asg.core_of) if h > 2)
+    message = f"flow {tuple(wide.table.keys[r])} assigned to core {h}, valid range 1..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate(narrow, perm, asg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        audit_schedule(narrow, perm, asg, res)
+
+
+@pytest.mark.parametrize(
+    "core_of, message",
+    [
+        ([1, 0], "flow (2, 2, 1) assigned to core 0, valid range 1..2"),
+        ([99, 1], "flow (1, 1, 1) assigned to core 99, valid range 1..2"),
+        ([1, 2.0], "flow (2, 2, 1) assigned to core 2.0, valid range 1..2"),
+        ([True, 1], "flow (1, 1, 1) assigned to core True, valid range 1..2"),
+        ([1], "assignment holds 1 cores for 2 flows"),
+    ],
+)
+def test_the_cores_of_a_row_built_placement_are_checked(core_of, message):
+    # The row constructor checks nothing; simulate and the audit check the
+    # cores it was given, with the messages of_flows gives.
+    inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
+    res = simulate(inst, [1], assign_fdls(inst, [1]), emit_timeline=True)
+    asg = Assignment("flow", inst.table, core_of, None)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate(inst, [1], asg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        audit_schedule(inst, [1], asg, res)
+
+
+def test_equality_reads_the_rows_not_the_views():
+    # == compares the table, the rows and the columns the objects hold, so
+    # it builds no keyed view.
+    inst = gen_mix(5, 6, 1, cores=2)
+    perm = order_flow_level(inst, 0.5)
+    asg = assign_fdls(inst, perm)
+    res = simulate(inst, perm, asg, emit_timeline=True)
+    assert assign_fdls(inst, perm) == asg
+    assert simulate(inst, perm, asg, emit_timeline=True) == res
+    assert simulate(inst, perm, asg) != res
+    assert Assignment("flow", inst.table, [1] * len(asg.core_of), None) != asg
+    built = vars(asg).keys() | vars(res).keys()
+    assert not {"flow_to_core", "flow_completion", "timeline"} & built
 
 
 def test_pipeline_and_clean_audit_leave_the_keys_unbuilt():
@@ -376,7 +482,7 @@ def test_assignment_rejects_an_unknown_granularity(granularity):
     placed = assign_fdls(inst, order_flow_level(inst))
     message = f"granularity must be flow or coflow, got {granularity!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        Assignment(granularity, dict(placed.flow_to_core), None)
+        Assignment.of_flows(inst, granularity, placed.flow_to_core)
 
 
 # --- schedule-wide properties ----------------------------------------------
@@ -411,10 +517,33 @@ def test_audit_flags_tampered_timeline():
     inst = one_coflow({(1, 1): 4})
     asg = assign_fdls(inst, [1])
     res = simulate(inst, [1], asg, emit_timeline=True)
-    res.timeline[0] = res.timeline[0]._replace(end=res.timeline[0].end - 1)
+    cut = res.timeline[0]._replace(end=res.timeline[0].end - 1)
+    res = ScheduleResult.of_flows(
+        inst, res.flow_completion, res.coflow_completion, res.objective, [cut]
+    )
     assert audit_schedule(inst, [1], asg, res) == [
         "flow (1, 1, 1) transmitted 3.0, size 4",
         "core 1: flow (1, 1, 1) idle at t=3.0 with both ports free",
+    ]
+
+
+def test_audit_names_a_hand_built_segment_as_the_rows_hold_it():
+    # of_flows keeps a segment as a flow row, float times and an int64
+    # core, so a report names a plain-tuple flow as a FlowKey, int times as
+    # floats and an np.int64 core as an int, as the timeline view reads.
+    inst = one_coflow({(1, 1): 4})
+    asg = assign_fdls(inst, [1])
+    res = simulate(inst, [1], asg, emit_timeline=True)
+    seg = Segment(5, 4, (1, 1, 1), np.int64(1))
+    res = ScheduleResult.of_flows(
+        inst, res.flow_completion, res.coflow_completion, res.objective, [(0, 4, (1, 1, 1), 1), seg]
+    )
+    shown = Segment(5.0, 4.0, FlowKey(1, 1, 1), 1)
+    assert res.timeline[1] == shown and type(res.timeline[1].core) is int
+    assert audit_schedule(inst, [1], asg, res) == [
+        "empty or reversed segment "
+        "Segment(start=5.0, end=4.0, flow=FlowKey(i=1, j=1, k=1), core=1)",
+        "flow (1, 1, 1) transmitted 3.0, size 4",
     ]
 
 

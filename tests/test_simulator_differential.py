@@ -8,12 +8,14 @@ completions, the objective and the full timeline must be equal, compared
 with ``==`` and with ``repr`` so that a float and an equal int, or two
 floats printed differently, also count as a difference. The reference is
 quadratic, so these instances are small; ``test_simulator_scale.py``
-checks large ones against the event loop. On a tampered placement both
-must raise the same exception with the same message, except on a bool
-core, which the reference takes for an int and ``simulate`` refuses.
+checks large ones against the event loop. On a tampered placement
+``Assignment.of_flows`` must raise the exception the reference raises,
+with the same message, except on a bool core, which the reference takes
+for an int and ``of_flows`` refuses.
 """
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from coflowsched.model import Coflow, FlowKey, Instance
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.scheduling import (
     Assignment,
+    ScheduleResult,
     assign_cdls,
     assign_fdls,
     audit_schedule,
@@ -91,32 +94,37 @@ def test_matches_reference_on_random_orders_and_placements(granularity):
         keys = instance.table.keys
         if granularity == "flow":
             placement = {key: rng.randint(1, cores) for key in keys}
-            assignment = Assignment("flow", placement, None)
+            assignment = Assignment.of_flows(instance, "flow", placement)
         else:
             by_coflow = {k: rng.randint(1, cores) for k in range(1, n + 1)}
             placement = {key: by_coflow[key.k] for key in keys}
-            assignment = Assignment("coflow", placement, by_coflow)
+            assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
         assert_same_schedule(instance, order, assignment)
 
 
 @pytest.mark.parametrize("granularity", sorted(STAGES))
-def test_row_built_and_hand_built_placements_agree(granularity):
-    # assign_fdls and assign_cdls hold a core per table row, which simulate
-    # and the audit read unchecked; the same placement built by hand as a
-    # dict takes the checked path. Results, timelines and audits agree.
+def test_of_flows_rebuilds_pipeline_objects(granularity):
+    # A placement and a result that of_flows builds from the views of the
+    # pipeline's own equal them, down to the rows and columns they hold, and
+    # simulate and the audit read them alike.
     order_fn, assign_fn = STAGES[granularity]
     for instance in seeded_instances(3):
         perm = order_fn(instance, 0.5)
-        rows = assign_fn(instance, perm)
         placed = assign_fn(instance, perm)
-        hand = Assignment(granularity, dict(placed.flow_to_core), placed.coflow_to_core)
-        got = simulate(instance, perm, rows, emit_timeline=True)
-        want = simulate(instance, perm, hand, emit_timeline=True)
-        assert rows._core_rows(instance.table) is not None
-        assert audit_schedule(instance, perm, rows, got) == []
-        assert audit_schedule(instance, perm, hand, want) == []
-        assert repr(got) == repr(want)
-        assert repr(rows) == repr(hand)
+        got = simulate(instance, perm, placed, emit_timeline=True)
+        hand = Assignment.of_flows(
+            instance, granularity, placed.flow_to_core, placed.coflow_to_core
+        )
+        rebuilt = ScheduleResult.of_flows(
+            instance, got.flow_completion, got.coflow_completion, got.objective, got.timeline
+        )
+        assert hand == placed and repr(hand) == repr(placed)
+        assert rebuilt == got and repr(rebuilt) == repr(got)
+        assert hand.core_of == placed.core_of and rebuilt.finish == got.finish
+        for mine, theirs in zip(rebuilt.columns, got.columns):
+            assert mine.dtype == theirs.dtype and np.array_equal(mine, theirs)
+        assert simulate(instance, perm, hand, emit_timeline=True) == got
+        assert audit_schedule(instance, perm, hand, rebuilt) == []
 
 
 def test_timeline_order_past_the_int64_codes():
@@ -145,7 +153,7 @@ def one_core(coflows, ports):
     """A one-core instance, its coflows in id order, every flow on core 1."""
     instance = Instance(1, ports, tuple(coflows))
     placement = {key: 1 for key in instance.table.keys}
-    return instance, list(range(1, instance.n + 1)), Assignment("flow", placement, None)
+    return instance, list(range(1, instance.n + 1)), Assignment.of_flows(instance, "flow", placement)
 
 
 def test_equal_sizes_tie_on_port_order():
@@ -218,7 +226,7 @@ def test_empty_coflows_and_an_idle_core():
         ),
     )
     placement = {key: (1 if key.k == 1 else 3) for key in instance.table.keys}
-    assignment = Assignment("flow", placement, None)
+    assignment = Assignment.of_flows(instance, "flow", placement)
     res = assert_same_schedule(instance, [3, 1, 2, 4], assignment)
     assert res.coflow_completion[2] == 7.0 and res.coflow_completion[4] == 0.0
     assert {s.core for s in res.timeline} == {1, 3}
@@ -261,9 +269,17 @@ ACCEPTED = {"np-int64", "int-subclass", "all-np-int64", "good"}
 
 
 def outcome(run, instance, order, placement):
-    """The exception type and message a simulator raises, or its results' repr."""
+    """The exception type and message a simulator raises, or its results' repr.
+
+    ``simulate`` gets the placement through ``Assignment.of_flows``, which
+    checks it; the reference reads the dict and checks it itself.
+    """
     try:
-        res = run(instance, order, Assignment("flow", placement, None), emit_timeline=True)
+        if run is simulate:
+            assignment = Assignment.of_flows(instance, "flow", placement)
+        else:
+            assignment = SimpleNamespace(granularity="flow", flow_to_core=placement)
+        res = run(instance, order, assignment, emit_timeline=True)
     except Exception as exc:
         return type(exc), str(exc)
     return repr((res.flow_completion, res.coflow_completion, res.objective, res.timeline))
@@ -278,10 +294,13 @@ def test_placement_check_matches_reference(case):
 
 
 def test_placement_of_a_bool_core():
-    # The reference takes True for core 1, as isinstance(True, int) holds;
-    # simulate refuses a bool with the message it gives any bad core.
+    # The reference takes True for core 1, as isinstance(True, int) holds,
+    # when it returns no timeline (of_flows refuses a segment on a bool
+    # core); of_flows refuses a bool placement with the message it gives
+    # any bad core.
     placement = with_core(True)
-    assert isinstance(outcome(reference_simulate, PLACED, [1, 2], placement), str)
+    stand_in = SimpleNamespace(granularity="flow", flow_to_core=placement)
+    assert reference_simulate(PLACED, [1, 2], stand_in).objective == 6.0
     assert outcome(simulate, PLACED, [1, 2], placement) == (
         ValueError,
         "flow (1, 2, 1) assigned to core True, valid range 1..2",

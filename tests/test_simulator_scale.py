@@ -70,11 +70,12 @@ def test_matches_event_loop_on_random_orders_and_placements(granularity):
             order = rng.sample(range(1, n + 1), n)
             keys = instance.table.keys
             if granularity == "flow":
-                assignment = Assignment("flow", {key: rng.randint(1, m) for key in keys}, None)
+                placement = {key: rng.randint(1, m) for key in keys}
+                assignment = Assignment.of_flows(instance, "flow", placement)
             else:
                 by_coflow = {k: rng.randint(1, m) for k in range(1, n + 1)}
                 placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment("coflow", placement, by_coflow)
+                assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
             assert_same_schedule(instance, order, assignment)
 
 
@@ -82,7 +83,7 @@ def in_id_order(coflows, ports, cores=1, core_of=lambda key: 1):
     """An instance ranked by coflow id, each flow on ``core_of(key)``."""
     instance = Instance(cores, ports, tuple(coflows))
     placement = {key: core_of(key) for key in instance.table.keys}
-    return instance, list(range(1, instance.n + 1)), Assignment("flow", placement, None)
+    return instance, list(range(1, instance.n + 1)), Assignment.of_flows(instance, "flow", placement)
 
 
 def spans(result, key):

@@ -3,6 +3,7 @@
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from _shared import fb2010_text
@@ -75,6 +76,17 @@ def test_mix_rejects_tiny_port_count():
 def test_generators_reject_bad_arguments_up_front(make, message):
     with pytest.raises(ValueError, match=message):
         make()
+
+
+def test_density_checks_the_port_limit_before_any_draw(monkeypatch):
+    # A dense coflow on 10,001 ports would ask numpy for up to 10^8
+    # distinct cells before validation could refuse the ports.
+    def no_draws(seed):
+        raise AssertionError("gen_density made a generator before checking its ports")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="ports 10001 above the limit 10000"):
+        gen_density(5, 10_001, "dense", 0)
 
 
 def test_mix_coflows_are_port_grids():
