@@ -69,100 +69,124 @@ def require_granularity(granularity: str) -> None:
 
 
 class Assignment(_Fields):
-    """Flow-to-core placement; coflow_to_core is set under coflow granularity.
+    """A core for each flow of ``instance``, checked once, when built.
 
-    It holds the instance's flow table and ``core_of``, the core of each
-    row of it, however it was built: by ``assign_fdls``, ``assign_cdls`` or,
-    from a dict keyed by ``FlowKey``, ``of_flows``. ``flow_to_core`` is a
-    read-only view of the rows keyed by ``FlowKey``, built on first read.
+    ``core_of`` holds the core of each row of the instance's flow table,
+    however the placement was built: by ``assign_fdls``, ``assign_cdls``
+    or, from a dict keyed by ``FlowKey``, ``of_flows``. The constructor
+    raises ValueError unless it holds one int core in 1..m per flow (an
+    np.integer counts as an int, a bool does not) and, under coflow
+    granularity, one core per coflow; it names the first bad row in table
+    order. ``core_of`` is kept as a tuple, so a built placement stays
+    checked. ``flow_to_core`` is a read-only view of it keyed by
+    ``FlowKey``, built on first read.
     """
 
-    _fields = ("granularity", "flow_to_core", "coflow_to_core")
+    _fields = ("granularity", "flow_to_core")
 
-    def __init__(
-        self, granularity: str, table: FlowTable, core_of: list[int], coflow_to_core: dict | None
-    ) -> None:
+    def __init__(self, granularity: str, instance: Instance, core_of: Sequence[int]) -> None:
         require_granularity(granularity)
+        table, m = instance.table, instance.cores
+        core_of = tuple(core_of)
+        if len(core_of) != len(table.fi):
+            raise ValueError(f"assignment holds {len(core_of)} cores for {len(table.fi)} flows")
+        if not (
+            all(map(_is_int_type, set(map(type, core_of))))
+            and 1 <= min(core_of, default=1)
+            and max(core_of, default=1) <= m
+        ):
+            r = next(r for r, h in enumerate(core_of) if not (_is_int(h) and 1 <= h <= m))
+            key, h = table.keys[r], core_of[r]
+            raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
+        if granularity == "coflow":
+            first = table.first
+            for k, lo, hi in zip(range(1, len(first)), first, first[1:]):
+                own = core_of[lo:hi]
+                if own != own[:1] * len(own):
+                    h = next(h for h in own if h != own[0])
+                    raise ValueError(f"coflow {k} placed on cores {own[0]} and {h}")
         self.granularity = granularity
-        self.table = table
+        self.instance = instance
         self.core_of = core_of
-        self.coflow_to_core = coflow_to_core
 
     @classmethod
-    def of_flows(
-        cls, instance: Instance, granularity: str, flow_to_core: Mapping, coflow_to_core=None
-    ) -> Assignment:
+    def of_flows(cls, instance: Instance, granularity: str, flow_to_core: Mapping) -> Assignment:
         """The placement ``flow_to_core`` of ``instance``'s flows.
 
-        Raises ValueError unless it places every flow of the instance, and
-        only those, on an int core in 1..m; the first fault in dict order
-        is reported, and np.integer cores are accepted.
+        Raises ValueError for a key that is no flow of the instance, the
+        first in dict order, and for flows it misses; the constructor then
+        checks the cores.
         """
-        table, m = instance.table, instance.cores
-        known = set(table.keys)
-        for key, h in flow_to_core.items():
+        keys = instance.table.keys
+        known = set(keys)
+        for key in flow_to_core:
             if key not in known:
                 name = tuple(key) if isinstance(key, tuple) else repr(key)
                 raise ValueError(f"assignment references unknown flow {name}")
-            if not (_is_int(h) and 1 <= h <= m):
-                raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
         missing = known.difference(flow_to_core)
         if missing:
             raise ValueError(f"assignment misses {len(missing)} flows, e.g. {tuple(min(missing))}")
-        return cls(granularity, table, list(map(flow_to_core.get, table.keys)), coflow_to_core)
+        return cls(granularity, instance, list(map(flow_to_core.get, keys)))
 
     def _rows(self) -> tuple:
-        return self.granularity, self.table, self.core_of, self.coflow_to_core
+        return self.granularity, self.instance, self.core_of
 
     @cached_property
     def flow_to_core(self) -> Mapping[FlowKey, int]:
-        return MappingProxyType(dict(zip(self.table.keys, self.core_of)))
+        return MappingProxyType(dict(zip(self.instance.table.keys, self.core_of)))
 
 
 class ScheduleResult(_Fields):
     """Completion times, the weighted objective and, on request, the timeline.
 
-    It holds the instance's flow table and ``finish``, the completion time
-    of each row of it (None for a flow a hand-built result gives none),
-    however it was built: by ``simulate`` or, from dicts keyed by
-    ``FlowKey`` and a ``Segment`` list, by ``of_flows``. ``columns`` is
+    ``finish`` holds a completion time, a number, for each row of the
+    instance's flow table, however the result was built: by ``simulate``,
+    whose rows are numbers by construction, or, from a dict keyed by
+    ``FlowKey`` and a ``Segment`` list, by ``of_flows``, which checks them.
+    ``finish`` is kept as a tuple, and the coflow completions and the
+    objective are folded from it when the result is built. ``columns`` is
     None, or the timeline as start, end, flow row and core arrays in
-    timeline order. ``flow_completion`` (keyed by ``FlowKey``) and
-    ``timeline`` (a tuple of ``Segment``) are read-only views of them,
-    each built on first read.
+    timeline order; its segments are taken as given, and the audit judges
+    them. ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a
+    tuple of ``Segment``) are read-only views, each built on first read.
     """
 
     _fields = ("flow_completion", "coflow_completion", "objective", "timeline")
 
-    def __init__(
-        self, table: FlowTable, finish: list, coflow_completion: dict, objective: float, columns
-    ) -> None:
-        self.table = table
-        self.finish = finish
-        self.coflow_completion = coflow_completion
-        self.objective = objective
+    def __init__(self, instance: Instance, finish: Sequence[float], columns) -> None:
+        self.instance = instance
+        self.finish = tuple(finish)
         self.columns = columns
+        done, self.objective = _fold_completions(instance.coflows, instance.table.first, finish)
+        self.coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
 
     @classmethod
     def of_flows(
-        cls, instance: Instance, flow_completion, coflow_completion, objective, timeline=None
+        cls, instance: Instance, flow_completion: Mapping, timeline=None
     ) -> ScheduleResult:
         """A result of ``instance`` given by flow, with the timeline in its order.
 
-        Raises ValueError for a completion or a segment of a flow that is
-        not in the instance, and for a segment whose core is no int64
-        integer. Any other fault, such as a NaN time or a core outside
+        Raises ValueError for a completion of a flow that is not in the
+        instance, for a flow without a completion or with a NaN one, the
+        first in table order, for a segment of a flow that is not in the
+        instance and for a segment whose core is no int64 integer. Any
+        other fault of a segment, such as a NaN time or a core outside
         1..m, is left to the audit. A segment is held as float times, its
         flow's row and an int64 core, so the ``timeline`` view and the
         audit's reports name it with float times, a ``FlowKey`` and an int
         core, whatever types it was given with.
         """
-        table = instance.table
-        row_of = {key: r for r, key in enumerate(table.keys)}
+        keys = instance.table.keys
+        row_of = {key: r for r, key in enumerate(keys)}
         for key in flow_completion:
             if key not in row_of:
                 raise ValueError(f"completion of unknown flow {key!r}")
-        finish = list(map(flow_completion.get, table.keys))
+        finish = list(map(flow_completion.get, keys))
+        for key, t in zip(keys, finish):
+            if t is None:
+                raise ValueError(f"flow {tuple(key)} has no completion time")
+            if t != t:
+                raise ValueError(f"flow {tuple(key)} completion is not a number")
         columns = None
         if timeline is not None:
             rows = []
@@ -177,25 +201,22 @@ class ScheduleResult(_Fields):
             columns = tuple(
                 map(np.array, (start, end, rows, core), (float, float, np.int64, np.int64))
             )
-        return cls(table, finish, coflow_completion, objective, columns)
+        return cls(instance, finish, columns)
 
     def _rows(self) -> tuple:
         columns = None if self.columns is None else [column.tolist() for column in self.columns]
-        return self.table, self.finish, self.coflow_completion, self.objective, columns
+        return self.instance, self.finish, columns
 
     @cached_property
     def flow_completion(self) -> Mapping[FlowKey, float]:
-        pairs = zip(self.table.keys, self.finish)
-        if None in self.finish:
-            pairs = [(key, t) for key, t in pairs if t is not None]
-        return MappingProxyType(dict(pairs))
+        return MappingProxyType(dict(zip(self.instance.table.keys, self.finish)))
 
     @cached_property
     def timeline(self) -> tuple[Segment, ...] | None:
         if self.columns is None:
             return None
         start, end, row, core = (column.tolist() for column in self.columns)
-        flows = map(self.table.keys.__getitem__, row)
+        flows = map(self.instance.table.keys.__getitem__, row)
         # tuple.__new__ is what Segment._make calls, minus a Python frame each.
         return tuple(map(tuple.__new__, repeat(Segment), zip(start, end, flows, core)))
 
@@ -236,7 +257,7 @@ def assign_fdls(instance: Instance, order) -> Assignment:
         core_of[idx] = best + 1
         row_in[best] += size[idx]
         row_out[best] += size[idx]
-    return Assignment("flow", table, core_of, None)
+    return Assignment("flow", instance, core_of)
 
 
 def assign_cdls(instance: Instance, order) -> Assignment:
@@ -256,7 +277,6 @@ def assign_cdls(instance: Instance, order) -> Assignment:
     loads = [{p: [0] * m for p in set(cells.port)} for cells in sides]
     first = table.first
     core_of = [0] * first[-1]
-    coflow_core: dict[int, int] = {}
     for k in seq:
         score = [0] * m
         for cells, load_s in zip(sides, loads):
@@ -266,13 +286,12 @@ def assign_cdls(instance: Instance, order) -> Assignment:
                 by_core = zip(*map(load_s.__getitem__, cells.port[lo:hi]))
                 score = list(map(add, score, [max(map(add, on_h, own)) for on_h in by_core]))
         h = score.index(min(score)) + 1
-        coflow_core[k] = h
         core_of[first[k - 1] : first[k]] = [h] * (first[k] - first[k - 1])
         for cells, load_s in zip(sides, loads):
             lo, hi = cells.first[k - 1], cells.first[k]
             for p, v in zip(cells.port[lo:hi], cells.load[lo:hi]):
                 load_s[p][h - 1] += v
-    return Assignment("coflow", table, core_of, coflow_core)
+    return Assignment("coflow", instance, core_of)
 
 
 def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> list[int]:
@@ -327,11 +346,14 @@ def simulate(
     flows of its core, and ``_list_schedule`` places the flows one at a
     time, best first, into the free time of their two ports. Completion of
     a coflow is the completion of its last flow; a flowless coflow
-    completes at its release.
+    completes at its release. The placement was checked when built, so it
+    is only required to be built for ``instance`` or an equal one; any
+    other raises ValueError.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
-    core_of = _placed_cores(instance, assignment)
+    _require_instance(assignment.instance, instance, "assignment")
+    core_of = assignment.core_of
     n = len(table.fi)
 
     # Each (core, port) gets its own key, so the cores share no busy runs.
@@ -345,9 +367,6 @@ def simulate(
     for r, t in zip(ranked, times):
         finish[r] = t
 
-    done, objective = _fold_completions(instance.coflows, table.first, finish)
-    coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
-
     columns = None
     if segs is not None:
         flat = np.fromiter(segs, float, len(segs)).reshape(-1, 3)
@@ -355,38 +374,13 @@ def simulate(
         by = _segment_order(start, end, table.key_rank[row], n)
         row = row[by]
         columns = (start[by], end[by], row, np.array(core_of, dtype=np.int64)[row])
-    return ScheduleResult(table, finish, coflow_completion, objective, columns)
+    return ScheduleResult(instance, finish, columns)
 
 
-def _require_table(held: FlowTable, table: FlowTable, what: str) -> None:
-    """Raise ValueError unless ``held``, the table ``what`` was built on, is or equals ``table``."""
-    if held is not table and held != table:
+def _require_instance(held: Instance, instance: Instance, what: str) -> None:
+    """Raise ValueError unless ``held``, which ``what`` was built for, equals ``instance``."""
+    if held is not instance and held != instance:
         raise ValueError(f"{what} was built for another instance")
-
-
-def _placed_cores(instance: Instance, assignment: Assignment) -> list[int]:
-    """``assignment.core_of``, once it is known to place ``instance``'s flows.
-
-    Raises ValueError unless the placement holds rows of the instance's
-    table or of an equal one, one per flow, each an int core in 1..m. An
-    equal table says nothing of the core count, and the row constructor
-    checks nothing, so every call checks the cores: one type-set pass plus
-    ``min`` and ``max``, and a walk for the message only when one fails.
-    """
-    table, m = instance.table, instance.cores
-    _require_table(assignment.table, table, "assignment")
-    core_of = assignment.core_of
-    if len(core_of) != len(table.fi):
-        raise ValueError(f"assignment holds {len(core_of)} cores for {len(table.fi)} flows")
-    if not (
-        all(map(_is_int_type, set(map(type, core_of))))
-        and 1 <= min(core_of, default=1)
-        and max(core_of, default=1) <= m
-    ):
-        for key, h in zip(table.keys, core_of):
-            if not (_is_int(h) and 1 <= h <= m):
-                raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
-    return core_of
 
 
 def _segment_order(start, end, rank, flows: int) -> np.ndarray:
@@ -498,24 +492,25 @@ def audit_schedule(
     """Check a simulated schedule against the rules it must obey.
 
     Verifies port exclusivity per core, transmitted volume per flow, the
-    release + size lower bound on every flow completion, coflow completions
-    being the max over their flows, and work conservation: no released,
-    incomplete flow may sit idle while both of its ports are free on its
-    core. A segment with a NaN time and a flow without a completion time
-    or with a NaN one are reported too; such a segment or flow is left out
-    of the checks that need it, as is a segment whose length is NaN (both
-    ends at one infinity). A segment on a core outside 1..m is on no core.
-    ``order`` is not read: every check is on the placement and the result.
-    It stays in the signature because callers, the benchmark among them,
-    pass it. The placement and the result must hold rows of the instance's
-    flow table or of an equal one, and the placement an int core in 1..m
-    per flow, as ``simulate`` requires; any other raises ValueError.
+    release + size lower bound on every flow completion, and work
+    conservation: no released, incomplete flow may sit idle while both of
+    its ports are free on its core. The placement and the result were
+    checked when built, and the coflow completions are folded from the
+    flow completions, so only the segments can break a rule the
+    constructors do not check. A segment with a NaN time is reported too,
+    and left out of the checks that need it, as is a segment whose length
+    is NaN (both ends at one infinity). A segment on a core outside 1..m
+    is on no core. ``order`` is not read: every check is on the placement
+    and the result. It stays in the signature because callers, the
+    benchmark among them, pass it. The placement and the result must be
+    built for the instance or for an equal one, as ``simulate`` requires;
+    any other raises ValueError.
 
     Every check runs on the rows and timeline columns the placement and the
     result hold: the volume per flow is one ``bincount`` in timeline order,
-    and the segment, flow and coflow checks are masks. Only what a mask
-    flags is formatted, in the order a walk over the segments, flows and
-    coflows would report it. One stable sort by core gives each core its
+    and the segment and flow checks are masks. Only what a mask flags is
+    formatted, in the order a walk over the segments and flows would
+    report it. One stable sort by core gives each core its
     segments as a slice in timeline order, and one sort per side by (core,
     port, start, end) puts each port's spans next to the spans they could
     overlap.
@@ -543,14 +538,15 @@ def audit_schedule(
     bad: list[str] = []
     m, ports = instance.cores, instance.ports
     table = instance.table
-    placed = np.array(_placed_cores(instance, assignment), dtype=np.int64)
-    _require_table(result.table, table, "result")
+    _require_instance(assignment.instance, instance, "assignment")
+    _require_instance(result.instance, instance, "result")
+    placed = np.array(assignment.core_of, dtype=np.int64)
     if result.columns is None:
         raise ValueError("audit requires a result simulated with emit_timeline=True")
     start, end, row, seg_core = result.columns
     # A segment on a core outside 1..m is on core 0, which is no core.
     core = np.where((seg_core >= 1) & (seg_core <= m), seg_core, 0)
-    size, first = table.size, table.first
+    size = table.size
     n = len(size)
 
     def flow(r: int) -> tuple:
@@ -577,43 +573,17 @@ def audit_schedule(
 
     # bincount adds each flow's spans in timeline order, as a running += does.
     transmitted = np.bincount(row[known], weights=length[known], minlength=n)
-    # A missing completion is None here and NaN in ``done``.
-    completion = list(result.finish)
-    done = np.array(completion, dtype=float)
+    done = np.array(result.finish, dtype=float)
     size_a = np.array(size, dtype=np.int64)
     release = np.array(table.release, dtype=float)
-    # Every row the checks below report, and more: NaN fails the >= test.
-    suspect = (np.abs(transmitted - size_a) > 1e-6) | ~(done >= release + size_a - 1e-9)
+    # Every row the checks below report.
+    suspect = (np.abs(transmitted - size_a) > 1e-6) | (done < release + size_a - 1e-9)
     for r in np.flatnonzero(suspect).tolist():
-        d, sent, comp = size[r], float(transmitted[r]), completion[r]
+        d, sent, comp = size[r], float(transmitted[r]), result.finish[r]
         if abs(sent - d) > 1e-6:
             bad.append(f"flow {flow(r)} transmitted {sent}, size {d}")
-        if comp is None:
-            bad.append(f"flow {flow(r)} has no completion time")
-        elif comp != comp:
-            bad.append(f"flow {flow(r)} completion is not a number")
-            completion[r] = None
-        elif comp < table.release[r] + d - 1e-9:
+        if comp < table.release[r] + d - 1e-9:
             bad.append(f"flow {flow(r)} completed at {comp}, before release + size")
-    has_done = done == done
-
-    coflows = instance.coflows
-    own_count = np.diff(first)
-    filled = own_count > 0
-    expect = np.array([c.release for c in coflows], dtype=float)
-    if n:
-        # A NaN completion, so also a missing one, makes its coflow NaN.
-        expect[filled] = np.maximum.reduceat(done, np.array(first[:-1])[filled])
-    got = np.array([result.coflow_completion.get(c.id) for c in coflows], dtype=float)
-    for k in np.flatnonzero(~(np.abs(got - expect) <= 1e-9)).tolist():
-        c = coflows[k]
-        own = completion[first[c.id - 1] : first[c.id]]
-        if None in own:
-            continue  # already reported for the flow
-        want = max(own) if own else float(c.release)
-        got_c = result.coflow_completion.get(c.id)
-        if got_c is None or abs(got_c - want) > 1e-9:
-            bad.append(f"coflow {c.id} completion {got_c}, expected {want}")
 
     # The segments of known flows on cores 1..m, each core's a slice in
     # timeline order.
@@ -658,9 +628,7 @@ def audit_schedule(
         if flow_edge[h - 1] == flow_edge[h]:
             continue
         bad.extend(overlaps.get(h, ()))
-        rows_h = pair_row[flow_edge[h - 1] : flow_edge[h]]
-        # A flow without a completion has no window.
-        flows_h = rows_h[has_done[rows_h]]
+        flows_h = pair_row[flow_edge[h - 1] : flow_edge[h]]
         cut = slice(seg_edge[h - 1], seg_edge[h])
         span_start, span_end, span_row = s_live[cut], e_live[cut], r_live[cut]
         rel_h, done_h = release[flows_h], done[flows_h]

@@ -5,7 +5,7 @@ Kept verbatim as the reference that ``test_audit_differential.py`` compares
 check builds an intervals x flows boolean matrix per core and walks the
 intervals one by one, so only small timelines should be fed to it. It
 raises ``KeyError`` on a segment of an unknown flow or a flow without a
-completion time, which the current audit reports instead.
+completion time, which ``ScheduleResult.of_flows`` now refuses.
 """
 
 from __future__ import annotations

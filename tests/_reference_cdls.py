@@ -1,7 +1,8 @@
 """CDLS placement as it was before it kept its loads in Python lists.
 
 Kept verbatim, apart from reading each coflow's dense load rows from
-``_reference_table.compile_table``, as the reference that
+``_reference_table.compile_table`` and returning each coflow's core beside
+the placement, as the reference that
 ``test_cdls_differential.py`` compares ``coflowsched.scheduling.assign_cdls``
 against: per-port projected loads in two (ports + 1) x (m + 1) int64 arrays,
 and per coflow a max over its used ports and one ``np.argmin`` over the m
@@ -17,8 +18,8 @@ from coflowsched.model import FlowKey, Instance
 from coflowsched.scheduling import Assignment, _order_list
 
 
-def assign_cdls(instance: Instance, order) -> Assignment:
-    """Place each coflow whole on one core.
+def assign_cdls(instance: Instance, order) -> tuple[Assignment, dict[int, int]]:
+    """Place each coflow whole on one core; return the placement and each coflow's core.
 
     The score of core h for coflow k is the worst projected input-port load
     plus the worst projected output-port load after adding k's own loads,
@@ -49,4 +50,4 @@ def assign_cdls(instance: Instance, order) -> Assignment:
             placement[key] = h
         load_in[:, h] += own_in
         load_out[:, h] += own_out
-    return Assignment.of_flows(instance, "coflow", placement, coflow_core)
+    return Assignment.of_flows(instance, "coflow", placement), coflow_core

@@ -1,11 +1,13 @@
 """The per-core event-loop simulator, kept as it was before the one-pass fill.
 
 Kept verbatim as the reference that ``test_simulator_scale.py`` compares
-``coflowsched.scheduling.simulate`` against. Each core advances on its own
-completions and releases; a heap yields candidate flows in rank order, and
-a completion or a preemption re-examines only the flows waiting at the two
-ports it frees. It runs in O((flows + segments) log flows) per core, so it
-can check instances far beyond the rescanning ``_reference_sim``.
+``coflowsched.scheduling.simulate`` against, apart from returning its own
+coflow completions and objective beside the result, which folds them
+again. Each core advances on its own completions and releases; a heap
+yields candidate flows in rank order, and a completion or a preemption
+re-examines only the flows waiting at the two ports it frees. It runs in
+O((flows + segments) log flows) per core, so it can check instances far
+beyond the rescanning ``_reference_sim``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ def simulate(
     order,
     assignment: Assignment,
     emit_timeline: bool = False,
-) -> ScheduleResult:
+) -> tuple[ScheduleResult, dict[int, float], float]:
     """Run the per-core preemptive list schedule to completion.
 
     Priority on a core is (coflow position in the order, then size
@@ -45,7 +47,8 @@ def simulate(
     its ports. Cores share no port, so each core is simulated on its own,
     and the set changes only at that core's own completions and releases.
     Completion of a coflow is the completion of its last flow; a flowless
-    coflow completes at its release.
+    coflow completes at its release. Returns the result, then this loop's
+    own coflow completions and objective.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
@@ -79,7 +82,8 @@ def simulate(
         timeline = sorted(
             Segment(s, e, keys[idx], core_of[idx]) for s, e, idx in segs
         )
-    return ScheduleResult.of_flows(instance, flow_completion, coflow_completion, objective, timeline)
+    result = ScheduleResult.of_flows(instance, flow_completion, timeline)
+    return result, coflow_completion, objective
 
 
 def _list_schedule(ranked, sizes, rel, finish, segs) -> None:

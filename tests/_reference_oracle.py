@@ -51,11 +51,11 @@ def enumerate_best(
             else:
                 by_coflow = dict(zip(range(1, n + 1), cores))
                 placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
-            result = simulate(instance, list(perm), assignment)
+                assignment = Assignment.of_flows(instance, "coflow", placement)
+            objective = simulate(instance, list(perm), assignment)[2]
             examined += 1
-            if result.objective < best_cost - 1e-12:
-                best_cost = result.objective
+            if objective < best_cost - 1e-12:
+                best_cost = objective
                 best_order = list(perm)
                 best_assignment = placement
     return OracleResult(

@@ -1,10 +1,11 @@
 """The list-schedule simulator as it was before the event-driven rewrite.
 
 Kept verbatim as the reference that ``test_simulator_differential.py``
-compares ``coflowsched.scheduling.simulate`` against: at every event (a
-release, or a flow completing on any core) each core rebuilds its set of
-transmitting flows by scanning its whole priority list. Quadratic, so only
-small instances should be fed to it.
+compares ``coflowsched.scheduling.simulate`` against, apart from returning
+its own coflow completions and objective beside the result, which folds
+them again. At every event (a release, or a flow completing on any core)
+each core rebuilds its set of transmitting flows by scanning its whole
+priority list. Quadratic, so only small instances should be fed to it.
 """
 
 from __future__ import annotations
@@ -22,14 +23,15 @@ def simulate(
     order,
     assignment: Assignment,
     emit_timeline: bool = False,
-) -> ScheduleResult:
+) -> tuple[ScheduleResult, dict[int, float], float]:
     """Run the per-core preemptive list schedule to completion.
 
     Priority on a core is (coflow position in the order, then size
     non-increasing under flow granularity or port-pair order under coflow
     granularity, then (i, j)). Preemption happens only at events. Completion
     of a coflow is the completion of its last flow; a flowless coflow
-    completes at its release.
+    completes at its release. Returns the result, then this loop's own
+    coflow completions and objective.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
@@ -133,4 +135,5 @@ def simulate(
         timeline = sorted(
             Segment(s, e, keys[idx], core_of[idx]) for s, e, idx in segs
         )
-    return ScheduleResult.of_flows(instance, flow_completion, coflow_completion, objective, timeline)
+    result = ScheduleResult.of_flows(instance, flow_completion, timeline)
+    return result, coflow_completion, objective

@@ -75,9 +75,7 @@ def tamper(rng, timeline, kind, cores):
 
 def rebuilt(instance, result, timeline):
     """``result`` with ``timeline`` in place of its own."""
-    return ScheduleResult.of_flows(
-        instance, result.flow_completion, result.coflow_completion, result.objective, timeline
-    )
+    return ScheduleResult.of_flows(instance, result.flow_completion, timeline)
 
 
 def corpus():
@@ -205,14 +203,13 @@ def test_reports_the_first_starved_flow_in_key_order():
     result = ScheduleResult.of_flows(
         instance,
         {FlowKey(1, 1, 1): 2.0, FlowKey(1, 2, 2): 6.0, FlowKey(2, 2, 3): 6.0},
-        {1: 2.0, 2: 6.0, 3: 6.0},
-        14.0,
         [
             Segment(0.0, 2.0, FlowKey(1, 1, 1), 1),
             Segment(4.0, 6.0, FlowKey(1, 2, 2), 1),
             Segment(4.0, 6.0, FlowKey(2, 2, 3), 1),
         ],
     )
+    assert result.coflow_completion == {1: 2.0, 2: 6.0, 3: 6.0} and result.objective == 14.0
     expected = [
         "core 1 output port 2: overlap at 4.0 before 6.0",
         "core 1: flow (2, 2, 3) idle at t=0.0 with both ports free",
@@ -268,7 +265,7 @@ def test_columns_and_views_give_the_same_audit():
         views = {}
         for _, assignment, result in runs:
             views[id(assignment)] = Assignment.of_flows(
-                instance, assignment.granularity, assignment.flow_to_core, assignment.coflow_to_core
+                instance, assignment.granularity, assignment.flow_to_core
             )
             views[id(result)] = rebuilt(instance, result, result.timeline)
         from_views = [
@@ -283,33 +280,27 @@ def test_columns_and_views_give_the_same_audit():
 
 
 def test_missing_flow_completion_is_reported():
+    # A result holds a completion per flow, so of_flows refuses one that
+    # lacks any, as the first bad row in table order, and no audit runs.
     instance, perm, assignment, result = small_schedule()
     gone = instance.table.keys[3]
     completion = dict(result.flow_completion)
     del completion[gone]
-    broken = ScheduleResult.of_flows(
-        instance, completion, result.coflow_completion, result.objective, result.timeline
-    )
-    with pytest.raises(KeyError):
-        reference_audit(instance, perm, assignment, broken)
-    assert audit_schedule(instance, perm, assignment, broken) == [
-        f"flow {tuple(gone)} has no completion time"
-    ]
+    del completion[instance.table.keys[5]]
+    message = f"flow {tuple(gone)} has no completion time"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(instance, completion, result.timeline)
 
 
 def test_nan_flow_completion_is_reported():
-    # The reference audit passes a NaN completion: no comparison with NaN
-    # holds, so neither the release + size check nor the coflow check fires.
+    # No comparison with NaN holds, so a NaN completion would pass the
+    # reference audit; of_flows refuses it.
     instance, perm, assignment, result = small_schedule()
     bad_key = instance.table.keys[3]
     completion = {**result.flow_completion, bad_key: float("nan")}
-    broken = ScheduleResult.of_flows(
-        instance, completion, result.coflow_completion, result.objective, result.timeline
-    )
-    assert reference_audit(instance, perm, assignment, broken) == []
-    assert audit_schedule(instance, perm, assignment, broken) == [
-        f"flow {tuple(bad_key)} completion is not a number"
-    ]
+    message = f"flow {tuple(bad_key)} completion is not a number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(instance, completion, result.timeline)
 
 
 def test_segment_of_an_unknown_flow_is_reported():

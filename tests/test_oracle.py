@@ -306,7 +306,7 @@ def undercuts(instance, granularity):
             else:
                 by_coflow = dict(zip(range(1, n + 1), cores))
                 placement = {key: by_coflow[key.k] for key in keys}
-                assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
+                assignment = Assignment.of_flows(instance, "coflow", placement)
             cost = simulate(instance, list(perm), assignment).objective
             if cost < best - 1e-12:
                 best, best_perm = cost, perm

@@ -1,11 +1,12 @@
 """Core assignment policies and the one-pass list-schedule simulator.
 
 The simulator places each core's flows best first into the free time of
-their two ports; these tests pin its schedules on hand-built cases and its
-checks on the assignment it is given.
+their two ports; these tests pin its schedules on hand-built cases and the
+checks a placement and a result make when they are built.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,6 +80,11 @@ def test_fdls_processes_flows_largest_first():
 # --- CDLS assignment --------------------------------------------------------
 
 
+def coflow_cores(asg):
+    """Each coflow's core, read from its flows'; a flowless coflow has none."""
+    return {key.k: h for key, h in asg.flow_to_core.items()}
+
+
 def test_cdls_single_core():
     inst = make(
         [
@@ -88,7 +94,7 @@ def test_cdls_single_core():
         cores=1,
     )
     asg = assign_cdls(inst, [1, 2])
-    assert asg.coflow_to_core == {1: 1, 2: 1}
+    assert coflow_cores(asg) == {1: 1, 2: 1}
 
 
 def test_cdls_identical_coflows_spread_out():
@@ -101,7 +107,7 @@ def test_cdls_identical_coflows_spread_out():
     )
     asg = assign_cdls(inst, [1, 2])
     # second coflow: core 1 scores (4+4)+(4+4)=16, core 2 scores 4+4=8
-    assert asg.coflow_to_core == {1: 1, 2: 2}
+    assert coflow_cores(asg) == {1: 1, 2: 2}
 
 
 def test_cdls_disjoint_ports_tie_to_core_one():
@@ -113,7 +119,7 @@ def test_cdls_disjoint_ports_tie_to_core_one():
         cores=2,
     )
     asg = assign_cdls(inst, [1, 2])
-    assert asg.coflow_to_core == {1: 1, 2: 1}
+    assert coflow_cores(asg) == {1: 1, 2: 1}
 
 
 def test_cdls_score_ignores_ports_the_coflow_skips():
@@ -128,7 +134,7 @@ def test_cdls_score_ignores_ports_the_coflow_skips():
         ports=3,
     )
     asg = assign_cdls(inst, [1, 2])
-    assert asg.coflow_to_core[2] == 1
+    assert coflow_cores(asg)[2] == 1
 
 
 def test_cdls_keeps_coflows_whole():
@@ -137,8 +143,10 @@ def test_cdls_keeps_coflows_whole():
         inst = gen_mix(8, 6, int(rng.integers(1 << 30)), cores=3)
         perm = order_coflow_level(inst, 0.5)
         asg = assign_cdls(inst, perm)
+        cores = {}
         for key, core in asg.flow_to_core.items():
-            assert core == asg.coflow_to_core[key.k]
+            cores.setdefault(key.k, set()).add(core)
+        assert all(len(on) == 1 for on in cores.values())
 
 
 def test_cdls_empty_coflow_lands_on_core_one():
@@ -150,8 +158,9 @@ def test_cdls_empty_coflow_lands_on_core_one():
             Coflow(id=2, release=0, weight=1, demands={(1, 1): 3}),
         ),
     )
+    # Coflow 1 places no flow, so no core shows for it.
     asg = assign_cdls(inst, [2, 1])
-    assert asg.coflow_to_core[1] == 1
+    assert coflow_cores(asg) == {2: 1}
 
 
 # --- simulation -------------------------------------------------------------
@@ -291,8 +300,8 @@ def test_edited_copies_reach_simulate_and_the_audit():
     # FDLS puts both flows on core 1. The views are read-only, so an edit
     # is a new object built from them: moving (1, 1, 1) to core 2 moves the
     # flow in the next simulate, and the audit of the schedule from before
-    # the move finds the flow idle on core 2. A result with an edited
-    # flow_completion reaches the audit likewise.
+    # the move finds the flow idle on core 2. A result is checked when
+    # built, so an edit that makes a completion NaN is refused.
     inst = one_coflow({(1, 1): 2, (2, 2): 3}, cores=2)
     before = simulate(inst, [1], assign_fdls(inst, [1]), emit_timeline=True)
     old = assign_fdls(inst, [1]).flow_to_core
@@ -307,16 +316,10 @@ def test_edited_copies_reach_simulate_and_the_audit():
     assert audit_schedule(inst, [1], asg, before) == [
         "core 2: flow (1, 1, 1) idle at t=0.0 with both ports free"
     ]
-    nan = ScheduleResult.of_flows(
-        inst,
-        {**after.flow_completion, FlowKey(2, 2, 1): float("nan")},
-        after.coflow_completion,
-        after.objective,
-        after.timeline,
-    )
-    assert audit_schedule(inst, [1], asg, nan) == [
-        "flow (2, 2, 1) completion is not a number"
-    ]
+    nan = {**after.flow_completion, FlowKey(2, 2, 1): float("nan")}
+    message = "flow (2, 2, 1) completion is not a number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(inst, nan, after.timeline)
 
 
 def test_views_are_read_only():
@@ -330,14 +333,18 @@ def test_views_are_read_only():
         res.flow_completion[FlowKey(1, 1, 1)] = 1.0
     with pytest.raises(TypeError):
         res.timeline[0] = seg._replace(core=2)
-    # The rows behind the views are unchanged.
-    assert asg.core_of == [1, 1] and res.finish == [2.0, 3.0]
+    # The rows behind the views are tuples, so they cannot be edited either.
+    with pytest.raises(TypeError):
+        asg.core_of[0] = 2
+    with pytest.raises(TypeError):
+        res.finish[0] = float("nan")
+    assert asg.core_of == (1, 1) and res.finish == (2.0, 3.0)
     assert audit_schedule(inst, [1], asg, res) == []
 
 
 def test_an_equal_instance_is_accepted_and_another_refused():
-    # Rows of the instance's own table or of an equal one, such as that of
-    # the instance loaded again, are read; those of any other raise.
+    # Objects built for the instance or for an equal one, such as the
+    # instance loaded again, are read; those built for any other raise.
     inst = gen_mix(5, 6, 1, cores=2)
     perm = order_flow_level(inst, 0.5)
     asg = assign_fdls(inst, perm)
@@ -357,21 +364,22 @@ def test_an_equal_instance_is_accepted_and_another_refused():
 
 
 def test_a_placement_on_more_cores_than_the_instance_is_refused():
-    # The flow table holds no core count, so a 2-core instance with the
-    # coflows of a 4-core one has an equal table. Its cores are checked all
-    # the same: a flow on core 3 or 4 would run on a core it does not have.
+    # A 2-core instance with the coflows of a 4-core one has an equal flow
+    # table, but it is another instance: a flow on core 3 or 4 would run on
+    # a core it does not have. Other weights make another instance too.
     wide = gen_mix(5, 6, 1, cores=4)
     narrow = Instance(cores=2, ports=wide.ports, coflows=wide.coflows)
-    assert narrow.table == wide.table
+    heavy = Instance(4, wide.ports, tuple(replace(c, weight=c.weight + 1) for c in wide.coflows))
+    assert narrow.table == wide.table == heavy.table
     perm = order_flow_level(wide, 0.5)
     asg = assign_fdls(wide, perm)
     res = simulate(wide, perm, asg, emit_timeline=True)
-    r, h = next((r, h) for r, h in enumerate(asg.core_of) if h > 2)
-    message = f"flow {tuple(wide.table.keys[r])} assigned to core {h}, valid range 1..2"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        simulate(narrow, perm, asg)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        audit_schedule(narrow, perm, asg, res)
+    assert max(asg.core_of) > 2
+    for other in (narrow, heavy):
+        with pytest.raises(ValueError, match="assignment was built for another instance"):
+            simulate(other, perm, asg)
+        with pytest.raises(ValueError, match="assignment was built for another instance"):
+            audit_schedule(other, perm, asg, res)
 
 
 @pytest.mark.parametrize(
@@ -385,20 +393,64 @@ def test_a_placement_on_more_cores_than_the_instance_is_refused():
     ],
 )
 def test_the_cores_of_a_row_built_placement_are_checked(core_of, message):
-    # The row constructor checks nothing; simulate and the audit check the
-    # cores it was given, with the messages of_flows gives.
+    # The row constructor checks the cores once, with the messages of_flows
+    # gives, so simulate and the audit never see a bad one.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
-    res = simulate(inst, [1], assign_fdls(inst, [1]), emit_timeline=True)
-    asg = Assignment("flow", inst.table, core_of, None)
     with pytest.raises(ValueError, match=re.escape(message)):
-        simulate(inst, [1], asg)
+        Assignment("flow", inst, core_of)
+
+
+def test_a_coflow_level_placement_keeps_each_coflow_whole():
+    # The flows of a coflow go through one core at coflow level, and the
+    # coflow-level dual bounds only such schedules. Cores alternating row
+    # by row split coflow 1, whose first rows sit on cores 1 and 2.
+    inst = gen_mix(4, 5, 1, cores=2)
+    keys = inst.table.keys
+    split = [1 + r % 2 for r in range(len(keys))]
+    assert keys[0].k == keys[1].k == 1
+    message = "coflow 1 placed on cores 1 and 2"
     with pytest.raises(ValueError, match=re.escape(message)):
-        audit_schedule(inst, [1], asg, res)
+        Assignment("coflow", inst, split)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Assignment.of_flows(inst, "coflow", dict(zip(keys, split)))
+    # The same rows are a flow-level placement, and one core per coflow is
+    # a coflow-level one.
+    assert Assignment("flow", inst, split).core_of == tuple(split)
+    whole = [1 + key.k % 2 for key in keys]
+    assert Assignment("coflow", inst, whole).core_of == tuple(whole)
+    # A split after a flowless coflow names the coflow and its first core.
+    inst = make(
+        [
+            Coflow(id=1, release=0, weight=1, demands={(1, 1): 4}),
+            Coflow(id=2, release=0, weight=1, demands={}),
+            Coflow(id=3, release=0, weight=1, demands={(1, 1): 1, (1, 2): 2, (2, 2): 3}),
+        ],
+        cores=3,
+    )
+    with pytest.raises(ValueError, match=re.escape("coflow 3 placed on cores 2 and 3")):
+        Assignment("coflow", inst, [1, 2, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "finish, message",
+    [
+        ({FlowKey(2, 2, 1): float("nan")}, "flow (1, 1, 1) has no completion time"),
+        (
+            {FlowKey(2, 2, 1): 4.0, FlowKey(1, 1, 1): float("nan")},
+            "flow (1, 1, 1) completion is not a number",
+        ),
+    ],
+)
+def test_the_completions_of_a_hand_built_result_are_checked(finish, message):
+    # The first bad row in table order is named, whatever the dict order.
+    inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(inst, finish)
 
 
 def test_equality_reads_the_rows_not_the_views():
-    # == compares the table, the rows and the columns the objects hold, so
-    # it builds no keyed view.
+    # == compares the instance, the rows and the columns the objects hold,
+    # so it builds no keyed view.
     inst = gen_mix(5, 6, 1, cores=2)
     perm = order_flow_level(inst, 0.5)
     asg = assign_fdls(inst, perm)
@@ -406,7 +458,7 @@ def test_equality_reads_the_rows_not_the_views():
     assert assign_fdls(inst, perm) == asg
     assert simulate(inst, perm, asg, emit_timeline=True) == res
     assert simulate(inst, perm, asg) != res
-    assert Assignment("flow", inst.table, [1] * len(asg.core_of), None) != asg
+    assert Assignment("flow", inst, [1] * len(asg.core_of)) != asg
     built = vars(asg).keys() | vars(res).keys()
     assert not {"flow_to_core", "flow_completion", "timeline"} & built
 
@@ -518,9 +570,7 @@ def test_audit_flags_tampered_timeline():
     asg = assign_fdls(inst, [1])
     res = simulate(inst, [1], asg, emit_timeline=True)
     cut = res.timeline[0]._replace(end=res.timeline[0].end - 1)
-    res = ScheduleResult.of_flows(
-        inst, res.flow_completion, res.coflow_completion, res.objective, [cut]
-    )
+    res = ScheduleResult.of_flows(inst, res.flow_completion, [cut])
     assert audit_schedule(inst, [1], asg, res) == [
         "flow (1, 1, 1) transmitted 3.0, size 4",
         "core 1: flow (1, 1, 1) idle at t=3.0 with both ports free",
@@ -535,9 +585,7 @@ def test_audit_names_a_hand_built_segment_as_the_rows_hold_it():
     asg = assign_fdls(inst, [1])
     res = simulate(inst, [1], asg, emit_timeline=True)
     seg = Segment(5, 4, (1, 1, 1), np.int64(1))
-    res = ScheduleResult.of_flows(
-        inst, res.flow_completion, res.coflow_completion, res.objective, [(0, 4, (1, 1, 1), 1), seg]
-    )
+    res = ScheduleResult.of_flows(inst, res.flow_completion, [(0, 4, (1, 1, 1), 1), seg])
     shown = Segment(5.0, 4.0, FlowKey(1, 1, 1), 1)
     assert res.timeline[1] == shown and type(res.timeline[1].core) is int
     assert audit_schedule(inst, [1], asg, res) == [

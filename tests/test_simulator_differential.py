@@ -6,12 +6,15 @@ core's flows best first into the free time of their two ports. Both run
 the same greedy list-schedule rule, so flow completions, coflow
 completions, the objective and the full timeline must be equal, compared
 with ``==`` and with ``repr`` so that a float and an equal int, or two
-floats printed differently, also count as a difference. The reference is
-quadratic, so these instances are small; ``test_simulator_scale.py``
-checks large ones against the event loop. On a tampered placement
-``Assignment.of_flows`` must raise the exception the reference raises,
-with the same message, except on a bool core, which the reference takes
-for an int and ``of_flows`` refuses.
+floats printed differently, also count as a difference; the coflow
+completions and the objective are the ones the reference folds itself.
+The reference is quadratic, so these instances are small;
+``test_simulator_scale.py`` checks large ones against the event loop. On a
+tampered placement ``Assignment.of_flows`` must raise the exception the
+reference raises, with the same message, except on a bool core, which the
+reference takes for an int and ``of_flows`` refuses, and where a key that
+is no flow follows a bad core: ``of_flows`` checks the keys before the
+constructor checks the cores.
 """
 
 import random
@@ -41,11 +44,13 @@ STAGES = {
 
 def assert_same_schedule(instance, order, assignment):
     new = simulate(instance, order, assignment, emit_timeline=True)
-    ref = reference_simulate(instance, order, assignment, emit_timeline=True)
+    ref, ref_done, ref_objective = reference_simulate(
+        instance, order, assignment, emit_timeline=True
+    )
     for got, want in (
         (new.flow_completion, ref.flow_completion),
-        (new.coflow_completion, ref.coflow_completion),
-        (new.objective, ref.objective),
+        (new.coflow_completion, ref_done),
+        (new.objective, ref_objective),
         (new.timeline, ref.timeline),
     ):
         assert got == want
@@ -98,7 +103,7 @@ def test_matches_reference_on_random_orders_and_placements(granularity):
         else:
             by_coflow = {k: rng.randint(1, cores) for k in range(1, n + 1)}
             placement = {key: by_coflow[key.k] for key in keys}
-            assignment = Assignment.of_flows(instance, "coflow", placement, by_coflow)
+            assignment = Assignment.of_flows(instance, "coflow", placement)
         assert_same_schedule(instance, order, assignment)
 
 
@@ -112,12 +117,8 @@ def test_of_flows_rebuilds_pipeline_objects(granularity):
         perm = order_fn(instance, 0.5)
         placed = assign_fn(instance, perm)
         got = simulate(instance, perm, placed, emit_timeline=True)
-        hand = Assignment.of_flows(
-            instance, granularity, placed.flow_to_core, placed.coflow_to_core
-        )
-        rebuilt = ScheduleResult.of_flows(
-            instance, got.flow_completion, got.coflow_completion, got.objective, got.timeline
-        )
+        hand = Assignment.of_flows(instance, granularity, placed.flow_to_core)
+        rebuilt = ScheduleResult.of_flows(instance, got.flow_completion, got.timeline)
         assert hand == placed and repr(hand) == repr(placed)
         assert rebuilt == got and repr(rebuilt) == repr(got)
         assert hand.core_of == placed.core_of and rebuilt.finish == got.finish
@@ -248,7 +249,10 @@ def with_core(core):
     return {**GOOD, FlowKey(1, 2, 1): core}
 
 
-# Placements tampered one way each; the last four are accepted.
+# Placements tampered one way each; the last four are accepted. Where a key
+# that is no flow follows a bad core, the reference names the bad core, the
+# first fault in dict order, and of_flows names the key: it checks the keys
+# before the constructor checks the cores, in table order.
 PLACEMENTS = {
     "unknown-then-bad-core": {STRAY: 1, **with_core(0)},
     "bad-core-then-unknown": {**with_core(0), STRAY: 1},
@@ -266,6 +270,7 @@ PLACEMENTS = {
     "good": GOOD,
 }
 ACCEPTED = {"np-int64", "int-subclass", "all-np-int64", "good"}
+KEYS_FIRST = {"bad-core-then-unknown": (ValueError, "assignment references unknown flow (9, 9, 9)")}
 
 
 def outcome(run, instance, order, placement):
@@ -277,19 +282,25 @@ def outcome(run, instance, order, placement):
     try:
         if run is simulate:
             assignment = Assignment.of_flows(instance, "flow", placement)
+            res = simulate(instance, order, assignment, emit_timeline=True)
+            done, objective = res.coflow_completion, res.objective
         else:
             assignment = SimpleNamespace(granularity="flow", flow_to_core=placement)
-        res = run(instance, order, assignment, emit_timeline=True)
+            res, done, objective = run(instance, order, assignment, emit_timeline=True)
     except Exception as exc:
         return type(exc), str(exc)
-    return repr((res.flow_completion, res.coflow_completion, res.objective, res.timeline))
+    return repr((res.flow_completion, done, objective, res.timeline))
 
 
 @pytest.mark.parametrize("case", sorted(PLACEMENTS))
 def test_placement_check_matches_reference(case):
     placement = PLACEMENTS[case]
     got = outcome(simulate, PLACED, [1, 2], placement)
-    assert got == outcome(reference_simulate, PLACED, [1, 2], placement)
+    want = outcome(reference_simulate, PLACED, [1, 2], placement)
+    if case in KEYS_FIRST:
+        assert want == (ValueError, "flow (1, 2, 1) assigned to core 0, valid range 1..2")
+        want = KEYS_FIRST[case]
+    assert got == want
     assert isinstance(got, str) == (case in ACCEPTED)
 
 
@@ -300,7 +311,7 @@ def test_placement_of_a_bool_core():
     # any bad core.
     placement = with_core(True)
     stand_in = SimpleNamespace(granularity="flow", flow_to_core=placement)
-    assert reference_simulate(PLACED, [1, 2], stand_in).objective == 6.0
+    assert reference_simulate(PLACED, [1, 2], stand_in)[2] == 6.0
     assert outcome(simulate, PLACED, [1, 2], placement) == (
         ValueError,
         "flow (1, 2, 1) assigned to core True, valid range 1..2",
