@@ -1,10 +1,11 @@
 """Experiment driver: sweeps, seeding, and output files."""
 
+import hashlib
 import json
 
 import pytest
 
-from coflowsched import model
+from coflowsched import metrics, model
 from coflowsched.experiments import (
     ExperimentConfig,
     child_seed,
@@ -12,6 +13,7 @@ from coflowsched.experiments import (
     run_experiment,
     run_pipeline,
 )
+from coflowsched.scheduling import GRANULARITIES
 from coflowsched.workload import gen_density, gen_mix, parse_trace
 
 
@@ -131,20 +133,25 @@ def test_cdf_collects_completions():
     assert len(rep.completion_times) == 3 * 4
 
 
-def test_trace_threshold_sweep(tmp_path):
+def toy_trace(directory):
+    """A three-coflow shuffle trace of 1, 2 and 3 flows on 3 racks."""
     lines = [
         "1 0 1 1 1 2:4",
         "2 0 2 1 2 2 1:6 2:6",
         "3 1000 2 1 3 3 1:9 2:9 3:9",
     ]
-    trace = tmp_path / "toy.txt"
+    trace = directory / "toy.txt"
     trace.write_text("\n".join([f"9 {len(lines)}", *lines]) + "\n")
+    return str(trace)
+
+
+def test_trace_threshold_sweep(tmp_path):
     cfg = default_config(
         "trace-threshold",
         ports=3,
         instances=2,
         thresholds=(1, 4, 6),
-        trace_path=str(trace),
+        trace_path=toy_trace(tmp_path),
     )
     rep = run_experiment(cfg)
     assert [e["point"] for e in rep.aggregates] == [1, 4, 6]
@@ -162,3 +169,67 @@ def test_write_report_files(tmp_path):
     doc = json.loads(agg.read_text())
     assert doc["granularity"] == "coflow"
     assert doc["points"]
+
+# One small seeded config per experiment kind (and both density forms).
+PIN_CONFIGS = {
+    "ratio-vs-coflows": dict(coflows=(3, 5), instances=3, ports=6),
+    "ratio-vs-cores": dict(coflows=(4,), cores=(1, 2, 3), instances=3, ports=5),
+    "density": dict(coflows=(4,), instances=2, ports=5),
+    "density-sparse": dict(coflows=(4,), instances=2, ports=5, density="sparse"),
+    "box": dict(instances=5, seed=3),
+    "cdf": dict(coflows=(4,), instances=3, ports=5),
+    "trace-threshold": dict(ports=3, instances=2, thresholds=(1, 4, 6)),
+}
+
+# Flow- and coflow-level digests of each config's output files and its
+# aggregates dict, computed before the sweeps were merged into one loop.
+PINNED_OUTPUTS = {
+    "ratio-vs-coflows": (
+        "0d1a1c770408f5816fd5e5d7ace878f7fda4c88942e126c48b8d9dd2e5b70e74",
+        "9f5c5d792f1b1fd0ea28b5d2caaf459fb1a0c5e44a050a6f1d6268588093aa41",
+    ),
+    "ratio-vs-cores": (
+        "320e94187c5d1b39fd821aefb53782b8229f218e954550b0f429cb29d5dee110",
+        "8b85ab1ffdeb8ac9446498ac899c2a791fe551f47aa4be32e8de7b658a7a4ffb",
+    ),
+    "density": (
+        "1d7f8215b89e0fd15ee8da9dc04975d6c667434b3a8fc190a55d6f9f05ff215b",
+        "93eb9f20af021895f806e3f429b177a45df0f245a73dd955532862a4cc8aa2c6",
+    ),
+    "density-sparse": (
+        "06876f0ee9adbca674455e497875275b867398e3cb078228eba1e8ee64b51330",
+        "12b3ed608d063cd46b150582312d2c4d33e1415bb9f79f7518b9d03f6d31c927",
+    ),
+    "box": (
+        "7c8014382d2aacf43a0d4ab8d26838cc9d4151bc597567a54482f65da9570b4d",
+        "04a3259b78275ff1046b92f6d1c0c6aff609d8b8dbc941e68972471673f9e992",
+    ),
+    "cdf": (
+        "b341361c126730bb176868305f14b9336b1116888ca622771e49bc4471c64479",
+        "d4891423a6b3f6d1a630f0563e6fbdfb6319c77c51b4e67b1fae7ce602aecb1c",
+    ),
+    "trace-threshold": (
+        "7bea4771ebe6ffdff042d9a43aba55dbfc34c848c54312308f3bd6cfa96344f7",
+        "6879041d8a78323e7e6ad7cde5963ca9418b646dded594d78f0b59e471f4e2c2",
+    ),
+}
+
+
+def output_digest(name, granularity, out_dir):
+    overrides = dict(PIN_CONFIGS[name])
+    if name == "trace-threshold":
+        overrides["trace_path"] = toy_trace(out_dir)
+    config = default_config(name.removesuffix("-sparse"), granularity, **overrides)
+    report = run_experiment(config, out_dir / "out")
+    digest = hashlib.sha256()
+    for path in sorted((out_dir / "out").iterdir()):
+        digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    digest.update(json.dumps(metrics.aggregates_dict(report), indent=2).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("granularity", GRANULARITIES)
+@pytest.mark.parametrize("name", list(PIN_CONFIGS))
+def test_experiment_outputs_are_pinned(tmp_path, name, granularity):
+    pinned = PINNED_OUTPUTS[name][GRANULARITIES.index(granularity)]
+    assert output_digest(name, granularity, tmp_path) == pinned
