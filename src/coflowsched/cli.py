@@ -82,8 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coflows", type=int, nargs="+")
     p.add_argument("--instances", type=int)
     p.add_argument("--density", choices=workload.DENSITY_MODES)
-    p.add_argument("--threshold", type=int, nargs="+")
-    p.add_argument("--trace", type=Path, help="trace file for trace-threshold runs")
+    p.add_argument("--threshold", dest="thresholds", metavar="THRESHOLD", type=int, nargs="+")
+    p.add_argument(
+        "--trace", dest="trace_path", metavar="TRACE", help="trace file for trace-threshold runs"
+    )
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=cmd_experiment)
 
@@ -204,26 +206,14 @@ def cmd_trace_import(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    overrides = {}
-    if args.coflows:
-        overrides["coflows"] = tuple(args.coflows)
-    if args.cores:
-        overrides["cores"] = tuple(args.cores)
-    if args.ports is not None:
-        overrides["ports"] = args.ports
-    if args.instances is not None:
-        overrides["instances"] = args.instances
-    if args.density is not None:
-        overrides["density"] = args.density
-    if args.threshold:
-        overrides["thresholds"] = tuple(args.threshold)
-    if args.trace is not None:
-        overrides["trace_path"] = str(args.trace)
-    config = experiments.default_config(
-        args.kind, granularity=args.granularity,
-        seed=args.seed, kappa=args.kappa, **overrides,
-    )
-    report = experiments.run_experiment(config, out_dir=args.out)
+    # The flags are named after the config fields; one left unset keeps its kind's default.
+    fields = experiments.ExperimentConfig.__dataclass_fields__
+    overrides = {
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in vars(args).items()
+        if name in fields and value is not None
+    }
+    report = experiments.run_experiment(experiments.default_config(**overrides), out_dir=args.out)
     json.dump(metrics.aggregates_dict(report), sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

@@ -1,18 +1,22 @@
 """Batch experiment driver.
 
 Each experiment sweeps one knob (coflow count, core count, density mode, or
-trace threshold), runs the full order / assign / simulate pipeline per
-sampled instance, and reports per-instance ratios against the matching dual
-lower bound plus aggregate statistics. Instance seeds derive from the
-configured seed, the point index, and the instance index, so reruns are
-byte-identical.
+trace threshold) and reports per-instance ratios against the matching dual
+lower bound plus aggregate statistics. One case stream, ``_cases``, yields
+every run of every kind, point by point, as (point label, seed, instance),
+and ``run_experiment`` walks it with one loop through the full order /
+assign / simulate pipeline. A generated instance is built when its run is
+reached; a trace is parsed once per instance index, and every threshold
+point filters those same parses. Instance seeds derive from the configured
+seed, the point index (0 for every threshold) and the instance index, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -21,7 +25,16 @@ from .model import Instance
 from .ordering import Permutation, _require_kappa, order_coflow_level, order_flow_level
 from .scheduling import ScheduleResult, assign_cdls, assign_fdls, require_granularity, simulate
 
-KINDS = ("ratio-vs-coflows", "ratio-vs-cores", "density", "trace-threshold", "box", "cdf")
+# Each kind's departures from the ExperimentConfig defaults.
+_KIND_DEFAULTS: dict[str, dict] = {
+    "ratio-vs-coflows": {"coflows": (5, 10, 15, 20, 25)},
+    "ratio-vs-cores": {"cores": (5, 10, 15, 20, 25)},
+    "density": {},
+    "trace-threshold": {"ports": 150, "instances": 5},
+    "box": {},
+    "cdf": {"coflows": (15,)},
+}
+KINDS = tuple(_KIND_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -41,17 +54,9 @@ class ExperimentConfig:
 
 def default_config(kind: str, granularity: str = "flow", **overrides) -> ExperimentConfig:
     """Per-kind defaults mirroring the reference experiments."""
-    base = {
-        "ratio-vs-coflows": ExperimentConfig(kind, coflows=(5, 10, 15, 20, 25)),
-        "ratio-vs-cores": ExperimentConfig(kind, coflows=(25,), cores=(5, 10, 15, 20, 25)),
-        "density": ExperimentConfig(kind),
-        "trace-threshold": ExperimentConfig(kind, ports=150, instances=5),
-        "box": ExperimentConfig(kind),
-        "cdf": ExperimentConfig(kind, coflows=(15,)),
-    }
-    if kind not in base:
+    if kind not in _KIND_DEFAULTS:
         raise ValueError(f"unknown experiment kind {kind!r}, expected one of {KINDS}")
-    return replace(base[kind], granularity=granularity, **overrides)
+    return ExperimentConfig(kind, granularity, **{**_KIND_DEFAULTS[kind], **overrides})
 
 
 def child_seed(seed: int, point_index: int, instance_index: int) -> int:
@@ -76,6 +81,8 @@ def _validate(config: ExperimentConfig) -> None:
             raise ValueError("trace-threshold experiments need trace_path")
         if not config.thresholds:
             raise ValueError("thresholds sweep must be nonempty")
+        if len(set(config.thresholds)) != len(config.thresholds):
+            raise ValueError(f"thresholds must be distinct, got {config.thresholds}")
 
 
 class PipelineResult(NamedTuple):
@@ -119,70 +126,53 @@ def run_experiment(
         instances=config.instances,
     )
     completions: list[float] = []
-
-    if config.kind == "trace-threshold":
-        text = Path(config.trace_path).read_text()
-        for idx in range(config.instances):
-            seed = child_seed(config.seed, 0, idx)
-            parsed = workload.parse_trace(
-                text, config.ports, weight_seed=seed, cores=config.cores[0]
-            )
-            for threshold in config.thresholds:
-                kept = workload.filter_min_flows(parsed, threshold)
-                out = run_pipeline(kept, config.granularity, config.kappa)
-                report.rows.append(
-                    metrics.ExperimentRow(
-                        threshold, seed, algo, out.objective, out.dual_cost, out.ratio
-                    )
-                )
-        report.rows.sort(key=lambda row: config.thresholds.index(row.point))
-    else:
-        points = _sweep_points(config)
-        for p_idx, (label, n, m) in enumerate(points):
-            for idx in range(config.instances):
-                seed = child_seed(config.seed, p_idx, idx)
-                instance = _generate(config, label, n, m, seed)
-                out = run_pipeline(instance, config.granularity, config.kappa)
-                report.rows.append(
-                    metrics.ExperimentRow(
-                        label, seed, algo, out.objective, out.dual_cost, out.ratio
-                    )
-                )
-                if config.kind == "cdf":
-                    completions.extend(out.result.coflow_completion.values())
+    for label, seed, instance in _cases(config):
+        out = run_pipeline(instance, config.granularity, config.kappa)
+        report.rows.append(
+            metrics.ExperimentRow(label, seed, algo, out.objective, out.dual_cost, out.ratio)
+        )
+        if config.kind == "cdf":
+            completions.extend(out.result.coflow_completion.values())
 
     report.aggregate()
     if config.kind == "cdf":
         report.completion_times = completions
     if out_dir is not None:
-        write_report(report, config, Path(out_dir))
+        write_report(report, Path(out_dir))
     return report
 
 
-def _sweep_points(config: ExperimentConfig) -> list[tuple[int | str, int, int]]:
-    """(point label, coflow count, core count) per sweep point."""
-    if config.kind == "ratio-vs-coflows":
-        return [(n, n, config.cores[0]) for n in config.coflows]
-    if config.kind == "ratio-vs-cores":
-        return [(m, config.coflows[0], m) for m in config.cores]
-    if config.kind == "density":
+def _cases(config: ExperimentConfig) -> Iterator[tuple[int | str, int, Instance]]:
+    """(point label, seed, instance) for each run, point by point."""
+    kind, n, m, ports = config.kind, config.coflows[0], config.cores[0], config.ports
+    if kind == "trace-threshold":
+        text = Path(config.trace_path).read_text()
+        seeds = [child_seed(config.seed, 0, idx) for idx in range(config.instances)]
+        parses = [workload.parse_trace(text, ports, weight_seed=s, cores=m) for s in seeds]
+        for threshold in config.thresholds:
+            for seed, parsed in zip(seeds, parses):
+                yield threshold, seed, workload.filter_min_flows(parsed, threshold)
+        return
+    # (point label, coflow count, core count) per sweep point
+    if kind == "ratio-vs-coflows":
+        points = [(c, c, m) for c in config.coflows]
+    elif kind == "ratio-vs-cores":
+        points = [(h, n, h) for h in config.cores]
+    elif kind == "density":
         modes = (config.density,) if config.density else workload.DENSITY_MODES
-        return [(mode, config.coflows[0], config.cores[0]) for mode in modes]
-    # box and cdf are single-point experiments
-    return [(config.coflows[0], config.coflows[0], config.cores[0])]
+        points = [(mode, n, m) for mode in modes]
+    else:  # box and cdf are single-point experiments
+        points = [(n, n, m)]
+    for p_idx, (label, count, cores) in enumerate(points):
+        for idx in range(config.instances):
+            seed = child_seed(config.seed, p_idx, idx)
+            if kind == "density":
+                yield label, seed, workload.gen_density(count, ports, label, seed, cores=cores)
+            else:
+                yield label, seed, workload.gen_mix(count, ports, seed, cores=cores)
 
 
-def _generate(
-    config: ExperimentConfig, label: int | str, n: int, m: int, seed: int
-) -> Instance:
-    if config.kind == "density":
-        return workload.gen_density(n, config.ports, str(label), seed, cores=m)
-    return workload.gen_mix(n, config.ports, seed, cores=m)
-
-
-def write_report(
-    report: metrics.ExperimentReport, config: ExperimentConfig, out_dir: Path
-) -> None:
+def write_report(report: metrics.ExperimentReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{report.kind}_{report.granularity}"
     metrics.write_rows_csv(report, out_dir / f"{stem}_rows.csv")

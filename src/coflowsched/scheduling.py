@@ -15,11 +15,12 @@ integer.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import repeat
-from operator import add
+from operator import add, countOf
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -139,10 +140,13 @@ class Assignment(_Fields):
 class ScheduleResult(_Fields):
     """Completion times, the weighted objective and, on request, the timeline.
 
-    ``finish`` holds a completion time, a number, for each row of the
-    instance's flow table, however the result was built: by ``simulate``,
-    whose rows are numbers by construction, or, from a dict keyed by
-    ``FlowKey`` and a ``Segment`` list, by ``of_flows``, which checks them.
+    ``finish`` holds a completion time for each row of the instance's flow
+    table, however the result was built: by ``simulate`` or, from a dict
+    keyed by ``FlowKey`` and a ``Segment`` list, by ``of_flows``. The
+    constructor raises ValueError unless it holds one completion per flow,
+    each an int or a float (an np.integer or np.floating counts, a bool
+    does not) that converts to a float and is no NaN; it names the first
+    bad row in table order. An infinite completion is left to the audit.
     ``finish`` is kept as a tuple, and the coflow completions and the
     objective are folded from it when the result is built. ``columns`` is
     None, or the timeline as start, end, flow row and core arrays in
@@ -154,10 +158,21 @@ class ScheduleResult(_Fields):
     _fields = ("flow_completion", "coflow_completion", "objective", "timeline")
 
     def __init__(self, instance: Instance, finish: Sequence[float], columns) -> None:
+        finish = tuple(finish)
+        table = instance.table
+        if len(finish) != len(table.fi):
+            raise ValueError(f"result holds {len(finish)} completions for {len(table.fi)} flows")
+        # Python floats whose sum is a number need no walk. A NaN sum may
+        # come from +inf and -inf alone, so a walk that finds no fault accepts.
+        if countOf(map(type, finish), float) != len(finish) or math.isnan(sum(finish)):
+            for key, t in zip(table.keys, finish):
+                fault = _completion_fault(t)
+                if fault:
+                    raise ValueError(f"flow {tuple(key)} {fault}")
         self.instance = instance
-        self.finish = tuple(finish)
+        self.finish = finish
         self.columns = columns
-        done, self.objective = _fold_completions(instance.coflows, instance.table.first, finish)
+        done, self.objective = _fold_completions(instance.coflows, table.first, finish)
         self.coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
 
     @classmethod
@@ -167,14 +182,13 @@ class ScheduleResult(_Fields):
         """A result of ``instance`` given by flow, with the timeline in its order.
 
         Raises ValueError for a completion of a flow that is not in the
-        instance, for a flow without a completion or with a NaN one, the
-        first in table order, for a segment of a flow that is not in the
-        instance and for a segment whose core is no int64 integer. Any
-        other fault of a segment, such as a NaN time or a core outside
-        1..m, is left to the audit. A segment is held as float times, its
-        flow's row and an int64 core, so the ``timeline`` view and the
-        audit's reports name it with float times, a ``FlowKey`` and an int
-        core, whatever types it was given with.
+        instance, for a segment of a flow that is not in the instance and
+        for a segment whose core is no int64 integer; the constructor then
+        checks the completions. Any other fault of a segment, such as a
+        NaN time or a core outside 1..m, is left to the audit. A segment is
+        held as float times, its flow's row and an int64 core, so the
+        ``timeline`` view and the audit's reports name it with float times,
+        a ``FlowKey`` and an int core, whatever types it was given with.
         """
         keys = instance.table.keys
         row_of = {key: r for r, key in enumerate(keys)}
@@ -182,11 +196,6 @@ class ScheduleResult(_Fields):
             if key not in row_of:
                 raise ValueError(f"completion of unknown flow {key!r}")
         finish = list(map(flow_completion.get, keys))
-        for key, t in zip(keys, finish):
-            if t is None:
-                raise ValueError(f"flow {tuple(key)} has no completion time")
-            if t != t:
-                raise ValueError(f"flow {tuple(key)} completion is not a number")
         columns = None
         if timeline is not None:
             rows = []
@@ -219,6 +228,18 @@ class ScheduleResult(_Fields):
         flows = map(self.instance.table.keys.__getitem__, row)
         # tuple.__new__ is what Segment._make calls, minus a Python frame each.
         return tuple(map(tuple.__new__, repeat(Segment), zip(start, end, flows, core)))
+
+
+def _completion_fault(t) -> str | None:
+    """What makes ``t`` no completion time, or None when it is one."""
+    if t is None:
+        return "has no completion time"
+    if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)):
+        return f"completion {t!r} is no int or float"
+    try:
+        return "completion is not a number" if math.isnan(float(t)) else None
+    except OverflowError:
+        return "completion does not convert to a float"
 
 
 def _order_list(order, n: int) -> list[int]:

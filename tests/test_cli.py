@@ -7,9 +7,9 @@ import json
 import pytest
 
 from _shared import corpus_instance
-from coflowsched import model
+from coflowsched import metrics, model
 from coflowsched.cli import main
-from coflowsched.experiments import run_pipeline
+from coflowsched.experiments import default_config, run_experiment, run_pipeline
 
 
 def run(capsys, *argv):
@@ -175,6 +175,32 @@ def test_experiment_writes_out_dir(tmp_path, capsys):
     assert (outdir / "ratio-vs-coflows_flow_aggregates.json").exists()
     disk = json.loads((outdir / "ratio-vs-coflows_flow_aggregates.json").read_text())
     assert disk == doc
+
+
+def trace_threshold_argv(tmp_path, *thresholds):
+    trace = tmp_path / "trace.txt"
+    trace.write_text("9 2\n1 0 1 1 1 2:4\n2 1000 2 1 2 2 1:6 3:6\n")
+    return [
+        "experiment", "trace-threshold", "--trace", str(trace), "--ports", "3",
+        "--instances", "2", "--out", str(tmp_path / "exp"), "--threshold", *thresholds,
+    ]
+
+
+def test_experiment_trace_threshold_flags(tmp_path, capsys):
+    code, out, err = run(capsys, *trace_threshold_argv(tmp_path, "4", "1"))
+    assert code == 0 and err == ""
+    config = default_config(
+        "trace-threshold", ports=3, instances=2, thresholds=(4, 1),
+        trace_path=str(tmp_path / "trace.txt"),
+    )
+    assert json.loads(out) == metrics.aggregates_dict(run_experiment(config))
+    assert [p["point"] for p in json.loads(out)["points"]] == [4, 1]
+
+
+def test_experiment_repeated_thresholds_exit_with_one_json_line(tmp_path, capsys):
+    code, out, err = run(capsys, *trace_threshold_argv(tmp_path, "4", "4", "1"))
+    assert_one_json_error(code, out, err, "thresholds must be distinct, got (4, 4, 1)")
+    assert not (tmp_path / "exp").exists()
 
 
 def test_oracle_check_ok(tmp_path, capsys):

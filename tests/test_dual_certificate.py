@@ -27,7 +27,7 @@ from fractions import Fraction
 import pytest
 
 from _shared import corpus_instance, fb2010_text, load_script
-from coflowsched.model import Instance
+from coflowsched.model import MAX_PORT_TOTAL, Coflow, Instance, validate
 from coflowsched.ordering import order_coflow_level, order_flow_level
 from coflowsched.workload import gen_mix, parse_trace
 
@@ -119,3 +119,31 @@ def test_weights_over_nine_decades():
         rng.shuffle(weights)
         coflows = tuple(replace(c, weight=w) for c, w in zip(base.coflows, weights))
         assert_certified(Instance(base.cores, base.ports, coflows))
+
+
+def near_cap_instance(rng):
+    """A small instance whose sizes mostly lie within 20-40x of MAX_PORT_TOTAL."""
+    ports = rng.randint(2, 6)
+    coflows = []
+    for k in range(1, rng.randint(3, 12) + 1):
+        demands = {}
+        for _ in range(rng.randint(1, 3)):
+            pair = (rng.randint(1, ports), rng.randint(1, ports))
+            if rng.random() < 0.7:
+                demands[pair] = rng.randint(MAX_PORT_TOTAL // 40, MAX_PORT_TOTAL // 20)
+            else:
+                demands[pair] = rng.randint(1, 10**6)
+        release = rng.choice([0, rng.randint(0, 2**40)])
+        coflows.append(Coflow(k, release, 10 ** rng.uniform(-3, 6), demands))
+    return Instance(rng.randint(1, 5), ports, tuple(coflows))
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 2.0])
+def test_sizes_near_the_port_total_cap(kappa):
+    # Sizes near the cap put a beta step's squared port load within a
+    # decade of 2**63; the margins stay 1e-15 and 1e-14 there too.
+    rng = random.Random(23)
+    for _ in range(20):
+        instance = near_cap_instance(rng)
+        assert validate(instance) == []
+        assert_certified(instance, kappa)

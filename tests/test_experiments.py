@@ -38,6 +38,10 @@ def test_validation_errors():
         run_experiment(ExperimentConfig("density", density="medium"))
     with pytest.raises(ValueError, match="trace_path"):
         run_experiment(ExperimentConfig("trace-threshold"))
+    # Both copies of a repeated point would hold the same runs, so its
+    # aggregate would count each of them twice.
+    with pytest.raises(ValueError, match=r"thresholds must be distinct, got \(4, 4, 1\)"):
+        run_experiment(ExperimentConfig("trace-threshold", thresholds=(4, 4, 1), trace_path="-"))
     for kappa in (0.0, -1.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             run_experiment(ExperimentConfig("box", kappa=kappa))
@@ -182,7 +186,7 @@ PIN_CONFIGS = {
 }
 
 # Flow- and coflow-level digests of each config's output files and its
-# aggregates dict, computed before the sweeps were merged into one loop.
+# aggregates dict: every kind's row order, seeds and values stay fixed.
 PINNED_OUTPUTS = {
     "ratio-vs-coflows": (
         "0d1a1c770408f5816fd5e5d7ace878f7fda4c88942e126c48b8d9dd2e5b70e74",

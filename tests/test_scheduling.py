@@ -439,13 +439,59 @@ def test_a_coflow_level_placement_keeps_each_coflow_whole():
             {FlowKey(2, 2, 1): 4.0, FlowKey(1, 1, 1): float("nan")},
             "flow (1, 1, 1) completion is not a number",
         ),
+        (
+            {FlowKey(2, 2, 1): "7", FlowKey(1, 1, 1): 3.0},
+            "flow (2, 2, 1) completion '7' is no int or float",
+        ),
+        (
+            {FlowKey(2, 2, 1): 2.0, FlowKey(1, 1, 1): 10**400},
+            "flow (1, 1, 1) completion does not convert to a float",
+        ),
+        (
+            {FlowKey(2, 2, 1): 2.0, FlowKey(1, 1, 1): True},
+            "flow (1, 1, 1) completion True is no int or float",
+        ),
     ],
 )
 def test_the_completions_of_a_hand_built_result_are_checked(finish, message):
     # The first bad row in table order is named, whatever the dict order.
+    # A completion must be an int or a float that converts to a float; a
+    # bool is refused, as it is for a core.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
     with pytest.raises(ValueError, match=re.escape(message)):
         ScheduleResult.of_flows(inst, finish)
+
+
+@pytest.mark.parametrize(
+    "finish, message",
+    [
+        ([3.0], "result holds 1 completions for 2 flows"),
+        ([3.0, 2.0, 5.0], "result holds 3 completions for 2 flows"),
+        ([float("nan"), 2.0], "flow (1, 1, 1) completion is not a number"),
+        ([3.0, np.float64("nan")], "flow (2, 2, 1) completion is not a number"),
+        ([3.0, None], "flow (2, 2, 1) has no completion time"),
+        ([np.True_, 2.0], "flow (1, 1, 1) completion np.True_ is no int or float"),
+        ([3.0, [2.0]], "flow (2, 2, 1) completion [2.0] is no int or float"),
+    ],
+)
+def test_the_completions_of_a_row_built_result_are_checked(finish, message):
+    # The row constructor checks the completions once, with the messages
+    # of_flows gives, so no result folds misaligned rows or a NaN into its
+    # objective.
+    inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult(inst, finish, None)
+
+
+@pytest.mark.parametrize(
+    "finish",
+    [[3, 2], [np.float32(3.0), np.int64(2)], [float("inf"), float("-inf")], [10**300, 2.0]],
+)
+def test_a_row_built_result_takes_any_int_or_float(finish):
+    # Infinite completions are the audit's to report; +inf and -inf sum to
+    # NaN, so the walk that follows the failed fast pass accepts them.
+    inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
+    assert ScheduleResult(inst, finish, None).finish == tuple(finish)
 
 
 def test_equality_reads_the_rows_not_the_views():
