@@ -14,7 +14,6 @@ ground truth.
 from .metrics import (
     ExperimentReport,
     ExperimentRow,
-    SummaryStats,
     ratio,
     summarize,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "Permutation",
     "ScheduleResult",
     "Segment",
-    "SummaryStats",
     "assign_cdls",
     "assign_fdls",
     "audit_schedule",

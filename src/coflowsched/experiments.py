@@ -1,20 +1,21 @@
 """Batch experiment driver.
 
-Each experiment sweeps one knob (coflow count, core count, density mode, or
-trace threshold) and reports per-instance ratios against the matching dual
-lower bound plus aggregate statistics. One case stream, ``_cases``, yields
-every run of every kind, point by point, as (point label, seed, instance),
-and ``run_experiment`` walks it with one loop through the full order /
-assign / simulate pipeline. A generated instance is built when its run is
-reached; a trace is parsed once per instance index, and every threshold
-point filters those same parses. Instance seeds derive from the configured
-seed, the point index (0 for every threshold) and the instance index, so
-reruns are byte-identical.
+Each experiment kind sweeps at most one knob (coflow count, core count,
+density mode, or trace threshold) and reports per-instance ratios against
+the matching dual lower bound. ``_KINDS`` gives each kind the field it
+sweeps, the fields it reads and its defaults; a config that sets any other
+field is refused. One case stream, ``_cases``, yields every run of every
+kind, point by point, as (point label, seed, instance), and
+``run_experiment`` walks it with one loop through the full order / assign
+/ simulate pipeline. A trace is parsed once per instance index, and every
+threshold point filters those same parses. Instance seeds derive from the
+configured seed, the point index (0 for every threshold) and the instance
+index, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -24,17 +25,6 @@ from . import metrics, workload
 from .model import Instance
 from .ordering import Permutation, _require_kappa, order_coflow_level, order_flow_level
 from .scheduling import ScheduleResult, assign_cdls, assign_fdls, require_granularity, simulate
-
-# Each kind's departures from the ExperimentConfig defaults.
-_KIND_DEFAULTS: dict[str, dict] = {
-    "ratio-vs-coflows": {"coflows": (5, 10, 15, 20, 25)},
-    "ratio-vs-cores": {"cores": (5, 10, 15, 20, 25)},
-    "density": {},
-    "trace-threshold": {"ports": 150, "instances": 5},
-    "box": {},
-    "cdf": {"coflows": (15,)},
-}
-KINDS = tuple(_KIND_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -52,11 +42,26 @@ class ExperimentConfig:
     trace_path: str | None = None
 
 
+# Every kind reads these fields; the table gives each kind the field it
+# sweeps (None for one point), the other fields it reads, and its departures
+# from the ExperimentConfig defaults.
+_READ_BY_ALL = ("kind", "granularity", "ports", "instances", "seed", "kappa")
+_KINDS: dict[str, tuple[str | None, tuple[str, ...], dict]] = {
+    "ratio-vs-coflows": ("coflows", ("cores",), {"coflows": (5, 10, 15, 20, 25)}),
+    "ratio-vs-cores": ("cores", ("coflows",), {"cores": (5, 10, 15, 20, 25)}),
+    "density": ("density", ("coflows", "cores"), {}),
+    "trace-threshold": ("thresholds", ("cores", "trace_path"), {"ports": 150, "instances": 5}),
+    "box": (None, ("coflows", "cores"), {}),
+    "cdf": (None, ("coflows", "cores"), {"coflows": (15,)}),
+}
+KINDS = tuple(_KINDS)
+
+
 def default_config(kind: str, granularity: str = "flow", **overrides) -> ExperimentConfig:
     """Per-kind defaults mirroring the reference experiments."""
-    if kind not in _KIND_DEFAULTS:
+    if kind not in _KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}, expected one of {KINDS}")
-    return ExperimentConfig(kind, granularity, **{**_KIND_DEFAULTS[kind], **overrides})
+    return ExperimentConfig(kind, granularity, **{**_KINDS[kind][2], **overrides})
 
 
 def child_seed(seed: int, point_index: int, instance_index: int) -> int:
@@ -72,17 +77,25 @@ def _validate(config: ExperimentConfig) -> None:
     if config.instances < 1:
         raise ValueError("instances must be >= 1")
     _require_kappa(config.kappa)
-    if not config.coflows or not config.cores:
-        raise ValueError("coflows and cores sweeps must be nonempty")
+    if not (config.coflows and config.cores and config.thresholds):
+        raise ValueError("coflows, cores and thresholds sweeps must be nonempty")
+    # A field the kind would ignore, or a sweep it would cut to its first point.
+    sweep, reads, _ = _KINDS[config.kind]
+    for f in fields(config):
+        value = getattr(config, f.name)
+        unread = f.name not in (*_READ_BY_ALL, sweep, *reads) and value != f.default
+        unswept = f.name in ("coflows", "cores") and f.name != sweep and len(value) > 1
+        if unread or unswept:
+            verb = "read" if unread else "sweep"
+            raise ValueError(f"{config.kind} experiments do not {verb} {f.name}, got {value!r}")
+    if min(config.coflows) < 1:
+        raise ValueError(f"coflow counts must be >= 1, got {config.coflows}")
     if config.density is not None and config.density not in workload.DENSITY_MODES:
         raise ValueError(f"density must be one of {workload.DENSITY_MODES}, got {config.density!r}")
-    if config.kind == "trace-threshold":
-        if config.trace_path is None:
-            raise ValueError("trace-threshold experiments need trace_path")
-        if not config.thresholds:
-            raise ValueError("thresholds sweep must be nonempty")
-        if len(set(config.thresholds)) != len(config.thresholds):
-            raise ValueError(f"thresholds must be distinct, got {config.thresholds}")
+    if config.kind == "trace-threshold" and config.trace_path is None:
+        raise ValueError("trace-threshold experiments need trace_path")
+    if len(set(config.thresholds)) != len(config.thresholds):
+        raise ValueError(f"thresholds must be distinct, got {config.thresholds}")
 
 
 class PipelineResult(NamedTuple):
@@ -124,19 +137,15 @@ def run_experiment(
         kappa=config.kappa,
         ports=config.ports,
         instances=config.instances,
+        completion_times=[] if config.kind == "cdf" else None,
     )
-    completions: list[float] = []
     for label, seed, instance in _cases(config):
         out = run_pipeline(instance, config.granularity, config.kappa)
         report.rows.append(
             metrics.ExperimentRow(label, seed, algo, out.objective, out.dual_cost, out.ratio)
         )
-        if config.kind == "cdf":
-            completions.extend(out.result.coflow_completion.values())
-
-    report.aggregate()
-    if config.kind == "cdf":
-        report.completion_times = completions
+        if report.completion_times is not None:
+            report.completion_times.extend(out.result.coflow_completion.values())
     if out_dir is not None:
         write_report(report, Path(out_dir))
     return report
@@ -144,7 +153,7 @@ def run_experiment(
 
 def _cases(config: ExperimentConfig) -> Iterator[tuple[int | str, int, Instance]]:
     """(point label, seed, instance) for each run, point by point."""
-    kind, n, m, ports = config.kind, config.coflows[0], config.cores[0], config.ports
+    kind, m, ports = config.kind, config.cores[0], config.ports
     if kind == "trace-threshold":
         text = Path(config.trace_path).read_text()
         seeds = [child_seed(config.seed, 0, idx) for idx in range(config.instances)]
@@ -153,23 +162,22 @@ def _cases(config: ExperimentConfig) -> Iterator[tuple[int | str, int, Instance]
             for seed, parsed in zip(seeds, parses):
                 yield threshold, seed, workload.filter_min_flows(parsed, threshold)
         return
-    # (point label, coflow count, core count) per sweep point
-    if kind == "ratio-vs-coflows":
-        points = [(c, c, m) for c in config.coflows]
-    elif kind == "ratio-vs-cores":
-        points = [(h, n, h) for h in config.cores]
-    elif kind == "density":
+    # (point label, config of that point) per sweep point; a kind that
+    # sweeps nothing runs one point, labelled by its coflow count.
+    if kind == "density":
         modes = (config.density,) if config.density else workload.DENSITY_MODES
-        points = [(mode, n, m) for mode in modes]
-    else:  # box and cdf are single-point experiments
-        points = [(n, n, m)]
-    for p_idx, (label, count, cores) in enumerate(points):
+        points = [(mode, config) for mode in modes]
+    else:
+        sweep = _KINDS[kind][0] or "coflows"
+        points = [(v, replace(config, **{sweep: (v,)})) for v in getattr(config, sweep)]
+    for p_idx, (label, point) in enumerate(points):
+        n, cores = point.coflows[0], point.cores[0]
         for idx in range(config.instances):
             seed = child_seed(config.seed, p_idx, idx)
             if kind == "density":
-                yield label, seed, workload.gen_density(count, ports, label, seed, cores=cores)
+                yield label, seed, workload.gen_density(n, ports, label, seed, cores=cores)
             else:
-                yield label, seed, workload.gen_mix(count, ports, seed, cores=cores)
+                yield label, seed, workload.gen_mix(n, ports, seed, cores=cores)
 
 
 def write_report(report: metrics.ExperimentReport, out_dir: Path) -> None:

@@ -27,54 +27,27 @@ def ratio(objective_value: float, dual_cost: float) -> float:
     return objective_value / dual_cost
 
 
-@dataclass
-class SummaryStats:
-    """Five-number-ish summary plus the empirical CDF.
+def summarize(values: Iterable[float]) -> dict:
+    """Count, mean, extremes and quartiles of ``values``.
 
     Quartiles use linear interpolation between order statistics, matching
     numpy's default quantile method.
     """
-
-    count: int
-    mean: float
-    minimum: float
-    maximum: float
-    q1: float
-    median: float
-    q3: float
-    cdf: list[tuple[float, float]]
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.minimum,
-            "max": self.maximum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-        }
-
-
-def summarize(values: Iterable[float]) -> SummaryStats:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("summarize needs at least one value")
     q1, median, q3 = (
         float(q) for q in np.quantile(arr, [0.25, 0.5, 0.75], method="linear")
     )
-    ordered = np.sort(arr)
-    cdf = [(float(v), (pos + 1) / arr.size) for pos, v in enumerate(ordered)]
-    return SummaryStats(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        minimum=float(ordered[0]),
-        maximum=float(ordered[-1]),
-        q1=q1,
-        median=median,
-        q3=q3,
-        cdf=cdf,
-    )
+    return {
+        "count": int(arr.size),
+        "mean": float(arr.mean()),
+        "min": float(arr.min()),
+        "max": float(arr.max()),
+        "q1": q1,
+        "median": median,
+        "q3": q3,
+    }
 
 
 @dataclass
@@ -95,16 +68,16 @@ class ExperimentReport:
     ports: int
     instances: int
     rows: list[ExperimentRow] = field(default_factory=list)
-    aggregates: list[dict] = field(default_factory=list)
     completion_times: list[float] | None = None
 
-    def aggregate(self) -> None:
-        """Group rows by (point, algorithm) in first-seen order."""
+    @property
+    def aggregates(self) -> list[dict]:
+        """Ratio summary per (point, algorithm) group of rows, in first-seen order."""
         groups: dict[tuple, list[float]] = {}
         for row in self.rows:
             groups.setdefault((row.point, row.algorithm), []).append(row.ratio)
-        self.aggregates = [
-            {"point": point, "algorithm": algo, **summarize(vals).as_dict()}
+        return [
+            {"point": point, "algorithm": algo, **summarize(vals)}
             for (point, algo), vals in groups.items()
         ]
 
@@ -140,9 +113,9 @@ def aggregates_dict(report: ExperimentReport) -> dict:
 
 def write_cdf_csv(values: Sequence[float], path: Path) -> None:
     """Empirical CDF as two columns, for plotting."""
-    stats = summarize(values)
+    ordered = sorted(map(float, values))
     with open(path, "w", newline="") as fp:
         writer = csv.writer(fp)
         writer.writerow(["value", "cum_fraction"])
-        for v, f in stats.cdf:
-            writer.writerow([repr(v), repr(f)])
+        for pos, v in enumerate(ordered):
+            writer.writerow([repr(v), repr((pos + 1) / len(ordered))])

@@ -1,6 +1,8 @@
 """End-to-end runs of the command line front end."""
 
+import argparse
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,8 +10,8 @@ import pytest
 
 from _shared import corpus_instance
 from coflowsched import metrics, model
-from coflowsched.cli import main
-from coflowsched.experiments import default_config, run_experiment, run_pipeline
+from coflowsched.cli import build_parser, main
+from coflowsched.experiments import ExperimentConfig, default_config, run_experiment, run_pipeline
 
 
 def run(capsys, *argv):
@@ -201,6 +203,45 @@ def test_experiment_repeated_thresholds_exit_with_one_json_line(tmp_path, capsys
     code, out, err = run(capsys, *trace_threshold_argv(tmp_path, "4", "4", "1"))
     assert_one_json_error(code, out, err, "thresholds must be distinct, got (4, 4, 1)")
     assert not (tmp_path / "exp").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["ratio-vs-cores", "--coflows", "3", "5", "--cores", "1", "2", "--ports", "4"],
+            "ratio-vs-cores experiments do not sweep coflows, got (3, 5)",
+        ),
+        (
+            ["box", "--threshold", "3", "--density", "dense"],
+            "box experiments do not read density, got 'dense'",
+        ),
+        (
+            ["trace-threshold", "--trace", "trace.txt", "--coflows", "3"],
+            "trace-threshold experiments do not read coflows, got (3,)",
+        ),
+        (["cdf", "--coflows", "0"], "coflow counts must be >= 1, got (0,)"),
+    ],
+    ids=["unswept-coflows", "unread-density", "unread-coflows", "no-coflows"],
+)
+def test_experiment_refuses_what_it_would_not_run(tmp_path, capsys, argv, message):
+    # Run, each would ignore a flag or cut a sweep to its first point, or,
+    # with no coflows, fail after writing its rows; each is refused before
+    # any file is written.
+    out = tmp_path / "exp"
+    out.mkdir()
+    code, stdout, err = run(
+        capsys, "experiment", *argv, "--instances", "2", "--out", str(out)
+    )
+    assert_one_json_error(code, stdout, err, message)
+    assert list(out.iterdir()) == []
+
+
+def test_experiment_flags_are_the_config_fields():
+    # cmd_experiment drops a flag whose dest is no config field.
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in sub.choices["experiment"]._actions} - {"help", "out"}
+    assert dests == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
 
 def test_oracle_check_ok(tmp_path, capsys):

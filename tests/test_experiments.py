@@ -7,7 +7,9 @@ import pytest
 
 from coflowsched import metrics, model
 from coflowsched.experiments import (
+    KINDS,
     ExperimentConfig,
+    _validate,
     child_seed,
     default_config,
     run_experiment,
@@ -25,6 +27,12 @@ def test_default_config_sweeps():
     assert default_config("box", instances=7).instances == 7
     with pytest.raises(ValueError, match="kind"):
         default_config("violin")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_default_config_is_valid(kind):
+    overrides = {"trace_path": "trace.txt"} if kind == "trace-threshold" else {}
+    _validate(default_config(kind, **overrides))
 
 
 def test_validation_errors():
@@ -45,6 +53,30 @@ def test_validation_errors():
     for kappa in (0.0, -1.0, float("nan"), float("inf"), 10**400):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             run_experiment(ExperimentConfig("box", kappa=kappa))
+    with pytest.raises(ValueError, match="nonempty"):
+        run_experiment(ExperimentConfig("trace-threshold", thresholds=(), trace_path="-"))
+    # An empty instance has no coflow completions for a CDF.
+    with pytest.raises(ValueError, match=r"coflow counts must be >= 1, got \(0,\)"):
+        run_experiment(ExperimentConfig("cdf", coflows=(0,)))
+    with pytest.raises(ValueError, match=r"coflow counts must be >= 1, got \(3, -1\)"):
+        run_experiment(ExperimentConfig("ratio-vs-coflows", coflows=(3, -1)))
+    # A field the kind does not read may not leave its default ...
+    with pytest.raises(ValueError, match="box experiments do not read density, got 'dense'"):
+        run_experiment(ExperimentConfig("box", density="dense"))
+    with pytest.raises(ValueError, match=r"box experiments do not read thresholds, got \(3,\)"):
+        run_experiment(ExperimentConfig("box", thresholds=(3,)))
+    with pytest.raises(ValueError, match="cdf experiments do not read trace_path"):
+        run_experiment(ExperimentConfig("cdf", trace_path="-"))
+    with pytest.raises(ValueError, match=r"trace-threshold experiments do not read coflows"):
+        run_experiment(ExperimentConfig("trace-threshold", coflows=(3,), trace_path="-"))
+    # ... and only the swept field may hold more than one value.
+    message = r"ratio-vs-cores experiments do not sweep coflows, got \(3, 5\)"
+    with pytest.raises(ValueError, match=message):
+        run_experiment(ExperimentConfig("ratio-vs-cores", coflows=(3, 5), cores=(1, 2)))
+    with pytest.raises(ValueError, match=r"ratio-vs-coflows experiments do not sweep cores"):
+        run_experiment(ExperimentConfig("ratio-vs-coflows", cores=(1, 2)))
+    with pytest.raises(ValueError, match=r"density experiments do not sweep coflows"):
+        run_experiment(ExperimentConfig("density", coflows=(3, 5)))
 
 
 def test_child_seed_is_stable_and_spread():

@@ -45,23 +45,22 @@ def test_ratio_conventions():
 
 def test_summarize_constant():
     s = summarize([1, 1, 1])
-    assert (s.mean, s.minimum, s.maximum, s.q1, s.median, s.q3) == (1, 1, 1, 1, 1, 1)
-    assert s.count == 3
+    assert s == {"count": 3, "mean": 1, "min": 1, "max": 1, "q1": 1, "median": 1, "q3": 1}
 
 
 def test_summarize_interpolated_quartiles():
     s = summarize([1, 2, 3, 4])
-    assert s.q1 == pytest.approx(1.75)
-    assert s.median == pytest.approx(2.5)
-    assert s.q3 == pytest.approx(3.25)
-    assert s.mean == pytest.approx(2.5)
+    assert s["q1"] == pytest.approx(1.75)
+    assert s["median"] == pytest.approx(2.5)
+    assert s["q3"] == pytest.approx(3.25)
+    assert s["mean"] == pytest.approx(2.5)
 
 
-def test_summarize_order_independent():
-    a = summarize([4, 1, 3, 2])
-    b = summarize([1, 2, 3, 4])
-    assert a.as_dict() == b.as_dict()
-    assert a.cdf == b.cdf
+def test_summarize_order_independent(tmp_path):
+    assert summarize([4, 1, 3, 2]) == summarize([1, 2, 3, 4])
+    write_cdf_csv([4, 1, 3, 2], tmp_path / "a.csv")
+    write_cdf_csv([1, 2, 3, 4], tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_summarize_rejects_empty():
@@ -69,11 +68,15 @@ def test_summarize_rejects_empty():
         summarize([])
 
 
-def test_cdf_is_a_distribution():
+def test_cdf_is_a_distribution(tmp_path):
     rng = np.random.default_rng(0)
-    s = summarize(rng.exponential(size=257))
-    values = [v for v, _ in s.cdf]
-    fracs = [f for _, f in s.cdf]
+    path = tmp_path / "cdf.csv"
+    write_cdf_csv(rng.exponential(size=257), path)
+    with open(path, newline="") as fp:
+        rows = list(csv.reader(fp))[1:]
+    values = [float(v) for v, _ in rows]
+    fracs = [float(f) for _, f in rows]
+    assert len(rows) == 257
     assert values == sorted(values)
     assert all(b >= a for a, b in zip(fracs, fracs[1:]))
     assert fracs[-1] == pytest.approx(1.0)
@@ -93,9 +96,14 @@ def report_fixture():
 
 def test_aggregate_groups_by_point():
     rep = report_fixture()
-    rep.aggregate()
     assert [e["point"] for e in rep.aggregates] == [5, 9]
     assert [e["mean"] for e in rep.aggregates] == pytest.approx([1.75, 1.0])
+    # The aggregates are folded from the rows, so a row added later counts.
+    rep.rows.append(
+        ExperimentRow(point=9, seed=2, algorithm="fdls", objective=6.0, dual_cost=5.0, ratio=1.2)
+    )
+    assert [e["count"] for e in rep.aggregates] == [2, 2]
+    assert rep.aggregates[1]["mean"] == pytest.approx(1.1)
 
 
 def test_rows_csv_round_trip(tmp_path):
@@ -111,7 +119,6 @@ def test_rows_csv_round_trip(tmp_path):
 
 def test_aggregates_json_metadata(tmp_path):
     rep = report_fixture()
-    rep.aggregate()
     path = tmp_path / "agg.json"
     write_aggregates_json(rep, path)
     doc = json.loads(path.read_text())
