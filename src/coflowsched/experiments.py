@@ -90,12 +90,17 @@ def _validate(config: ExperimentConfig) -> None:
             raise ValueError(f"{config.kind} experiments do not {verb} {f.name}, got {value!r}")
     if min(config.coflows) < 1:
         raise ValueError(f"coflow counts must be >= 1, got {config.coflows}")
+    if min(config.cores) < 1:
+        raise ValueError(f"core counts must be >= 1, got {config.cores}")
+    # Both copies of a repeated point would share one label in the aggregates.
+    if sweep in ("coflows", "cores", "thresholds"):
+        values = getattr(config, sweep)
+        if len(set(values)) != len(values):
+            raise ValueError(f"{sweep} must be distinct, got {values}")
     if config.density is not None and config.density not in workload.DENSITY_MODES:
         raise ValueError(f"density must be one of {workload.DENSITY_MODES}, got {config.density!r}")
     if config.kind == "trace-threshold" and config.trace_path is None:
         raise ValueError("trace-threshold experiments need trace_path")
-    if len(set(config.thresholds)) != len(config.thresholds):
-        raise ValueError(f"thresholds must be distinct, got {config.thresholds}")
 
 
 class PipelineResult(NamedTuple):

@@ -37,7 +37,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from operator import mul
 
-from .model import Instance
+from .model import Instance, _is_finite_real
 
 
 @dataclass
@@ -108,16 +108,12 @@ def _least_slack(heap: list, slack: list) -> tuple[float, int]:
 
 
 def _require_kappa(kappa: float) -> None:
-    """Raise ValueError unless kappa is positive and finite.
+    """Raise ValueError unless kappa is a positive, finite int or float.
 
-    An int too large for a float counts as infinite: the alpha test would
-    overflow on it.
+    A bool is no number here, and an int too large for a float counts as
+    infinite: the alpha test would overflow on it.
     """
-    try:
-        ok = 0 < kappa and math.isfinite(kappa)
-    except OverflowError:
-        ok = False
-    if not ok:
+    if not (_is_finite_real(kappa) and kappa > 0):
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
 
 

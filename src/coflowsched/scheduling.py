@@ -146,12 +146,14 @@ class ScheduleResult(_Fields):
     constructor raises ValueError unless it holds one completion per flow,
     each an int or a float (an np.integer or np.floating counts, a bool
     does not) that converts to a float and is no NaN; it names the first
-    bad row in table order. An infinite completion is left to the audit.
-    ``finish`` is kept as a tuple, and the coflow completions and the
-    objective are folded from it when the result is built. ``columns`` is
-    None, or the timeline as start, end, flow row and core arrays in
-    timeline order; its segments are taken as given, and the audit judges
-    them. ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a
+    bad row in table order. An infinite completion is accepted; the audit
+    reports it. ``finish`` is kept as a tuple, and the coflow completions
+    and the objective are folded from it when the result is built.
+    ``columns`` is None, or the timeline as start, end, flow row and core
+    arrays in timeline order. The constructor also raises ValueError unless
+    each segment has finite times, start < end and a core in 1..m; it names
+    the first bad segment in timeline order, as the ``timeline`` view reads
+    it. ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a
     tuple of ``Segment``) are read-only views, each built on first read.
     """
 
@@ -159,7 +161,7 @@ class ScheduleResult(_Fields):
 
     def __init__(self, instance: Instance, finish: Sequence[float], columns) -> None:
         finish = tuple(finish)
-        table = instance.table
+        table, m = instance.table, instance.cores
         if len(finish) != len(table.fi):
             raise ValueError(f"result holds {len(finish)} completions for {len(table.fi)} flows")
         # Python floats whose sum is a number need no walk. A NaN sum may
@@ -169,6 +171,18 @@ class ScheduleResult(_Fields):
                 fault = _completion_fault(t)
                 if fault:
                     raise ValueError(f"flow {tuple(key)} {fault}")
+        if columns is not None:
+            start, end, row, core = columns
+            timed = np.isfinite(start) & np.isfinite(end)
+            fault = ~(timed & (start < end) & (core >= 1) & (core <= m))
+            if fault.any():
+                at = int(fault.argmax())
+                seg = Segment(float(start[at]), float(end[at]), table.keys[row[at]], int(core[at]))
+                if not timed[at]:
+                    raise ValueError(f"segment {seg} has a time that is not a finite number")
+                if not seg.start < seg.end:
+                    raise ValueError(f"empty or reversed segment {seg}")
+                raise ValueError(f"segment {seg} is on core {seg.core}, valid range 1..{m}")
         self.instance = instance
         self.finish = finish
         self.columns = columns
@@ -184,11 +198,10 @@ class ScheduleResult(_Fields):
         Raises ValueError for a completion of a flow that is not in the
         instance, for a segment of a flow that is not in the instance and
         for a segment whose core is no int64 integer; the constructor then
-        checks the completions. Any other fault of a segment, such as a
-        NaN time or a core outside 1..m, is left to the audit. A segment is
-        held as float times, its flow's row and an int64 core, so the
-        ``timeline`` view and the audit's reports name it with float times,
-        a ``FlowKey`` and an int core, whatever types it was given with.
+        checks the completions and the segments. A segment is held as float
+        times, its flow's row and an int64 core, so the ``timeline`` view and
+        every message name it with float times, a ``FlowKey`` and an int
+        core, whatever types it was given with.
         """
         keys = instance.table.keys
         row_of = {key: r for r, key in enumerate(keys)}
@@ -516,20 +529,17 @@ def audit_schedule(
     release + size lower bound on every flow completion, and work
     conservation: no released, incomplete flow may sit idle while both of
     its ports are free on its core. The placement and the result were
-    checked when built, and the coflow completions are folded from the
-    flow completions, so only the segments can break a rule the
-    constructors do not check. A segment with a NaN time is reported too,
-    and left out of the checks that need it, as is a segment whose length
-    is NaN (both ends at one infinity). A segment on a core outside 1..m
-    is on no core. ``order`` is not read: every check is on the placement
-    and the result. It stays in the signature because callers, the
-    benchmark among them, pass it. The placement and the result must be
-    built for the instance or for an equal one, as ``simulate`` requires;
-    any other raises ValueError.
+    checked when built: every segment has finite times, start < end and a
+    core in 1..m, and the coflow completions are folded from the flow
+    completions. So the audit judges only these rules. ``order`` is not
+    read: every check is on the placement and the result. It stays in the
+    signature because callers, the benchmark among them, pass it. The
+    placement and the result must be built for the instance or for an
+    equal one, as ``simulate`` requires; any other raises ValueError.
 
     Every check runs on the rows and timeline columns the placement and the
     result hold: the volume per flow is one ``bincount`` in timeline order,
-    and the segment and flow checks are masks. Only what a mask flags is
+    and the flow checks are masks. Only what a mask flags is
     formatted, in the order a walk over the segments and flows would
     report it. One stable sort by core gives each core its
     segments as a slice in timeline order, and one sort per side by (core,
@@ -546,8 +556,7 @@ def audit_schedule(
     over the starved pieces reports, for every cell that any of them
     covers, the starved flow first in (i, j, k) order.
 
-    The table's ``FlowKey`` view is read only to name a flow in a report;
-    a segment is named as the ``timeline`` view reads it.
+    The table's ``FlowKey`` view is read only to name a flow in a report.
 
     Cost: per segment and per flow, the Python work is a few C-level
     passes. The rest runs in numpy, O((segments + flows)
@@ -564,9 +573,7 @@ def audit_schedule(
     placed = np.array(assignment.core_of, dtype=np.int64)
     if result.columns is None:
         raise ValueError("audit requires a result simulated with emit_timeline=True")
-    start, end, row, seg_core = result.columns
-    # A segment on a core outside 1..m is on core 0, which is no core.
-    core = np.where((seg_core >= 1) & (seg_core <= m), seg_core, 0)
+    start, end, row, core = result.columns
     size = table.size
     n = len(size)
 
@@ -574,26 +581,8 @@ def audit_schedule(
         """Row r's (i, j, k), as a report names the flow."""
         return tuple(table.keys[r])
 
-    def segment(at: int) -> Segment:
-        return Segment(float(start[at]), float(end[at]), table.keys[row[at]], int(seg_core[at]))
-
-    empty = end <= start
-    timed = (start == start) & (end == end)  # NaN != NaN
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN
-        length = end - start
-    for at in np.flatnonzero(empty | ~timed).tolist():
-        seg = segment(at)
-        if not timed[at]:
-            bad.append(f"segment {seg} has a time that is not a number")
-        if empty[at]:
-            bad.append(f"empty or reversed segment {seg}")
-    # A segment with a NaN time or length joins no check below. Both ends at
-    # one infinity give a NaN length; such a segment is reported above as
-    # empty.
-    known = length == length
-
     # bincount adds each flow's spans in timeline order, as a running += does.
-    transmitted = np.bincount(row[known], weights=length[known], minlength=n)
+    transmitted = np.bincount(row, weights=end - start, minlength=n)
     done = np.array(result.finish, dtype=float)
     size_a = np.array(size, dtype=np.int64)
     release = np.array(table.release, dtype=float)
@@ -606,11 +595,9 @@ def audit_schedule(
         if comp < table.release[r] + d - 1e-9:
             bad.append(f"flow {flow(r)} completed at {comp}, before release + size")
 
-    # The segments of known flows on cores 1..m, each core's a slice in
-    # timeline order.
-    (live,) = np.nonzero(known & (core > 0))
-    # Sorting the distinct codes core x segments + index is a stable sort by core.
-    live = live[np.argsort(core[live] * start.size + live)]
+    # The segments, each core's a slice in timeline order. Sorting the
+    # distinct codes core x segments + index is a stable sort by core.
+    live = np.argsort(core * start.size + np.arange(start.size))
     s_live, e_live, r_live, h_live = start[live], end[live], row[live], core[live]
     seg_edge = np.searchsorted(h_live, np.arange(1, m + 2)).tolist()
     fi = np.array(table.fi, dtype=np.int64)
@@ -628,10 +615,10 @@ def audit_schedule(
         group = group[by]
         hit = (group[1:] == group[:-1]) & (s_live[by[1:]] < e_live[by[:-1]] - 1e-9)
         for p in np.flatnonzero(hit).tolist():
-            one, two = segment(live[by[p]]), segment(live[by[p + 1]])
+            s2, e1 = float(s_live[by[p + 1]]), float(e_live[by[p]])
             h, port = divmod(int(group[p]), ports + 1)
             overlaps.setdefault(h, []).append(
-                f"core {h} {name} port {port}: overlap at {two.start} before {one.end}"
+                f"core {h} {name} port {port}: overlap at {s2} before {e1}"
             )
 
     # Each core's flows, the rows it runs or is placed with, as a slice in
@@ -701,18 +688,18 @@ def _starved_cells(
 ):
     """Yield (cell, flow position) for every cell where some flow starved.
 
-    Segment spans cover cells [span_a, span_b) of the grid ``bounds`` on the
-    ports ``span_in`` and ``span_out``; flow p is eligible in cells
-    [flow_lo[p], flow_hi[p]) and uses ports flow_in[p] and flow_out[p].
-    Input and output ports come as distinct ids. Each port's runs are merged
-    in one pass by shifting port q's cells to [q * width, (q + 1) * width),
-    and each flow's covered cells likewise to flow p's own stretch. A cell
-    is reported with its smallest starved flow position, cells in order.
+    Segment spans cover cells [span_a, span_b), at least one each, of the
+    grid ``bounds`` on the ports ``span_in`` and ``span_out``; flow p is
+    eligible in cells [flow_lo[p], flow_hi[p]) and uses ports flow_in[p]
+    and flow_out[p]. Input and output ports come as distinct ids. Each
+    port's runs are merged in one pass by shifting port q's cells to
+    [q * width, (q + 1) * width), and each flow's covered cells likewise to
+    flow p's own stretch. A cell is reported with its smallest starved flow
+    position, cells in order.
     """
     width = bounds.size  # above every cell index and every window end
-    live = span_a < span_b
-    port_base = np.concatenate([span_in[live], span_out[live]]) * width
-    span_a, span_b = np.tile(span_a[live], 2), np.tile(span_b[live], 2)
+    port_base = np.concatenate([span_in, span_out]) * width
+    span_a, span_b = np.tile(span_a, 2), np.tile(span_b, 2)
     run_lo, run_hi = _union(span_a + port_base, span_b + port_base)
 
     (pos,) = np.nonzero(flow_lo < flow_hi)

@@ -7,7 +7,10 @@ shortens, shifts, deletes, moves to another core, stretches or nudges one
 segment, or splits it into two touching halves, which breaks no rule; some
 timelines get two tampers. A nudge moves one end by less than 1e-9, so that
 two grid points lie closer than the audit's tolerance. A second, smaller
-corpus tampers schedules of 1k+ segments with releases.
+corpus tampers schedules of 1k+ segments with releases. A tamper that
+empties a segment or moves it off the cores is refused when the result is
+built; the reference audit, given the same timeline and completions, must
+flag it too.
 """
 
 import os
@@ -18,6 +21,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from typing import Mapping, NamedTuple
 
 import pytest
 
@@ -58,7 +62,7 @@ def tamper(rng, timeline, kind, cores):
     elif kind == "delete":
         del timeline[at]
     elif kind == "recore":
-        # Core cores + 1 does not exist; the segment then leaves every core.
+        # Core cores + 1 does not exist; a result that holds it is refused.
         other = [h for h in range(1, cores + 2) if h != seg.core]
         timeline[at] = seg._replace(core=rng.choice(other))
     elif kind == "stretch":
@@ -78,11 +82,44 @@ def rebuilt(instance, result, timeline):
     return ScheduleResult.of_flows(instance, result.flow_completion, timeline)
 
 
-def corpus():
-    """Yield (instance, order, assignment, result, tampers) over 80 schedules.
+class StandIn(NamedTuple):
+    """What the reference audit reads of a result, unchecked."""
 
-    Each schedule is yielded untampered (tampers 0) and then with
-    TAMPERS_PER_SCHEDULE tampered timelines, every third with two tampers.
+    timeline: tuple
+    flow_completion: Mapping
+    coflow_completion: Mapping
+
+
+REFUSED = r"(empty or reversed segment |segment .* is on core \d+, valid range )"
+
+
+def audit_tampered(instance, perm, assignment, result, timeline):
+    """(refused, violations) for ``result`` with the tampered ``timeline``.
+
+    The audit of the rebuilt result must match the reference's. A timeline
+    the constructor refuses never reaches the audit, so the reference
+    audits a stand-in holding it and the same completions, and must flag
+    it; its list is returned then.
+    """
+    try:
+        broken = rebuilt(instance, result, timeline)
+    except ValueError as err:
+        assert re.match(REFUSED, str(err)), err
+        stand_in = StandIn(tuple(timeline), result.flow_completion, result.coflow_completion)
+        got = reference_audit(instance, perm, assignment, stand_in)
+        assert got
+        return True, got
+    got = audit_schedule(instance, perm, assignment, broken)
+    assert got == reference_audit(instance, perm, assignment, broken)
+    return False, got
+
+
+def corpus():
+    """Yield (instance, order, assignment, result, timeline, tampers) over 80 schedules.
+
+    Each schedule is yielded untampered (its own timeline, tampers 0) and
+    then with TAMPERS_PER_SCHEDULE tampered timelines, every third with two
+    tampers.
     """
     rng = random.Random(7)
     made = applied = 0
@@ -99,7 +136,7 @@ def corpus():
             perm = order_fn(instance, 0.5)
             assignment = assign_fn(instance, perm)
             result = simulate(instance, perm, assignment, emit_timeline=True)
-            yield instance, perm, assignment, result, 0
+            yield instance, perm, assignment, result, result.timeline, 0
             for _ in range(TAMPERS_PER_SCHEDULE):
                 timeline = list(result.timeline)
                 tampers = 2 if made % 3 == 2 else 1
@@ -107,31 +144,32 @@ def corpus():
                 for _ in range(tampers):
                     tamper(rng, timeline, KINDS[applied % len(KINDS)], cores)
                     applied += 1
-                tampered = rebuilt(instance, result, timeline)
-                yield instance, perm, assignment, tampered, tampers
+                yield instance, perm, assignment, result, timeline, tampers
 
 
 def test_matches_reference_on_tampered_timelines():
-    clean = tampered = flagged = 0
-    for instance, perm, assignment, result, tampers in corpus():
-        got = audit_schedule(instance, perm, assignment, result)
-        assert got == reference_audit(instance, perm, assignment, result)
+    clean = tampered = flagged = refused = 0
+    for instance, perm, assignment, result, timeline, tampers in corpus():
         if tampers:
+            was_refused, got = audit_tampered(instance, perm, assignment, result, timeline)
             tampered += 1
             flagged += bool(got)
+            refused += was_refused
         else:
             clean += 1
-            assert got == []
+            assert audit_schedule(instance, perm, assignment, result) == []
+            assert reference_audit(instance, perm, assignment, result) == []
     assert (clean, tampered) == (80, 640)
     # Pinned, so that a change to the corpus that makes it toothless shows.
     assert flagged == 532
+    assert refused == 102
 
 
 def test_matches_reference_on_larger_tampered_timelines():
     # Schedules of 1k+ segments over 12 ports a side, with releases, so that
     # spans of many ports and cores meet in the column sorts of the audit.
     rng = random.Random(11)
-    tampered = flagged = 0
+    tampered = flagged = refused = 0
     for seed in (900, 902, 904):
         instance = gen_mix(30, 12, seed, cores=5, release_max=200)
         for granularity in sorted(STAGES):
@@ -145,22 +183,22 @@ def test_matches_reference_on_larger_tampered_timelines():
                 timeline = list(result.timeline)
                 for _ in range(1 + made % 3):
                     tamper(rng, timeline, rng.choice(KINDS), instance.cores)
-                broken = rebuilt(instance, result, timeline)
-                got = audit_schedule(instance, perm, assignment, broken)
-                assert got == reference_audit(instance, perm, assignment, broken)
+                was_refused, got = audit_tampered(instance, perm, assignment, result, timeline)
                 tampered += 1
                 flagged += bool(got)
+                refused += was_refused
     assert tampered == 48
     # Pinned, so that a change to the corpus that makes it toothless shows.
     assert flagged == 46
+    assert refused == 8
 
 
 def test_matches_reference_with_many_empty_cores():
     # CDLS puts six coflows on at most six of 16 cores, so most cores have
     # no segment, and FDLS leaves cores with a flow or two each. A recore
-    # tamper can move a segment to core 17.
+    # tamper can move a segment to core 17, which the constructor refuses.
     rng = random.Random(13)
-    tampered = flagged = applied = 0
+    tampered = flagged = applied = refused = 0
     for seed in range(700, 708):
         instance = gen_mix(6, 5, seed, cores=16)
         for granularity in sorted(STAGES):
@@ -173,14 +211,14 @@ def test_matches_reference_with_many_empty_cores():
                 timeline = list(result.timeline)
                 tamper(rng, timeline, KINDS[applied % len(KINDS)], instance.cores)
                 applied += 1
-                broken = rebuilt(instance, result, timeline)
-                got = audit_schedule(instance, perm, assignment, broken)
-                assert got == reference_audit(instance, perm, assignment, broken)
+                was_refused, got = audit_tampered(instance, perm, assignment, result, timeline)
                 tampered += 1
                 flagged += bool(got)
+                refused += was_refused
     assert tampered == 96
     # Pinned, so that a change to the corpus that makes it toothless shows.
     assert flagged == 76
+    assert refused == 8
 
 
 def test_reports_the_first_starved_flow_in_key_order():
@@ -326,9 +364,9 @@ def test_segment_of_an_unhashable_flow_is_reported(flow):
 
 
 def test_segment_on_an_unhashable_core_is_on_no_core():
-    # No int64 column holds a list core, so of_flows refuses it. The
-    # unknown core id 99 is held: the segment leaves every core, and its
-    # flow reads idle on its own.
+    # No int64 column holds a list core, so of_flows refuses it. The int64
+    # core 99 is held in the column, and the constructor refuses it, as no
+    # core of the instance.
     instance = gen_mix(5, 6, 1, cores=2)
     perm = order_flow_level(instance, 0.5)
     assignment = assign_fdls(instance, perm)
@@ -337,11 +375,10 @@ def test_segment_on_an_unhashable_core_is_on_no_core():
     timeline[2] = timeline[2]._replace(core=[1])
     with pytest.raises(ValueError, match=re.escape("is on core [1], no int64 integer")):
         rebuilt(instance, result, timeline)
-    timeline[2] = timeline[2]._replace(core=99)
-    moved = rebuilt(instance, result, timeline)
-    assert moved.timeline[2].core == 99
-    got = audit_schedule(instance, perm, assignment, moved)
-    assert got and got == reference_audit(instance, perm, assignment, moved)
+    seg = timeline[2] = timeline[2]._replace(core=99)
+    message = f"segment {seg} is on core 99, valid range 1..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rebuilt(instance, result, timeline)
 
 
 def test_placement_of_an_unknown_flow_is_reported():
@@ -355,50 +392,46 @@ def test_placement_of_an_unknown_flow_is_reported():
 @pytest.mark.parametrize("side", ["start", "end"])
 def test_nan_segment_time_is_reported(side):
     # No comparison with NaN holds, so the reference passes a NaN end, and
-    # a NaN start shows there only as starvation. The audit reports the
-    # segment and leaves it out of every other check: its flow then lacks
-    # the segment's volume, and its span is free on both ports.
+    # a NaN start shows there only as starvation. The constructor refuses
+    # the segment, so no audit sees it.
     instance, perm, assignment, result = small_schedule()
     timeline = list(result.timeline)
     seg = timeline[4] = timeline[4]._replace(**{side: float("nan")})
     assert seg.flow == FlowKey(3, 2, 5) and seg.core == 1
-    broken = rebuilt(instance, result, timeline)
-    assert audit_schedule(instance, perm, assignment, broken) == [
-        f"segment {seg} has a time that is not a number",
-        "flow (3, 2, 5) transmitted 0.0, size 10",
-        "core 1: flow (3, 2, 5) idle at t=1.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=3.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=6.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=7.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=8.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=9.0 with both ports free",
-    ]
+    message = f"segment {seg} has a time that is not a finite number"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rebuilt(instance, result, timeline)
 
 
 @pytest.mark.parametrize("bound", [float("inf"), float("-inf")])
 def test_segment_at_one_infinity_is_reported_once(bound):
     # Both ends at one infinity give a NaN length, which the reference adds
     # to the flow's volume, so there its missing volume goes unreported.
-    # The audit reports the segment once, as empty, leaves it out of every
-    # other check as it does a NaN time, and computes no NaN to do so.
+    # The constructor refuses the segment once, for its times, and computes
+    # no NaN to do so.
     instance, perm, assignment, result = small_schedule()
     timeline = list(result.timeline)
     seg = timeline[4] = timeline[4]._replace(start=bound, end=bound)
     assert seg.flow == FlowKey(3, 2, 5) and seg.core == 1
-    broken = rebuilt(instance, result, timeline)
+    message = f"segment {seg} has a time that is not a finite number"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = audit_schedule(instance, perm, assignment, broken)
-    assert got == [
-        f"empty or reversed segment {seg}",
-        "flow (3, 2, 5) transmitted 0.0, size 10",
-        "core 1: flow (3, 2, 5) idle at t=1.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=3.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=6.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=7.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=8.0 with both ports free",
-        "core 1: flow (3, 2, 3) idle at t=9.0 with both ports free",
-    ]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rebuilt(instance, result, timeline)
+
+
+def test_a_completion_before_release_plus_size_is_reported():
+    # Flow (1, 1, 1), released at 2, sends its 4 units in [2, 6) but its
+    # completion reads 5. Both audits report the early completion, and its
+    # window [2, 5) is covered, so it is not idle.
+    instance = Instance(1, 1, (Coflow(1, 2, 1, {(1, 1): 4}),))
+    assignment = Assignment.of_flows(instance, "flow", {FlowKey(1, 1, 1): 1})
+    result = ScheduleResult.of_flows(
+        instance, {FlowKey(1, 1, 1): 5.0}, [Segment(2.0, 6.0, FlowKey(1, 1, 1), 1)]
+    )
+    expected = ["flow (1, 1, 1) completed at 5.0, before release + size"]
+    assert audit_schedule(instance, [1], assignment, result) == expected
+    assert reference_audit(instance, [1], assignment, result) == expected
 
 
 def test_audit_leaves_numpy_ma_unimported():

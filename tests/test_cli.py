@@ -90,6 +90,12 @@ def test_order_emit_trace_requires_out(tmp_path, capsys):
     assert json.loads(err)["error"]
 
 
+def test_schedule_emit_timeline_requires_out(tmp_path, capsys):
+    inst = gen_instance(tmp_path, capsys)
+    code, out, err = run(capsys, "schedule", str(inst), "--emit-timeline")
+    assert_one_json_error(code, out, err, "--emit-timeline needs --out")
+
+
 def test_schedule_document_and_timeline(tmp_path, capsys):
     inst = gen_instance(tmp_path, capsys)
     outdir = tmp_path / "sched"
@@ -221,13 +227,25 @@ def test_experiment_repeated_thresholds_exit_with_one_json_line(tmp_path, capsys
             "trace-threshold experiments do not read coflows, got (3,)",
         ),
         (["cdf", "--coflows", "0"], "coflow counts must be >= 1, got (0,)"),
+        (
+            ["ratio-vs-coflows", "--coflows", "3", "3", "--ports", "4"],
+            "coflows must be distinct, got (3, 3)",
+        ),
+        (["ratio-vs-cores", "--cores", "1", "0"], "core counts must be >= 1, got (1, 0)"),
     ],
-    ids=["unswept-coflows", "unread-density", "unread-coflows", "no-coflows"],
+    ids=[
+        "unswept-coflows",
+        "unread-density",
+        "unread-coflows",
+        "no-coflows",
+        "repeated-coflows",
+        "no-cores",
+    ],
 )
 def test_experiment_refuses_what_it_would_not_run(tmp_path, capsys, argv, message):
-    # Run, each would ignore a flag or cut a sweep to its first point, or,
-    # with no coflows, fail after writing its rows; each is refused before
-    # any file is written.
+    # Run, each would ignore a flag or cut a sweep to its first point, run
+    # one point twice under one label, or, with no coflows or cores, fail
+    # after running instances; each is refused before any file is written.
     out = tmp_path / "exp"
     out.mkdir()
     code, stdout, err = run(

@@ -50,7 +50,15 @@ def test_validation_errors():
     # aggregate would count each of them twice.
     with pytest.raises(ValueError, match=r"thresholds must be distinct, got \(4, 4, 1\)"):
         run_experiment(ExperimentConfig("trace-threshold", thresholds=(4, 4, 1), trace_path="-"))
-    for kappa in (0.0, -1.0, float("nan"), float("inf"), 10**400):
+    with pytest.raises(ValueError, match=r"coflows must be distinct, got \(3, 3\)"):
+        run_experiment(ExperimentConfig("ratio-vs-coflows", coflows=(3, 3)))
+    with pytest.raises(ValueError, match=r"cores must be distinct, got \(2, 1, 2\)"):
+        run_experiment(ExperimentConfig("ratio-vs-cores", cores=(2, 1, 2)))
+    with pytest.raises(ValueError, match=r"core counts must be >= 1, got \(1, 0\)"):
+        run_experiment(ExperimentConfig("ratio-vs-cores", cores=(1, 0)))
+    with pytest.raises(ValueError, match="unknown experiment kind 'nope'"):
+        run_experiment(ExperimentConfig("nope"))
+    for kappa in (0.0, -1.0, float("nan"), float("inf"), 10**400, True, "0.5", None):
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             run_experiment(ExperimentConfig("box", kappa=kappa))
     with pytest.raises(ValueError, match="nonempty"):

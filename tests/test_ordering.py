@@ -126,7 +126,8 @@ def test_empty_instance():
 
 def test_kappa_must_be_positive():
     inst = single({(1, 1): 1})
-    for kappa in (0, -1, float("nan"), float("inf"), float("-inf"), 10**400):
+    # A bool, a string and None are no kappa: True would run as 1.
+    for kappa in (0, -1, float("nan"), float("inf"), float("-inf"), 10**400, True, "0.5", None):
         for run in (order_flow_level, order_coflow_level):
             with pytest.raises(ValueError, match="kappa must be positive and finite"):
                 run(inst, kappa)

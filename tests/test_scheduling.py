@@ -451,12 +451,17 @@ def test_a_coflow_level_placement_keeps_each_coflow_whole():
             {FlowKey(2, 2, 1): 2.0, FlowKey(1, 1, 1): True},
             "flow (1, 1, 1) completion True is no int or float",
         ),
+        (
+            {FlowKey(1, 1, 1): 3.0, FlowKey(2, 2, 1): 2.0, FlowKey(9, 9, 9): 1.0},
+            "completion of unknown flow FlowKey(i=9, j=9, k=9)",
+        ),
     ],
 )
 def test_the_completions_of_a_hand_built_result_are_checked(finish, message):
     # The first bad row in table order is named, whatever the dict order.
     # A completion must be an int or a float that converts to a float; a
-    # bool is refused, as it is for a core.
+    # bool is refused, as it is for a core. A completion of a flow that is
+    # not in the instance is refused too.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
     with pytest.raises(ValueError, match=re.escape(message)):
         ScheduleResult.of_flows(inst, finish)
@@ -492,6 +497,42 @@ def test_a_row_built_result_takes_any_int_or_float(finish):
     # NaN, so the walk that follows the failed fast pass accepts them.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
     assert ScheduleResult(inst, finish, None).finish == tuple(finish)
+
+
+def _columns(*segments):
+    """Timeline columns of (start, end, flow row, core) segments."""
+    start, end, row, core = zip(*segments)
+    return np.array(start), np.array(end), np.array(row), np.array(core)
+
+
+@pytest.mark.parametrize(
+    "segments, message",
+    [
+        (
+            [(0.0, 3.0, 0, 1), (-np.inf, 2.0, 1, 2)],
+            "segment Segment(start=-inf, end=2.0, flow=FlowKey(i=2, j=2, k=1), core=2)"
+            " has a time that is not a finite number",
+        ),
+        (
+            [(0.0, 3.0, 0, 1), (2.0, 2.0, 1, 2)],
+            "empty or reversed segment "
+            "Segment(start=2.0, end=2.0, flow=FlowKey(i=2, j=2, k=1), core=2)",
+        ),
+        (
+            [(0.0, 3.0, 0, 3), (0.0, 2.0, 1, 0)],
+            "segment Segment(start=0.0, end=3.0, flow=FlowKey(i=1, j=1, k=1), core=3)"
+            " is on core 3, valid range 1..2",
+        ),
+    ],
+    ids=["infinite-time", "empty", "off-core"],
+)
+def test_the_segments_of_a_row_built_result_are_checked(segments, message):
+    # The row constructor checks each segment once, with the messages
+    # of_flows gives, and names the first bad one in timeline order; the
+    # audit then judges only the schedule's rules.
+    inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult(inst, [3.0, 2.0], _columns(*segments))
 
 
 def test_equality_reads_the_rows_not_the_views():
@@ -625,20 +666,31 @@ def test_audit_flags_tampered_timeline():
 
 def test_audit_names_a_hand_built_segment_as_the_rows_hold_it():
     # of_flows keeps a segment as a flow row, float times and an int64
-    # core, so a report names a plain-tuple flow as a FlowKey, int times as
-    # floats and an np.int64 core as an int, as the timeline view reads.
+    # core, so the timeline view and the constructor's message name a
+    # plain-tuple flow as a FlowKey, int times as floats and an np.int64
+    # core as an int. A reversed segment is refused when built, so no
+    # audit sees it.
+    inst = one_coflow({(1, 1): 4})
+    done = {FlowKey(1, 1, 1): 4.0}
+    res = ScheduleResult.of_flows(inst, done, [Segment(0, 4, (1, 1, 1), np.int64(1))])
+    assert res.timeline == (Segment(0.0, 4.0, FlowKey(1, 1, 1), 1),)
+    assert type(res.timeline[0].start) is float and type(res.timeline[0].core) is int
+    assert audit_schedule(inst, [1], assign_fdls(inst, [1]), res) == []
+    seg = Segment(5, 4, (1, 1, 1), np.int64(1))
+    message = (
+        "empty or reversed segment "
+        "Segment(start=5.0, end=4.0, flow=FlowKey(i=1, j=1, k=1), core=1)"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(inst, done, [(0, 4, (1, 1, 1), 1), seg])
+
+
+def test_an_audit_needs_a_timeline():
     inst = one_coflow({(1, 1): 4})
     asg = assign_fdls(inst, [1])
-    res = simulate(inst, [1], asg, emit_timeline=True)
-    seg = Segment(5, 4, (1, 1, 1), np.int64(1))
-    res = ScheduleResult.of_flows(inst, res.flow_completion, [(0, 4, (1, 1, 1), 1), seg])
-    shown = Segment(5.0, 4.0, FlowKey(1, 1, 1), 1)
-    assert res.timeline[1] == shown and type(res.timeline[1].core) is int
-    assert audit_schedule(inst, [1], asg, res) == [
-        "empty or reversed segment "
-        "Segment(start=5.0, end=4.0, flow=FlowKey(i=1, j=1, k=1), core=1)",
-        "flow (1, 1, 1) transmitted 3.0, size 4",
-    ]
+    message = "audit requires a result simulated with emit_timeline=True"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        audit_schedule(inst, [1], asg, simulate(inst, [1], asg))
 
 
 def test_weak_duality_on_small_corpus():
