@@ -35,7 +35,7 @@ print()
 print("  iteration log, last position first:")
 for rec in perm.trace.records:
     extra = (
-        f"release {instance.coflow(rec.coflow).release} dominates"
+        f"release {instance.coflows[rec.coflow - 1].release} dominates"
         if rec.branch == "alpha"
         else f"budget/load ratio {rec.value:.4f} at {rec.side} port {rec.port}"
     )
@@ -59,5 +59,5 @@ print("dual variables delta_k at the end of each run:")
 for k in sorted(perm.trace.delta):
     print(
         f"  coflow {k}: flow-level {perm.trace.delta[k]:.4f}, "
-        f"coflow-level {cperm.trace.delta[k]:.4f}, weight {instance.coflow(k).weight}"
+        f"coflow-level {cperm.trace.delta[k]:.4f}, weight {instance.coflows[k - 1].weight}"
     )

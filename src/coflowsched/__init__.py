@@ -25,7 +25,6 @@ from .model import (
     dumps_instance,
     instance_from_dict,
     instance_to_dict,
-    load_instance,
     loads_instance,
     validate,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "gen_mix",
     "instance_from_dict",
     "instance_to_dict",
-    "load_instance",
     "loads_instance",
     "mix_templates",
     "order_coflow_level",

@@ -111,8 +111,7 @@ def _emit(args, name: str, text: str) -> None:
 
 
 def _load(path: Path) -> model.Instance:
-    with open(path) as fp:
-        return model.load_instance(fp)
+    return model.loads_instance(path.read_text())
 
 
 def cmd_generate(args) -> int:
@@ -197,8 +196,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_trace_import(args) -> int:
-    with open(args.trace) as fp:
-        instance = workload.parse_trace(fp, args.ports, weight_seed=args.seed, cores=args.cores)
+    text = args.trace.read_text()
+    instance = workload.parse_trace(text, args.ports, weight_seed=args.seed, cores=args.cores)
     if args.threshold is not None:
         instance = workload.filter_min_flows(instance, args.threshold)
     _emit(args, "instance.json", model.dumps_instance(instance))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter, countOf, itemgetter, sub
-from typing import IO, Any, NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -49,10 +49,6 @@ class Coflow:
     def flow_count(self) -> int:
         return len(self.demands)
 
-    @property
-    def max_demand(self) -> int:
-        return max(self.demands.values(), default=0)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -73,14 +69,6 @@ class Instance:
     @property
     def flow_count(self) -> int:
         return sum(c.flow_count for c in self.coflows)
-
-    def coflow(self, k: int) -> Coflow:
-        if not 1 <= k <= len(self.coflows):
-            raise IndexError(f"coflow {k} out of range 1..{len(self.coflows)}")
-        c = self.coflows[k - 1]
-        if c.id != k:
-            raise ValueError(f"coflow ids out of order: expected {k}, found {c.id}")
-        return c
 
     @cached_property
     def table(self) -> FlowTable:
@@ -441,10 +429,6 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
 
 def dumps_instance(instance: Instance) -> str:
     return json.dumps(instance_to_dict(instance), indent=2) + "\n"
-
-
-def load_instance(fp: IO[str]) -> Instance:
-    return instance_from_dict(json.load(fp))
 
 
 def loads_instance(text: str) -> Instance:

@@ -60,10 +60,11 @@ def trivial_lower_bound(instance: Instance) -> float:
     before its most loaded port drains at aggregate rate m.
     """
     table = instance.table
+    size, first = table.size, table.first
     m = instance.cores
     total = 0.0
     for c in instance.coflows:
-        floor = c.release + c.max_demand
+        floor = c.release + max(size[first[c.id - 1] : first[c.id]], default=0)
         for cells in (table.cells_in, table.cells_out):
             peak = max(cells.load[cells.first[c.id - 1] : cells.first[c.id]], default=0)
             floor = max(floor, float(peak) / m)

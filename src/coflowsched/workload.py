@@ -10,7 +10,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
-from typing import IO, Iterable
 
 import numpy as np
 
@@ -249,17 +248,13 @@ def gen_density(
     return instance
 
 
-def parse_trace(
-    source: str | IO[str] | Iterable[str],
-    rack_count: int,
-    weight_seed: int,
-    cores: int = 1,
-) -> Instance:
-    """Read a shuffle trace into an instance.
+def parse_trace(text: str, rack_count: int, weight_seed: int, cores: int = 1) -> Instance:
+    """Read a shuffle trace, given as its text, into an instance.
 
-    Format: a header line "<machines> <coflows>", then one line per coflow:
-    "<id> <arrival ms> <#mappers> <mapper racks...> <#reducers>
-    <rack>:<megabytes>...". Every (mapper rack, reducer rack) pair becomes a
+    The text splits into lines on "\\n" only, as iterating over a file in
+    text mode splits it, and blank lines are skipped. Format: a header line
+    "<machines> <coflows>", then one line per coflow: "<id> <arrival ms>
+    <#mappers> <mapper racks...> <#reducers> <rack>:<megabytes>...". Every (mapper rack, reducer rack) pair becomes a
     flow whose size is the reducer's megabytes split equally over the
     mappers, each share rounded up to at least 1 unit (1 unit = 1 MB).
     Pairs that collide (two mappers on one rack) merge by summing. Arrival
@@ -267,11 +262,7 @@ def parse_trace(
     file order; weights are uniform integers in [1, 100] drawn from
     weight_seed.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [line.rstrip("\n") for line in source]
-    lines = [line for line in lines if line.strip()]
+    lines = [line for line in text.split("\n") if line.strip()]
     if not lines:
         raise ValueError("trace is empty")
     header = lines[0].split()

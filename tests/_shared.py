@@ -36,7 +36,7 @@ def _prefix_walk(instance, order):
     cum_out = np.zeros(instance.ports + 1, dtype=np.int64)
     max_r = 0
     for k in order:
-        c = instance.coflow(k)
+        c = instance.coflows[k - 1]
         cum_in += table.load_in[k]
         cum_out += table.load_out[k]
         max_r = max(max_r, c.release)

@@ -32,8 +32,7 @@ def gen_instance(tmp_path, capsys, *extra):
 
 def test_generate_writes_valid_instance(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys)
-    with open(path) as fp:
-        inst = model.load_instance(fp)
+    inst = model.loads_instance(path.read_text())
     assert inst.n == 4 and inst.ports == 5 and inst.cores == 2
 
 
@@ -57,8 +56,7 @@ def test_generate_rejects_negative_coflow_count(capsys):
 
 def test_generate_density_flag(tmp_path, capsys):
     path = gen_instance(tmp_path, capsys, "--density", "sparse")
-    with open(path) as fp:
-        inst = model.load_instance(fp)
+    inst = model.loads_instance(path.read_text())
     assert all(1 <= c.flow_count <= 5 for c in inst.coflows)
 
 
@@ -168,6 +166,37 @@ def test_trace_import_with_threshold(tmp_path, capsys):
     assert inst.n == 1 and inst.cores == 2
     assert inst.coflows[0].flow_count == 4
     assert inst.coflows[0].release == 128
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\x0c"], ids=["line-separator", "form-feed"])
+def test_trace_import_and_experiment_read_a_trace_alike(tmp_path, capsys, sep):
+    # Only "\n" ends a trace line. str.splitlines also ends one at U+2028
+    # and at a form feed; inside a line each is white space between tokens.
+    # So each command reads a file holding one as it reads the same file
+    # with a space in its place, and both give the same error on a bad one.
+    def read(name, text):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        out = tmp_path / f"{name}-exp"
+        imported = run(capsys, "trace-import", str(path), "--ports", "3")
+        experiment = run(
+            capsys, "experiment", "trace-threshold", "--trace", str(path), "--ports", "3",
+            "--instances", "2", "--threshold", "1", "--out", str(out),
+        )
+        rows = out / "trace-threshold_flow_rows.csv"
+        return imported, experiment, rows.read_bytes() if rows.exists() else None
+
+    good = "9 2\n1 0 1 1 1{}2:4\n2 1000 2 1 2 2 1:6{}3:6\n"
+    imported, experiment, rows = read("good", good.format(sep, sep))
+    assert imported[0] == experiment[0] == 0 and rows is not None
+    assert (imported, experiment, rows) == read("good-spaced", good.format(" ", " "))
+
+    bad = "9 1\n1 0 1 1 1{}9:4\n"
+    imported, experiment, rows = read("bad", bad.format(sep))
+    message = "trace line 2: reducer rack 9 out of range 1..3"
+    assert_one_json_error(*imported, message)
+    assert experiment == imported and rows is None
+    assert (imported, experiment, rows) == read("bad-spaced", bad.format(" "))
 
 
 def test_experiment_writes_out_dir(tmp_path, capsys):

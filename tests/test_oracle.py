@@ -98,7 +98,7 @@ def dense_lower_bound(instance):
     total = 0.0
     for c in instance.coflows:
         floor = max(
-            c.release + c.max_demand,
+            c.release + max(c.demands.values(), default=0),
             float(table.load_in[c.id].max()) / m,
             float(table.load_out[c.id].max()) / m,
         )

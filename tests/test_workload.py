@@ -1,7 +1,6 @@
 """Synthetic generators and the shuffle-trace reader."""
 
 import hashlib
-import io
 
 import numpy as np
 import pytest
@@ -281,12 +280,6 @@ def test_trace_ids_renumbered_in_file_order():
 def test_trace_release_is_the_nearest_integer(arrival_ms, release):
     inst = parse_trace(trace(f"1 {arrival_ms} 1 1 1 2:4"), rack_count=2, weight_seed=0)
     assert inst.coflows[0].release == release
-
-
-def test_trace_accepts_file_object():
-    stream = io.StringIO(trace("1 0 1 1 1 2:8"))
-    inst = parse_trace(stream, rack_count=2, weight_seed=5)
-    assert inst.coflows[0].demands == {(1, 2): 8}
 
 
 def test_trace_weights_depend_on_seed_only():
