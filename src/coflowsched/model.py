@@ -203,6 +203,10 @@ MAX_CORES = 256
 # its bottleneck side's ports + 1 totals again, so a beta-heavy ordering costs
 # up to coflows x ports.
 MAX_TABLE_CELLS = 1_000_000
+# Largest flow count, about 22x the 44,501 flows of the largest ladder
+# instance. The generators, the trace reader and the JSON loader count the
+# flows before they build them, so no input above it is built.
+MAX_FLOWS = 1_000_000
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -222,6 +226,12 @@ def _is_finite_real(x: Any) -> bool:
         return math.isfinite(x)
     except OverflowError:  # an int too large for a float
         return False
+
+
+def _require_flows(flows: int, where: str) -> None:
+    """Raise ValueError when ``flows``, counted up to ``where``, pass MAX_FLOWS."""
+    if flows > MAX_FLOWS:
+        raise ValueError(f"{where}: {flows} flows above the limit {MAX_FLOWS}")
 
 
 def _clears(instance: Instance) -> bool:
@@ -265,7 +275,11 @@ def _clears(instance: Instance) -> bool:
     pairs = list(chain.from_iterable(demands))
     flows = len(pairs)
     # Per flow, counting types is cheaper than collecting them in a set.
-    if not (countOf(map(type, pairs), tuple) == flows and countOf(map(len, pairs), 2) == flows):
+    if not (
+        flows <= MAX_FLOWS
+        and countOf(map(type, pairs), tuple) == flows
+        and countOf(map(len, pairs), 2) == flows
+    ):
         return False
     fi = list(map(itemgetter(0), pairs))
     fj = list(map(itemgetter(1), pairs))
@@ -312,6 +326,8 @@ def validate(instance: Instance) -> list[str]:
             f"{(instance.n + 1) * (ports + 1)} table cells "
             f"above the limit {MAX_TABLE_CELLS}"
         )
+    if instance.flow_count > MAX_FLOWS:
+        bad.append(f"{instance.flow_count} flows above the limit {MAX_FLOWS}")
     port_in: dict[int, int] = {}
     port_out: dict[int, int] = {}
     total_size = 0
@@ -396,9 +412,13 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
         raise ValueError("instance JSON must be an object")
     try:
         coflows = []
+        flows = 0
         for entry in _objects(data["coflows"], "coflows"):
             demands: dict[tuple[int, int], int] = {}
-            for f in _objects(entry["flows"], "flows"):
+            listed = _objects(entry["flows"], "flows")
+            flows += len(listed)
+            _require_flows(flows, "instance JSON")
+            for f in listed:
                 key = (f["i"], f["j"])
                 try:
                     duplicate = key in demands

@@ -235,7 +235,6 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
                 min_slack=_least_slack(heap, slack)[0],
             )
         )
-        trace.delta[chosen] = delta[chosen]
 
         slack[chosen] = None
         for cells, sq_c, col_s, tot_s, sq_s in zip(sides, priced, cols, tots, sqs):
@@ -245,5 +244,6 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
                 tot_s[p] -= v
                 sq_s[p] -= q
 
-    trace.delta = dict(sorted(trace.delta.items()))
+    # A placed coflow is in no column, so no later step changes its delta.
+    trace.delta = dict(zip(range(1, n + 1), delta[1:]))
     return Permutation(order=order, dual_cost=dual, trace=trace)

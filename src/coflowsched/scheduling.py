@@ -525,10 +525,12 @@ def audit_schedule(
 ) -> list[str]:
     """Check a simulated schedule against the rules it must obey.
 
-    Verifies port exclusivity per core, transmitted volume per flow, the
-    release + size lower bound on every flow completion, and work
-    conservation: no released, incomplete flow may sit idle while both of
-    its ports are free on its core. The placement and the result were
+    Verifies port exclusivity per core and, per flow, the transmitted
+    volume, the release + size lower bound on its completion, that no
+    segment starts before its release, and that its completion is the end
+    of its last segment (a flow without segments is left to the volume
+    check); then work conservation: no released, incomplete flow may sit
+    idle while both of its ports are free on its core. The placement and the result were
     checked when built: every segment has finite times, start < end and a
     core in 1..m, and the coflow completions are folded from the flow
     completions. So the audit judges only these rules. ``order`` is not
@@ -539,7 +541,8 @@ def audit_schedule(
 
     Every check runs on the rows and timeline columns the placement and the
     result hold: the volume per flow is one ``bincount`` in timeline order,
-    and the flow checks are masks. Only what a mask flags is
+    its first start and last end one ``fmin.at`` and ``fmax.at``, and the
+    flow checks are masks. Only what a mask flags is
     formatted, in the order a walk over the segments and flows would
     report it. One stable sort by core gives each core its
     segments as a slice in timeline order, and one sort per side by (core,
@@ -583,17 +586,35 @@ def audit_schedule(
 
     # bincount adds each flow's spans in timeline order, as a running += does.
     transmitted = np.bincount(row, weights=end - start, minlength=n)
+    # Each flow's first segment start and last segment end; NaN, which no
+    # comparison below flags, for a flow without segments. A start is held
+    # to the release with no tolerance: a release is an integer, and a
+    # simulated flow starts on the integer grid at or after it.
+    first_start = np.full(n, np.nan)
+    np.fmin.at(first_start, row, start)
+    last_end = np.full(n, np.nan)
+    np.fmax.at(last_end, row, end)
     done = np.array(result.finish, dtype=float)
     size_a = np.array(size, dtype=np.int64)
     release = np.array(table.release, dtype=float)
     # Every row the checks below report.
-    suspect = (np.abs(transmitted - size_a) > 1e-6) | (done < release + size_a - 1e-9)
+    suspect = (
+        (np.abs(transmitted - size_a) > 1e-6)
+        | (done < release + size_a - 1e-9)
+        | (first_start < release)
+        | (np.abs(done - last_end) > 1e-9)
+    )
     for r in np.flatnonzero(suspect).tolist():
         d, sent, comp = size[r], float(transmitted[r]), result.finish[r]
+        rel, first, last = table.release[r], float(first_start[r]), float(last_end[r])
         if abs(sent - d) > 1e-6:
             bad.append(f"flow {flow(r)} transmitted {sent}, size {d}")
-        if comp < table.release[r] + d - 1e-9:
+        if comp < rel + d - 1e-9:
             bad.append(f"flow {flow(r)} completed at {comp}, before release + size")
+        if first < rel:
+            bad.append(f"flow {flow(r)} starts at {first}, before its release {rel}")
+        if abs(comp - last) > 1e-9:
+            bad.append(f"flow {flow(r)} completed at {comp}, but its last segment ends at {last}")
 
     # The segments, each core's a slice in timeline order. Sorting the
     # distinct codes core x segments + index is a stable sort by core.

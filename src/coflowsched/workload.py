@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .model import MAX_HORIZON, MAX_PORTS, Coflow, Instance
+from .model import MAX_HORIZON, MAX_PORTS, Coflow, Instance, _require_flows
 
 # Time units per second: 128 MBps links, 1 unit = 1 MB.
 UNITS_PER_SECOND = 128
@@ -170,7 +170,9 @@ def gen_mix(
     ``rng.integers(lo, hi + 1, size=w1 * w2)`` for the sizes, then the
     release (only when release_max > 0) and the weight. ``_Draws`` reproduces numpy 2.4's C code for
     each of them from the PCG64 bit stream, so an instance depends only on
-    that stream, not on how numpy's ``Generator`` methods are built.
+    that stream, not on how numpy's ``Generator`` methods are built. The
+    running flow count is checked against ``MAX_FLOWS`` once a coflow's
+    widths are drawn, before its grid is built.
     """
     _check_counts(n, release_max)
     if ports < 4:
@@ -185,10 +187,13 @@ def gen_mix(
     cdf = np.cumsum([t.probability for t in templates])
     cdf = (cdf / cdf[-1]).tolist()
     coflows = []
+    flows = 0
     for k in range(1, n + 1):
         t = templates[bisect_right(cdf, draws.random())]
         w1 = t.width_min + bounded(t.width_max - t.width_min)
         w2 = t.width_min + bounded(t.width_max - t.width_min)
+        flows += w1 * w2
+        _require_flows(flows, f"coflow {k}")
         inputs = sorted(p + 1 for p in draws.sample(ports, w1))
         outputs = sorted(p + 1 for p in draws.sample(ports, w2))
         span = t.size_max - t.size_min
@@ -215,7 +220,8 @@ def gen_density(
     dense coflows have uniform {N..N^2} flows, sparse ones uniform {1..N};
     combined flips a fair coin per coflow. Flows land on distinct port pairs
     with sizes uniform in {1..100}, drawn in one call per coflow; weights are
-    uniform in [1, 100].
+    uniform in [1, 100]. The running flow count is checked against
+    ``MAX_FLOWS`` once a coflow's count is drawn, before its cells are.
     """
     _check_counts(n, release_max)
     if ports < 1:
@@ -227,6 +233,7 @@ def gen_density(
         raise ValueError(f"density mode must be one of {DENSITY_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed)
     coflows = []
+    flows = 0
     for k in range(1, n + 1):
         pick = mode
         if mode == "combined":
@@ -235,6 +242,8 @@ def gen_density(
             count = int(rng.integers(ports, ports * ports + 1))
         else:
             count = int(rng.integers(1, ports + 1))
+        flows += count
+        _require_flows(flows, f"coflow {k}")
         cells = rng.choice(ports * ports, size=count, replace=False).tolist()
         sizes = rng.integers(1, 101, size=count).tolist()
         demands = {
@@ -254,10 +263,12 @@ def parse_trace(text: str, rack_count: int, weight_seed: int, cores: int = 1) ->
     The text splits into lines on "\\n" only, as iterating over a file in
     text mode splits it, and blank lines are skipped. Format: a header line
     "<machines> <coflows>", then one line per coflow: "<id> <arrival ms>
-    <#mappers> <mapper racks...> <#reducers> <rack>:<megabytes>...". Every (mapper rack, reducer rack) pair becomes a
-    flow whose size is the reducer's megabytes split equally over the
-    mappers, each share rounded up to at least 1 unit (1 unit = 1 MB).
-    Pairs that collide (two mappers on one rack) merge by summing. Arrival
+    <#mappers> <mapper racks...> <#reducers> <rack>:<megabytes>...". Every
+    (mapper rack, reducer rack) pair becomes a flow whose size is the
+    reducer's megabytes split equally over the mappers, each share rounded
+    up to at least 1 unit (1 unit = 1 MB). Pairs that collide (two mappers
+    on one rack) merge by summing; the running count of distinct pairs is
+    checked against ``MAX_FLOWS`` before a line's flows are built. Arrival
     times convert at 128 units per second. Coflows are renumbered 1..n in
     file order; weights are uniform integers in [1, 100] drawn from
     weight_seed.
@@ -276,6 +287,7 @@ def parse_trace(text: str, rack_count: int, weight_seed: int, cores: int = 1) ->
         raise ValueError(f"trace declares {declared} coflows but contains {len(lines) - 1}")
 
     parsed = []
+    flows = 0
     for lineno, line in enumerate(lines[1:], start=2):
         tok = line.split()
         try:
@@ -296,12 +308,12 @@ def parse_trace(text: str, rack_count: int, weight_seed: int, cores: int = 1) ->
             raise ValueError(f"trace line {lineno}: arrival {arrival_ms} ms above the limit 2**53")
         if n_red and not n_map:
             raise ValueError(f"trace line {lineno}: {n_red} reducers but no mappers")
-        demands: dict[tuple[int, int], int] = {}
         for rack in mappers:
             if not 1 <= rack <= rack_count:
                 raise ValueError(
                     f"trace line {lineno}: mapper rack {rack} out of range 1..{rack_count}"
                 )
+        reducers = []
         for chunk in reducer_toks:
             try:
                 rack_txt, mb_txt = chunk.split(":")
@@ -317,6 +329,12 @@ def parse_trace(text: str, rack_count: int, weight_seed: int, cores: int = 1) ->
                 raise ValueError(f"trace line {lineno}: megabytes must be positive, got {mb_txt}")
             if megabytes == math.inf:
                 raise ValueError(f"trace line {lineno}: megabytes must be finite, got {mb_txt}")
+            reducers.append((rack, megabytes))
+        # Each distinct (mapper rack, reducer rack) pair is one flow.
+        flows += len(set(mappers)) * len({rack for rack, _ in reducers})
+        _require_flows(flows, f"trace line {lineno}")
+        demands: dict[tuple[int, int], int] = {}
+        for rack, megabytes in reducers:
             share = max(1, math.ceil(megabytes / n_map))
             for mapper in mappers:
                 key = (mapper, rack)

@@ -1,7 +1,9 @@
 """The schedule audit as it was before the per-core interval sweep.
 
-Kept verbatim as the reference that ``test_audit_differential.py`` compares
-``coflowsched.scheduling.audit_schedule`` against. Its work-conservation
+Kept as the reference that ``test_audit_differential.py`` compares
+``coflowsched.scheduling.audit_schedule`` against, verbatim but for two
+per-flow rules added to both: no segment starts before its flow's release,
+and a flow's completion is the end of its last segment. Its work-conservation
 check builds an intervals x flows boolean matrix per core and walks the
 intervals one by one, so only small timelines should be fed to it. It
 raises ``KeyError`` on a segment of an unknown flow or a flow without a
@@ -25,8 +27,10 @@ def audit_schedule(
     """Check a simulated schedule against the rules it must obey.
 
     Verifies port exclusivity per core, transmitted volume per flow, the
-    release + size lower bound on every flow completion, coflow completions
-    being the max over their flows, and work conservation: no released,
+    release + size lower bound on every flow completion, no segment before
+    its flow's release, each flow completion at its last segment's end,
+    coflow completions being the max over their flows, and work
+    conservation: no released,
     incomplete flow may sit idle while both of its ports are free on its
     core. Returns a list of violation descriptions, empty when clean.
     """
@@ -38,10 +42,14 @@ def audit_schedule(
     release_of = {c.id: c.release for c in instance.coflows}
 
     transmitted: dict[FlowKey, float] = dict.fromkeys(table.keys, 0.0)
+    first_start: dict[FlowKey, float] = {}
+    last_end: dict[FlowKey, float] = {}
     for seg in result.timeline:
         if seg.end <= seg.start:
             bad.append(f"empty or reversed segment {seg}")
         transmitted[seg.flow] += seg.end - seg.start
+        first_start[seg.flow] = min(first_start.get(seg.flow, seg.start), seg.start)
+        last_end[seg.flow] = max(last_end.get(seg.flow, seg.end), seg.end)
     for key, d, r in zip(table.keys, table.size, table.release):
         if abs(transmitted[key] - d) > 1e-6:
             bad.append(f"flow {tuple(key)} transmitted {transmitted[key]}, size {d}")
@@ -50,6 +58,13 @@ def audit_schedule(
             bad.append(f"flow {tuple(key)} has no completion time")
         elif comp < r + d - 1e-9:
             bad.append(f"flow {tuple(key)} completed at {comp}, before release + size")
+        if key in first_start and first_start[key] < r:
+            bad.append(f"flow {tuple(key)} starts at {first_start[key]}, before its release {r}")
+        if comp is not None and key in last_end and abs(comp - last_end[key]) > 1e-9:
+            bad.append(
+                f"flow {tuple(key)} completed at {comp}, "
+                f"but its last segment ends at {last_end[key]}"
+            )
 
     for c in instance.coflows:
         own = table.keys[table.first[c.id - 1] : table.first[c.id]]

@@ -161,7 +161,9 @@ def test_matches_reference_on_tampered_timelines():
             assert reference_audit(instance, perm, assignment, result) == []
     assert (clean, tampered) == (80, 640)
     # Pinned, so that a change to the corpus that makes it toothless shows.
-    assert flagged == 532
+    # Four nudges that start a segment up to 5e-10 before its release are
+    # among the flagged.
+    assert flagged == 536
     assert refused == 102
 
 
@@ -420,18 +422,71 @@ def test_segment_at_one_infinity_is_reported_once(bound):
             rebuilt(instance, result, timeline)
 
 
+def audit_both(instance, completion, timeline):
+    """The report of each audit on every flow placed on core 1, checked equal."""
+    assignment = Assignment.of_flows(instance, "flow", dict.fromkeys(instance.table.keys, 1))
+    result = ScheduleResult.of_flows(instance, completion, timeline)
+    got = audit_schedule(instance, [], assignment, result)
+    assert got == reference_audit(instance, [], assignment, result)
+    return got
+
+
 def test_a_completion_before_release_plus_size_is_reported():
     # Flow (1, 1, 1), released at 2, sends its 4 units in [2, 6) but its
-    # completion reads 5. Both audits report the early completion, and its
-    # window [2, 5) is covered, so it is not idle.
+    # completion reads 5. Both audits report the early completion, and
+    # that it is not the end of the last segment; its window [2, 5) is
+    # covered, so it is not idle.
     instance = Instance(1, 1, (Coflow(1, 2, 1, {(1, 1): 4}),))
-    assignment = Assignment.of_flows(instance, "flow", {FlowKey(1, 1, 1): 1})
-    result = ScheduleResult.of_flows(
-        instance, {FlowKey(1, 1, 1): 5.0}, [Segment(2.0, 6.0, FlowKey(1, 1, 1), 1)]
-    )
-    expected = ["flow (1, 1, 1) completed at 5.0, before release + size"]
-    assert audit_schedule(instance, [1], assignment, result) == expected
-    assert reference_audit(instance, [1], assignment, result) == expected
+    got = audit_both(instance, {FlowKey(1, 1, 1): 5.0}, [Segment(2.0, 6.0, FlowKey(1, 1, 1), 1)])
+    assert got == [
+        "flow (1, 1, 1) completed at 5.0, before release + size",
+        "flow (1, 1, 1) completed at 5.0, but its last segment ends at 6.0",
+    ]
+
+
+def test_a_flow_sent_before_its_release_is_reported():
+    # (1, 1, 1), released at 10, sends during [8, 12), two units before
+    # its release; its completion 14 also reads past that last segment.
+    instance = Instance(1, 2, (Coflow(1, 10, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 10})))
+    timeline = [
+        Segment(0.0, 8.0, FlowKey(1, 2, 2), 1),
+        Segment(8.0, 12.0, FlowKey(1, 1, 1), 1),
+        Segment(12.0, 14.0, FlowKey(1, 2, 2), 1),
+    ]
+    completion = {FlowKey(1, 1, 1): 14.0, FlowKey(1, 2, 2): 14.0}
+    assert audit_both(instance, completion, timeline) == [
+        "flow (1, 1, 1) starts at 8.0, before its release 10",
+        "flow (1, 1, 1) completed at 14.0, but its last segment ends at 12.0",
+    ]
+
+
+def test_a_completion_after_its_last_segment_is_reported():
+    # (1, 1, 1) sends [0, 4) and (1, 2, 2) then [4, 10) on input port 1,
+    # but both report completion 10: the objective reads 20 where the
+    # timeline gives 14. Every other rule holds.
+    instance = Instance(1, 2, (Coflow(1, 0, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 6})))
+    timeline = [Segment(0.0, 4.0, FlowKey(1, 1, 1), 1), Segment(4.0, 10.0, FlowKey(1, 2, 2), 1)]
+    completion = {FlowKey(1, 1, 1): 10.0, FlowKey(1, 2, 2): 10.0}
+    assert ScheduleResult.of_flows(instance, completion, timeline).objective == 20.0
+    assert audit_both(instance, completion, timeline) == [
+        "flow (1, 1, 1) completed at 10.0, but its last segment ends at 4.0"
+    ]
+
+
+def test_a_completion_before_its_last_segment_is_reported():
+    # (1, 1, 1) sends [0, 2) and [6, 8) but reports completion 4, which
+    # release + size allows. (1, 2, 2) holds input port 1 during [2, 6),
+    # so no flow is idle with both ports free.
+    instance = Instance(1, 2, (Coflow(1, 0, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 4})))
+    timeline = [
+        Segment(0.0, 2.0, FlowKey(1, 1, 1), 1),
+        Segment(2.0, 6.0, FlowKey(1, 2, 2), 1),
+        Segment(6.0, 8.0, FlowKey(1, 1, 1), 1),
+    ]
+    completion = {FlowKey(1, 1, 1): 4.0, FlowKey(1, 2, 2): 6.0}
+    assert audit_both(instance, completion, timeline) == [
+        "flow (1, 1, 1) completed at 4.0, but its last segment ends at 8.0"
+    ]
 
 
 def test_audit_leaves_numpy_ma_unimported():

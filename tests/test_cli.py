@@ -5,6 +5,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,29 @@ def test_generate_reruns_byte_identical(tmp_path, capsys):
 def test_generate_rejects_negative_coflow_count(capsys):
     code, out, err = run(capsys, "generate", "--coflows", "-3")
     assert_one_json_error(code, out, err, "coflow count must be >= 0, got -3")
+
+
+def test_generate_refuses_a_coflow_above_the_flow_cap():
+    # At 10,000 ports, seed 4 draws a first coflow of 8,815 x 5,115 =
+    # 45,088,725 flows. The cap is checked once its widths are drawn, before
+    # its grid is built. The child alone runs under a 512 MiB address-space
+    # limit, so a build would fail there instead of filling the host.
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))\n"
+        "from coflowsched.cli import main\n"
+        "sys.exit(main(['generate', '--ports', '10000', '--seed', '4']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert_one_json_error(
+        proc.returncode, proc.stdout, proc.stderr,
+        "coflow 1: 45088725 flows above the limit 1000000",
+    )
 
 
 def test_generate_density_flag(tmp_path, capsys):

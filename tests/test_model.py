@@ -1,13 +1,17 @@
 """Domain types, the compiled flow table, validation, and the instance JSON format."""
 
+import re
+
 import numpy as np
 import pytest
 
+from coflowsched import model
 from coflowsched.experiments import run_pipeline
 from coflowsched.model import (
     Coflow,
     FlowKey,
     MAX_CORES,
+    MAX_FLOWS,
     MAX_HORIZON,
     MAX_PORT_TOTAL,
     MAX_PORTS,
@@ -185,6 +189,24 @@ def test_table_cell_limit():
     assert validate(make(ports=9_999, coflows=coflows)) == [
         f"100 coflows x 9999 ports: 1010000 table cells above the limit {MAX_TABLE_CELLS}"
     ]
+
+
+def test_flow_limit(monkeypatch):
+    # The limit is lowered so that an instance above it is small. validate
+    # reports it like the other limits, and instance_from_dict refuses the
+    # document once its count passes the limit, before it builds that coflow.
+    assert MAX_FLOWS == 1_000_000
+    monkeypatch.setattr(model, "MAX_FLOWS", 3)
+    three = [Coflow(1, 0, 1, {(1, 1): 1, (1, 2): 1}), Coflow(2, 0, 1, {(2, 2): 1})]
+    assert validate(make(coflows=three)) == []
+    four = [three[0], Coflow(2, 0, 1, {(2, 1): 1, (2, 2): 1})]
+    assert validate(make(coflows=four)) == ["4 flows above the limit 3"]
+    doc = instance_to_dict(make(coflows=four))
+    with pytest.raises(ValueError, match=re.escape("instance JSON: 4 flows above the limit 3")):
+        instance_from_dict(doc)
+    doc["coflows"][1]["flows"].append({"i": 1})
+    with pytest.raises(ValueError, match=re.escape("instance JSON: 5 flows above the limit 3")):
+        instance_from_dict(doc)
 
 
 def test_require_valid_raises():

@@ -660,6 +660,7 @@ def test_audit_flags_tampered_timeline():
     res = ScheduleResult.of_flows(inst, res.flow_completion, [cut])
     assert audit_schedule(inst, [1], asg, res) == [
         "flow (1, 1, 1) transmitted 3.0, size 4",
+        "flow (1, 1, 1) completed at 4.0, but its last segment ends at 3.0",
         "core 1: flow (1, 1, 1) idle at t=3.0 with both ports free",
     ]
 

@@ -1,11 +1,13 @@
 """Synthetic generators and the shuffle-trace reader."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 from _shared import fb2010_text
+from coflowsched import model
 from coflowsched.model import dumps_instance
 from coflowsched.workload import (
     DENSITY_MODES,
@@ -86,6 +88,29 @@ def test_density_checks_the_port_limit_before_any_draw(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(ValueError, match="ports 10001 above the limit 10000"):
         gen_density(5, 10_001, "dense", 0)
+
+
+@pytest.mark.parametrize(
+    "make, where",
+    [
+        (lambda: gen_mix(25, 10, 0), "coflow {k}"),
+        (lambda: gen_density(25, 5, "combined", 0), "coflow {k}"),
+        (lambda: parse_trace(fb2010_text(0), 150, 0), "trace line {line}"),
+    ],
+    ids=["mix", "density", "trace"],
+)
+def test_flow_limit_is_checked_before_the_flows_are_built(monkeypatch, make, where):
+    # Each reader counts a coflow's flows before it builds them and stops
+    # at the first coflow whose running count passes the limit; lowered
+    # here, it is passed halfway into the instance. Coflow k is on trace
+    # line k + 1.
+    counts = np.cumsum([c.flow_count for c in make().coflows])
+    limit = int(counts[len(counts) // 2])
+    k = int(np.searchsorted(counts, limit, side="right")) + 1
+    monkeypatch.setattr(model, "MAX_FLOWS", limit)
+    message = f"{where.format(k=k, line=k + 1)}: {counts[k - 1]} flows above the limit {limit}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
 
 
 def test_mix_coflows_are_port_grids():
