@@ -326,8 +326,9 @@ def validate(instance: Instance) -> list[str]:
             f"{(instance.n + 1) * (ports + 1)} table cells "
             f"above the limit {MAX_TABLE_CELLS}"
         )
-    if instance.flow_count > MAX_FLOWS:
-        bad.append(f"{instance.flow_count} flows above the limit {MAX_FLOWS}")
+    flows = instance.flow_count
+    if flows > MAX_FLOWS:
+        bad.append(f"{flows} flows above the limit {MAX_FLOWS}")
     port_in: dict[int, int] = {}
     port_out: dict[int, int] = {}
     total_size = 0

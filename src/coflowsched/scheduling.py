@@ -530,24 +530,23 @@ def audit_schedule(
     segment starts before its release, and that its completion is the end
     of its last segment (a flow without segments is left to the volume
     check); then work conservation: no released, incomplete flow may sit
-    idle while both of its ports are free on its core. The placement and the result were
-    checked when built: every segment has finite times, start < end and a
-    core in 1..m, and the coflow completions are folded from the flow
-    completions. So the audit judges only these rules. ``order`` is not
-    read: every check is on the placement and the result. It stays in the
-    signature because callers, the benchmark among them, pass it. The
-    placement and the result must be built for the instance or for an
-    equal one, as ``simulate`` requires; any other raises ValueError.
+    idle while both of its ports are free on its core. The placement and
+    the result were checked when built: every segment has finite times,
+    start < end and a core in 1..m, and the coflow completions are folded
+    from the flow completions. So the audit judges only these rules.
+    ``order`` is not read: every check is on the placement and the result.
+    It stays in the signature because callers, the benchmark among them,
+    pass it. The placement and the result must be built for the instance or
+    for an equal one, as ``simulate`` requires; any other raises ValueError.
 
     Every check runs on the rows and timeline columns the placement and the
     result hold: the volume per flow is one ``bincount`` in timeline order,
     its first start and last end one ``fmin.at`` and ``fmax.at``, and the
-    flow checks are masks. Only what a mask flags is
-    formatted, in the order a walk over the segments and flows would
-    report it. One stable sort by core gives each core its
-    segments as a slice in timeline order, and one sort per side by (core,
-    port, start, end) puts each port's spans next to the spans they could
-    overlap.
+    flow checks are masks. Only what a mask flags is formatted, in the
+    order a walk over the segments and flows would report it. One stable
+    sort by core gives each core its segments as a slice in timeline order,
+    and one sort per side by (core, port, start, end) puts each port's
+    spans next to the spans they could overlap.
 
     Work conservation is checked per core on a grid: the sorted distinct
     segment starts and ends, releases and completions on that core, each

@@ -30,9 +30,9 @@ def audit_schedule(
     release + size lower bound on every flow completion, no segment before
     its flow's release, each flow completion at its last segment's end,
     coflow completions being the max over their flows, and work
-    conservation: no released,
-    incomplete flow may sit idle while both of its ports are free on its
-    core. Returns a list of violation descriptions, empty when clean.
+    conservation: no released, incomplete flow may sit idle while both of
+    its ports are free on its core. Returns a list of violation
+    descriptions, empty when clean.
     """
     if result.timeline is None:
         raise ValueError("audit requires a result simulated with emit_timeline=True")
