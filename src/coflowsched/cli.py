@@ -180,16 +180,16 @@ def cmd_schedule(args) -> int:
         if args.out is None:
             raise ValueError("--emit-timeline needs --out")
         args.out.mkdir(parents=True, exist_ok=True)
-        # The rows are written from the timeline columns, without building
-        # the Segment view.
-        start, end, row, core = result.columns
-        keys = instance.table.keys
+        # The rows are written from the timeline columns and the placement,
+        # without building the Segment view.
+        start, end, row = result.columns
+        keys, core_of = instance.table.keys, result.assignment.core_of
         with open(args.out / f"timeline_{args.granularity}.csv", "w", newline="") as fp:
             writer = csv.writer(fp)
             writer.writerow(["start", "end", "i", "j", "k", "core"])
             writer.writerows(
-                (repr(s), repr(e), *keys[r], h)
-                for s, e, r, h in zip(start.tolist(), end.tolist(), row.tolist(), core.tolist())
+                (repr(s), repr(e), *keys[r], core_of[r])
+                for s, e, r in zip(start.tolist(), end.tolist(), row.tolist())
             )
     _emit(args, f"schedule_{args.granularity}.json", json.dumps(doc, indent=2) + "\n")
     return 0

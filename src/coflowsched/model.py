@@ -326,7 +326,7 @@ def validate(instance: Instance) -> list[str]:
             f"{(instance.n + 1) * (ports + 1)} table cells "
             f"above the limit {MAX_TABLE_CELLS}"
         )
-    flows = instance.flow_count
+    flows = sum(len(c.demands) for c in instance.coflows if isinstance(c.demands, dict))
     if flows > MAX_FLOWS:
         bad.append(f"{flows} flows above the limit {MAX_FLOWS}")
     port_in: dict[int, int] = {}
@@ -343,6 +343,9 @@ def validate(instance: Instance) -> list[str]:
             max_release = max(max_release, c.release)
         if not (_is_finite_real(c.weight) and c.weight > 0):
             bad.append(f"{where}: weight must be positive and finite, got {c.weight!r}")
+        if not isinstance(c.demands, dict):
+            bad.append(f"{where}: demands must be a dict, got {type(c.demands).__name__}")
+            continue
         for key, d in c.demands.items():
             try:
                 i, j = key

@@ -122,8 +122,6 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
     table = instance.table
     n, m, ports = instance.n, instance.cores, instance.ports
     trace = DualTrace()
-    if n == 0:
-        return Permutation(order=[], dual_cost=0.0, trace=trace)
 
     # Per side: the table's port cells; the squares the granularity prices in
     # each cell (squared coflow loads, or squared flow sizes); each port's

@@ -78,8 +78,8 @@ class Assignment(_Fields):
     raises ValueError unless it holds one int core in 1..m per flow (an
     np.integer counts as an int, a bool does not) and, under coflow
     granularity, one core per coflow; it names the first bad row in table
-    order. ``core_of`` is kept as a tuple, so a built placement stays
-    checked. ``flow_to_core`` is a read-only view of it keyed by
+    order. ``core_of`` is kept as a tuple of ints, so a built placement
+    stays checked. ``flow_to_core`` is a read-only view of it keyed by
     ``FlowKey``, built on first read.
     """
 
@@ -91,14 +91,17 @@ class Assignment(_Fields):
         core_of = tuple(core_of)
         if len(core_of) != len(table.fi):
             raise ValueError(f"assignment holds {len(core_of)} cores for {len(table.fi)} flows")
+        types = set(map(type, core_of))
         if not (
-            all(map(_is_int_type, set(map(type, core_of))))
+            all(map(_is_int_type, types))
             and 1 <= min(core_of, default=1)
             and max(core_of, default=1) <= m
         ):
             r = next(r for r, h in enumerate(core_of) if not (_is_int(h) and 1 <= h <= m))
             key, h = table.keys[r], core_of[r]
             raise ValueError(f"flow {tuple(key)} assigned to core {h!r}, valid range 1..{m}")
+        if types - {int}:
+            core_of = tuple(map(int, core_of))
         if granularity == "coflow":
             first = table.first
             for k, lo, hi in zip(range(1, len(first)), first, first[1:]):
@@ -140,28 +143,30 @@ class Assignment(_Fields):
 class ScheduleResult(_Fields):
     """Completion times, the weighted objective and, on request, the timeline.
 
+    A result holds ``assignment``, the placement it ran under, and its
+    ``instance``; the placement is the only record of a segment's core.
     ``finish`` holds a completion time for each row of the instance's flow
     table, however the result was built: by ``simulate`` or, from a dict
     keyed by ``FlowKey`` and a ``Segment`` list, by ``of_flows``. The
     constructor raises ValueError unless it holds one completion per flow,
-    each an int or a float (an np.integer or np.floating counts, a bool
-    does not) that converts to a float and is no NaN; it names the first
-    bad row in table order. An infinite completion is accepted; the audit
-    reports it. ``finish`` is kept as a tuple, and the coflow completions
-    and the objective are folded from it when the result is built.
-    ``columns`` is None, or the timeline as start, end, flow row and core
-    arrays in timeline order. The constructor also raises ValueError unless
-    each segment has finite times, start < end and a core in 1..m; it names
-    the first bad segment in timeline order, as the ``timeline`` view reads
-    it. ``flow_completion`` (keyed by ``FlowKey``) and ``timeline`` (a
-    tuple of ``Segment``) are read-only views, each built on first read.
+    each an int or a float (an np.integer or np.floating counts, a bool does
+    not) that converts to a float and is no NaN; it names the first bad row
+    in table order. An infinite completion is accepted; the audit reports it.
+    ``finish`` is kept as a tuple, and the coflow completions and the
+    objective are folded from it when the result is built. ``columns`` is
+    None, or the timeline as start, end and flow row arrays in timeline
+    order. The constructor also raises ValueError unless each segment has
+    finite times and start < end; it names the first bad one in timeline
+    order, as the ``timeline`` view reads it. ``flow_completion`` (keyed by
+    ``FlowKey``) and ``timeline`` (a tuple of ``Segment``) are read-only
+    views, each built on first read.
     """
 
     _fields = ("flow_completion", "coflow_completion", "objective", "timeline")
 
-    def __init__(self, instance: Instance, finish: Sequence[float], columns) -> None:
+    def __init__(self, assignment: Assignment, finish: Sequence[float], columns) -> None:
         finish = tuple(finish)
-        table, m = instance.table, instance.cores
+        table, placed = assignment.instance.table, assignment.core_of
         if len(finish) != len(table.fi):
             raise ValueError(f"result holds {len(finish)} completions for {len(table.fi)} flows")
         # Python floats whose sum is a number need no walk. A NaN sum may
@@ -172,38 +177,35 @@ class ScheduleResult(_Fields):
                 if fault:
                     raise ValueError(f"flow {tuple(key)} {fault}")
         if columns is not None:
-            start, end, row, core = columns
-            timed = np.isfinite(start) & np.isfinite(end)
-            fault = ~(timed & (start < end) & (core >= 1) & (core <= m))
+            start, end, row = columns
+            fault = ~(np.isfinite(start) & np.isfinite(end) & (start < end))
             if fault.any():
                 at = int(fault.argmax())
-                seg = Segment(float(start[at]), float(end[at]), table.keys[row[at]], int(core[at]))
-                if not timed[at]:
+                r = row[at]
+                seg = Segment(float(start[at]), float(end[at]), table.keys[r], placed[r])
+                if not (math.isfinite(seg.start) and math.isfinite(seg.end)):
                     raise ValueError(f"segment {seg} has a time that is not a finite number")
-                if not seg.start < seg.end:
-                    raise ValueError(f"empty or reversed segment {seg}")
-                raise ValueError(f"segment {seg} is on core {seg.core}, valid range 1..{m}")
-        self.instance = instance
+                raise ValueError(f"empty or reversed segment {seg}")
+        self.assignment, self.instance = assignment, assignment.instance
         self.finish = finish
         self.columns = columns
-        done, self.objective = _fold_completions(instance.coflows, table.first, finish)
-        self.coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
+        done, self.objective = _fold_completions(self.instance.coflows, table.first, finish)
+        self.coflow_completion = {c.id: t for c, t in zip(self.instance.coflows, done)}
 
     @classmethod
     def of_flows(
-        cls, instance: Instance, flow_completion: Mapping, timeline=None
+        cls, assignment: Assignment, flow_completion: Mapping, timeline=None
     ) -> ScheduleResult:
-        """A result of ``instance`` given by flow, with the timeline in its order.
+        """A result under ``assignment`` given by flow, with the timeline in its order.
 
-        Raises ValueError for a completion of a flow that is not in the
-        instance, for a segment of a flow that is not in the instance and
-        for a segment whose core is no int64 integer; the constructor then
-        checks the completions and the segments. A segment is held as float
-        times, its flow's row and an int64 core, so the ``timeline`` view and
-        every message name it with float times, a ``FlowKey`` and an int
-        core, whatever types it was given with.
+        Raises ValueError for a completion or a segment of a flow that is not
+        in the instance, and for a segment whose core is no int equal to its
+        flow's placed core; the constructor then checks the completions and
+        the segment times. A segment is held as float times and its flow's
+        row, so the ``timeline`` view and every message name it with float
+        times, a ``FlowKey`` and the placed core, whatever its types.
         """
-        keys = instance.table.keys
+        keys, core_of = assignment.instance.table.keys, assignment.core_of
         row_of = {key: r for r, key in enumerate(keys)}
         for key in flow_completion:
             if key not in row_of:
@@ -215,19 +217,19 @@ class ScheduleResult(_Fields):
             start, end, flows, core = zip(*timeline) if timeline else ((),) * 4
             for seg, flow, h in zip(timeline, flows, core):
                 try:
-                    rows.append(row_of[flow])
+                    r = row_of[flow]
                 except (KeyError, TypeError):  # a list is no key of any dict
                     raise ValueError(f"segment {seg} of a flow not in the instance") from None
-                if not (_is_int(h) and -(2**63) <= h < 2**63):
-                    raise ValueError(f"segment {seg} is on core {h!r}, no int64 integer")
-            columns = tuple(
-                map(np.array, (start, end, rows, core), (float, float, np.int64, np.int64))
-            )
-        return cls(instance, finish, columns)
+                if not (_is_int(h) and h == core_of[r]):
+                    placed = f"flow {tuple(keys[r])} is placed on core {core_of[r]}"
+                    raise ValueError(f"segment {seg} is on core {h!r}, but {placed}")
+                rows.append(r)
+            columns = tuple(map(np.array, (start, end, rows), (float, float, np.int64)))
+        return cls(assignment, finish, columns)
 
     def _rows(self) -> tuple:
         columns = None if self.columns is None else [column.tolist() for column in self.columns]
-        return self.instance, self.finish, columns
+        return self.assignment, self.finish, columns
 
     @cached_property
     def flow_completion(self) -> Mapping[FlowKey, float]:
@@ -237,8 +239,9 @@ class ScheduleResult(_Fields):
     def timeline(self) -> tuple[Segment, ...] | None:
         if self.columns is None:
             return None
-        start, end, row, core = (column.tolist() for column in self.columns)
+        start, end, row = (column.tolist() for column in self.columns)
         flows = map(self.instance.table.keys.__getitem__, row)
+        core = map(self.assignment.core_of.__getitem__, row)
         # tuple.__new__ is what Segment._make calls, minus a Python frame each.
         return tuple(map(tuple.__new__, repeat(Segment), zip(start, end, flows, core)))
 
@@ -374,26 +377,25 @@ def simulate(
     Priority on a core is (coflow position in the order, then size
     non-increasing under flow granularity or port-pair order under coflow
     granularity, then (i, j)). At every instant each core transmits the
-    greedy set of its priority list: a released, unfinished flow runs
-    exactly when no better-ranked running flow on that core shares one of
-    its ports. So a flow's transmission depends only on the better-ranked
-    flows of its core, and ``_list_schedule`` places the flows one at a
-    time, best first, into the free time of their two ports. Completion of
-    a coflow is the completion of its last flow; a flowless coflow
-    completes at its release. The placement was checked when built, so it
-    is only required to be built for ``instance`` or an equal one; any
-    other raises ValueError.
+    greedy set of its priority list: a released, unfinished flow runs exactly
+    when no better-ranked running flow on that core shares one of its ports.
+    So a flow's transmission depends only on the better-ranked flows of its
+    core, and ``_list_schedule`` places the flows one at a time, best first,
+    into the free time of their two ports. Completion of a coflow is the
+    completion of its last flow; a flowless coflow completes at its release.
+    The placement was checked when built, so it need only be built for
+    ``instance`` or an equal one (any other raises ValueError); the result
+    holds it, and so each segment's core.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
     _require_instance(assignment.instance, instance, "assignment")
-    core_of = assignment.core_of
     n = len(table.fi)
 
     # Each (core, port) gets its own key, so the cores share no busy runs.
     stride = instance.ports + 1
-    key_in = [h * stride + i for h, i in zip(core_of, table.fi)]
-    key_out = [h * stride + j for h, j in zip(core_of, table.fj)]
+    key_in = [h * stride + i for h, i in zip(assignment.core_of, table.fi)]
+    key_out = [h * stride + j for h, j in zip(assignment.core_of, table.fj)]
     ranked = _priority_rows(table, seq, assignment.granularity)
     segs: list[float] | None = [] if emit_timeline else None
     finish = [0.0] * n
@@ -406,9 +408,8 @@ def simulate(
         flat = np.fromiter(segs, float, len(segs)).reshape(-1, 3)
         start, end, row = flat[:, 0], flat[:, 1], flat[:, 2].astype(np.int64)
         by = _segment_order(start, end, table.key_rank[row], n)
-        row = row[by]
-        columns = (start[by], end[by], row, np.array(core_of, dtype=np.int64)[row])
-    return ScheduleResult(instance, finish, columns)
+        columns = (start[by], end[by], row[by])
+    return ScheduleResult(assignment, finish, columns)
 
 
 def _require_instance(held: Instance, instance: Instance, what: str) -> None:
@@ -527,26 +528,26 @@ def audit_schedule(
 
     Verifies port exclusivity per core and, per flow, the transmitted
     volume, the release + size lower bound on its completion, that no
-    segment starts before its release, and that its completion is the end
-    of its last segment (a flow without segments is left to the volume
-    check); then work conservation: no released, incomplete flow may sit
-    idle while both of its ports are free on its core. The placement and
-    the result were checked when built: every segment has finite times,
-    start < end and a core in 1..m, and the coflow completions are folded
-    from the flow completions. So the audit judges only these rules.
-    ``order`` is not read: every check is on the placement and the result.
-    It stays in the signature because callers, the benchmark among them,
-    pass it. The placement and the result must be built for the instance or
-    for an equal one, as ``simulate`` requires; any other raises ValueError.
+    segment starts before its release, and that its completion is the end of
+    its last segment (a flow without segments is left to the volume check);
+    then work conservation: no released, incomplete flow may sit idle while
+    both of its ports are free on its core. The placement and the result
+    were checked when built (finite segment times, start < end, each segment
+    on its flow's placed core in 1..m, coflow completions folded from the
+    flow completions), so the audit judges only these rules. ``order`` is
+    not read, but callers, the benchmark among them, pass it. The placement
+    must be built for the instance or an equal one, as ``simulate``
+    requires, and the result for the placement or an equal one; any other
+    raises ValueError.
 
-    Every check runs on the rows and timeline columns the placement and the
-    result hold: the volume per flow is one ``bincount`` in timeline order,
-    its first start and last end one ``fmin.at`` and ``fmax.at``, and the
-    flow checks are masks. Only what a mask flags is formatted, in the
-    order a walk over the segments and flows would report it. One stable
-    sort by core gives each core its segments as a slice in timeline order,
-    and one sort per side by (core, port, start, end) puts each port's
-    spans next to the spans they could overlap.
+    Every check runs on the placement's rows and the result's timeline
+    columns, a segment's core read from the placement: the volume per flow
+    is one ``bincount``, its first start and last end one ``fmin.at`` and
+    ``fmax.at``, and the flow checks are masks. Only what a mask flags is
+    formatted, in the order a walk over the segments and flows would report
+    it. One stable sort by core gives each core its segments as a slice in
+    timeline order, and one sort per side by (core, port, start, end) puts
+    each port's spans next to the spans they could overlap.
 
     Work conservation is checked per core on a grid: the sorted distinct
     segment starts and ends, releases and completions on that core, each
@@ -571,11 +572,12 @@ def audit_schedule(
     m, ports = instance.cores, instance.ports
     table = instance.table
     _require_instance(assignment.instance, instance, "assignment")
-    _require_instance(result.instance, instance, "result")
-    placed = np.array(assignment.core_of, dtype=np.int64)
+    if result.assignment is not assignment and result.assignment != assignment:
+        raise ValueError("result was built for another placement")
     if result.columns is None:
         raise ValueError("audit requires a result simulated with emit_timeline=True")
-    start, end, row, core = result.columns
+    start, end, row = result.columns
+    placed = np.array(assignment.core_of, dtype=np.int64)
     size = table.size
     n = len(size)
 
@@ -617,6 +619,7 @@ def audit_schedule(
 
     # The segments, each core's a slice in timeline order. Sorting the
     # distinct codes core x segments + index is a stable sort by core.
+    core = placed[row]
     live = np.argsort(core * start.size + np.arange(start.size))
     s_live, e_live, r_live, h_live = start[live], end[live], row[live], core[live]
     seg_edge = np.searchsorted(h_live, np.arange(1, m + 2)).tolist()
@@ -641,22 +644,16 @@ def audit_schedule(
                 f"core {h} {name} port {port}: overlap at {s2} before {e1}"
             )
 
-    # Each core's flows, the rows it runs or is placed with, as a slice in
-    # (i, j, k) order: rank[r] is row r's position in key order.
-    rank = table.key_rank
-    by_key = np.empty(n, dtype=np.int64)
-    by_key[rank] = np.arange(n)
-    pair = np.sort(np.concatenate([h_live * n + rank[r_live], placed * n + rank]))
-    pair = pair[np.diff(pair, prepend=-1) > 0]
-    pair_core, pair_row = np.divmod(pair, n)
-    pair_row = by_key[pair_row]
-    flow_edge = np.searchsorted(pair_core, np.arange(1, m + 2)).tolist()
+    # Each core's flows, the rows placed on it, as a slice in (i, j, k)
+    # order: key_rank[r] is row r's position in key order.
+    by_core = np.argsort(placed * n + table.key_rank)
+    flow_edge = np.searchsorted(placed[by_core], np.arange(1, m + 2)).tolist()
 
     for h in range(1, m + 1):
         if flow_edge[h - 1] == flow_edge[h]:
             continue
         bad.extend(overlaps.get(h, ()))
-        flows_h = pair_row[flow_edge[h - 1] : flow_edge[h]]
+        flows_h = by_core[flow_edge[h - 1] : flow_edge[h]]
         cut = slice(seg_edge[h - 1], seg_edge[h])
         span_start, span_end, span_row = s_live[cut], e_live[cut], r_live[cut]
         rel_h, done_h = release[flows_h], done[flows_h]

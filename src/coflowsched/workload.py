@@ -261,34 +261,35 @@ def parse_trace(text: str, rack_count: int, weight_seed: int, cores: int = 1) ->
     """Read a shuffle trace, given as its text, into an instance.
 
     The text splits into lines on "\\n" only, as iterating over a file in
-    text mode splits it, and blank lines are skipped. Format: a header line
-    "<machines> <coflows>", then one line per coflow: "<id> <arrival ms>
-    <#mappers> <mapper racks...> <#reducers> <rack>:<megabytes>...". Every
-    (mapper rack, reducer rack) pair becomes a flow whose size is the
-    reducer's megabytes split equally over the mappers, each share rounded
-    up to at least 1 unit (1 unit = 1 MB). Pairs that collide (two mappers
-    on one rack) merge by summing; the running count of distinct pairs is
-    checked against ``MAX_FLOWS`` before a line's flows are built. Arrival
-    times convert at 128 units per second. Coflows are renumbered 1..n in
-    file order; weights are uniform integers in [1, 100] drawn from
-    weight_seed.
+    text mode splits it, and blank lines are skipped but numbered, as an
+    error names a line. Format: a header line "<machines> <coflows>", then
+    one line per coflow: "<id> <arrival ms> <#mappers> <mapper racks...>
+    <#reducers> <rack>:<megabytes>...". Every (mapper rack, reducer rack)
+    pair becomes a flow whose size is the reducer's megabytes split equally
+    over the mappers, each share rounded up to at least 1 unit (1 unit
+    = 1 MB). Pairs that collide (two mappers on one rack) merge by summing;
+    the running count of distinct pairs is checked against ``MAX_FLOWS``
+    before a line's flows are built. Arrival times convert at 128 units per
+    second. Coflows are renumbered 1..n in file order; weights are uniform
+    integers in [1, 100] drawn from weight_seed.
     """
-    lines = [line for line in text.split("\n") if line.strip()]
+    lines = [(at, line) for at, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise ValueError("trace is empty")
-    header = lines[0].split()
+    (at, head), *rows = lines
+    header = head.split()
     if len(header) != 2:
-        raise ValueError(f"trace line 1: header must be '<machines> <coflows>', got {lines[0]!r}")
+        raise ValueError(f"trace line {at}: header must be '<machines> <coflows>', got {head!r}")
     try:
         declared = int(header[1])
     except ValueError as exc:
-        raise ValueError(f"trace line 1: malformed header {lines[0]!r}") from exc
-    if len(lines) - 1 != declared:
-        raise ValueError(f"trace declares {declared} coflows but contains {len(lines) - 1}")
+        raise ValueError(f"trace line {at}: malformed header {head!r}") from exc
+    if len(rows) != declared:
+        raise ValueError(f"trace declares {declared} coflows but contains {len(rows)}")
 
     parsed = []
     flows = 0
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in rows:
         tok = line.split()
         try:
             arrival_ms = int(tok[1])

@@ -7,7 +7,9 @@ and a flow's completion is the end of its last segment. Its work-conservation
 check builds an intervals x flows boolean matrix per core and walks the
 intervals one by one, so only small timelines should be fed to it. It
 raises ``KeyError`` on a segment of an unknown flow or a flow without a
-completion time, which ``ScheduleResult.of_flows`` now refuses.
+completion time, which ``ScheduleResult.of_flows`` now refuses. It reads
+each segment's core from the segment, so it passes a segment on a core its
+flow is not placed on, which ``of_flows`` also refuses.
 """
 
 from __future__ import annotations

@@ -82,7 +82,9 @@ def simulate(
         timeline = sorted(
             Segment(s, e, keys[idx], core_of[idx]) for s, e, idx in segs
         )
-    result = ScheduleResult.of_flows(instance, flow_completion, timeline)
+    # The result holds the placement it ran under, checked as every one is.
+    placed = Assignment.of_flows(instance, assignment.granularity, assignment.flow_to_core)
+    result = ScheduleResult.of_flows(placed, flow_completion, timeline)
     return result, coflow_completion, objective
 
 

@@ -8,9 +8,9 @@ segment, or splits it into two touching halves, which breaks no rule; some
 timelines get two tampers. A nudge moves one end by less than 1e-9, so that
 two grid points lie closer than the audit's tolerance. A second, smaller
 corpus tampers schedules of 1k+ segments with releases. A tamper that
-empties a segment or moves it off the cores is refused when the result is
-built; the reference audit, given the same timeline and completions, must
-flag it too.
+empties a segment or moves it to a core its flow is not placed on is
+refused when the result is built; the reference audit, given the same
+timeline and completions, must flag it too.
 """
 
 import os
@@ -62,7 +62,8 @@ def tamper(rng, timeline, kind, cores):
     elif kind == "delete":
         del timeline[at]
     elif kind == "recore":
-        # Core cores + 1 does not exist; a result that holds it is refused.
+        # A flow never leaves its placed core, and core cores + 1 does not
+        # exist; a result that holds either is refused.
         other = [h for h in range(1, cores + 2) if h != seg.core]
         timeline[at] = seg._replace(core=rng.choice(other))
     elif kind == "stretch":
@@ -79,7 +80,7 @@ def tamper(rng, timeline, kind, cores):
 
 def rebuilt(instance, result, timeline):
     """``result`` with ``timeline`` in place of its own."""
-    return ScheduleResult.of_flows(instance, result.flow_completion, timeline)
+    return ScheduleResult.of_flows(result.assignment, result.flow_completion, timeline)
 
 
 class StandIn(NamedTuple):
@@ -90,7 +91,9 @@ class StandIn(NamedTuple):
     coflow_completion: Mapping
 
 
-REFUSED = r"(empty or reversed segment |segment .* is on core \d+, valid range )"
+REFUSED = (
+    r"(empty or reversed segment |segment .* is on core \d+, but flow .* is placed on core \d+$)"
+)
 
 
 def audit_tampered(instance, perm, assignment, result, timeline):
@@ -162,9 +165,9 @@ def test_matches_reference_on_tampered_timelines():
     assert (clean, tampered) == (80, 640)
     # Pinned, so that a change to the corpus that makes it toothless shows.
     # Four nudges that start a segment up to 5e-10 before its release are
-    # among the flagged.
+    # among the flagged. Every recore is refused.
     assert flagged == 536
-    assert refused == 102
+    assert refused == 167
 
 
 def test_matches_reference_on_larger_tampered_timelines():
@@ -192,13 +195,14 @@ def test_matches_reference_on_larger_tampered_timelines():
     assert tampered == 48
     # Pinned, so that a change to the corpus that makes it toothless shows.
     assert flagged == 46
-    assert refused == 8
+    assert refused == 18
 
 
 def test_matches_reference_with_many_empty_cores():
     # CDLS puts six coflows on at most six of 16 cores, so most cores have
     # no segment, and FDLS leaves cores with a flow or two each. A recore
-    # tamper can move a segment to core 17, which the constructor refuses.
+    # tamper moves a segment off its flow's placed core, to core 17 among
+    # others, which of_flows refuses.
     rng = random.Random(13)
     tampered = flagged = applied = refused = 0
     for seed in range(700, 708):
@@ -220,7 +224,7 @@ def test_matches_reference_with_many_empty_cores():
     assert tampered == 96
     # Pinned, so that a change to the corpus that makes it toothless shows.
     assert flagged == 76
-    assert refused == 8
+    assert refused == 20
 
 
 def test_reports_the_first_starved_flow_in_key_order():
@@ -241,7 +245,7 @@ def test_reports_the_first_starved_flow_in_key_order():
     placement = {key: 1 for key in instance.table.keys}
     assignment = Assignment.of_flows(instance, "flow", placement)
     result = ScheduleResult.of_flows(
-        instance,
+        assignment,
         {FlowKey(1, 1, 1): 2.0, FlowKey(1, 2, 2): 6.0, FlowKey(2, 2, 3): 6.0},
         [
             Segment(0.0, 2.0, FlowKey(1, 1, 1), 1),
@@ -287,10 +291,11 @@ def test_edited_timelines_reach_the_audit():
 def test_columns_and_views_give_the_same_audit():
     # The audit reads the rows and columns that assign_* and simulate
     # keep. The placements and results of_flows builds from their views
-    # give the same lists on a slice of the acceptance corpus. Each
-    # schedule is also audited against the other policy's placement, which
-    # puts flows on cores they do not run on, so that not every list
-    # compared is empty.
+    # give the same lists on a slice of the acceptance corpus, so that not
+    # every list compared is empty, also on a copy of each schedule with
+    # one tamper that the result accepts. A result holds the placement it
+    # ran under, so the audit refuses it against the other policy's.
+    rng = random.Random(17)
     flagged = 0
     for idx in range(0, 1000, 10):
         instance = corpus_instance(idx)
@@ -298,25 +303,31 @@ def test_columns_and_views_give_the_same_audit():
         for order_fn, assign_fn in STAGES.values():
             perm = order_fn(instance, 0.5)
             assignment = assign_fn(instance, perm)
-            runs.append((perm, assignment, simulate(instance, perm, assignment, True)))
-        (fperm, fasg, fres), (cperm, casg, cres) = runs
-        cases = [(fperm, fasg, fres), (cperm, casg, cres), (fperm, casg, fres), (cperm, fasg, cres)]
-        from_columns = [audit_schedule(instance, *case) for case in cases]
-        views = {}
-        for _, assignment, result in runs:
-            views[id(assignment)] = Assignment.of_flows(
-                instance, assignment.granularity, assignment.flow_to_core
-            )
-            views[id(result)] = rebuilt(instance, result, result.timeline)
-        from_views = [
-            audit_schedule(instance, perm, views[id(asg)], views[id(res)])
-            for perm, asg, res in cases
-        ]
-        assert from_views == from_columns
-        assert from_columns[:2] == [[], []]
-        flagged += bool(from_columns[2]) + bool(from_columns[3])
+            result = simulate(instance, perm, assignment, True)
+            while True:
+                timeline = list(result.timeline)
+                tamper(rng, timeline, rng.choice(KINDS), instance.cores)
+                try:
+                    broken = rebuilt(instance, result, timeline)
+                    break
+                except ValueError:
+                    pass
+            runs += [(perm, assignment, result), (perm, assignment, broken)]
+        for perm, assignment, result in runs:
+            from_columns = audit_schedule(instance, perm, assignment, result)
+            hand = Assignment.of_flows(instance, assignment.granularity, assignment.flow_to_core)
+            view = ScheduleResult.of_flows(hand, result.flow_completion, result.timeline)
+            assert audit_schedule(instance, perm, hand, view) == from_columns
+            assert audit_schedule(instance, perm, hand, result) == from_columns
+            flagged += bool(from_columns)
+        (fperm, fasg, fres), _, (cperm, casg, cres), _ = runs
+        assert audit_schedule(instance, fperm, fasg, fres) == []
+        assert audit_schedule(instance, cperm, casg, cres) == []
+        for perm, asg, res in ((fperm, casg, fres), (cperm, fasg, cres)):
+            with pytest.raises(ValueError, match="result was built for another placement"):
+                audit_schedule(instance, perm, asg, res)
     # Pinned, so that a change to the corpus that makes it toothless shows.
-    assert flagged == 119
+    assert flagged == 145
 
 
 def test_missing_flow_completion_is_reported():
@@ -329,7 +340,7 @@ def test_missing_flow_completion_is_reported():
     del completion[instance.table.keys[5]]
     message = f"flow {tuple(gone)} has no completion time"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult.of_flows(instance, completion, result.timeline)
+        ScheduleResult.of_flows(assignment, completion, result.timeline)
 
 
 def test_nan_flow_completion_is_reported():
@@ -340,7 +351,7 @@ def test_nan_flow_completion_is_reported():
     completion = {**result.flow_completion, bad_key: float("nan")}
     message = f"flow {tuple(bad_key)} completion is not a number"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult.of_flows(instance, completion, result.timeline)
+        ScheduleResult.of_flows(assignment, completion, result.timeline)
 
 
 def test_segment_of_an_unknown_flow_is_reported():
@@ -366,21 +377,37 @@ def test_segment_of_an_unhashable_flow_is_reported(flow):
 
 
 def test_segment_on_an_unhashable_core_is_on_no_core():
-    # No int64 column holds a list core, so of_flows refuses it. The int64
-    # core 99 is held in the column, and the constructor refuses it, as no
-    # core of the instance.
+    # A list core is no int, and core 99 is no core of the instance; of_flows
+    # refuses both as a core that is not the flow's placed one.
     instance = gen_mix(5, 6, 1, cores=2)
     perm = order_flow_level(instance, 0.5)
     assignment = assign_fdls(instance, perm)
     result = simulate(instance, perm, assignment, emit_timeline=True)
     timeline = list(result.timeline)
-    timeline[2] = timeline[2]._replace(core=[1])
-    with pytest.raises(ValueError, match=re.escape("is on core [1], no int64 integer")):
-        rebuilt(instance, result, timeline)
-    seg = timeline[2] = timeline[2]._replace(core=99)
-    message = f"segment {seg} is on core 99, valid range 1..2"
+    placed = f"but flow {tuple(timeline[2].flow)} is placed on core {timeline[2].core}"
+    for core in ([timeline[2].core], 99):
+        seg = timeline[2] = timeline[2]._replace(core=core)
+        message = f"segment {seg} is on core {core!r}, {placed}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rebuilt(instance, result, timeline)
+
+
+def test_a_segment_off_its_placed_core_is_refused_when_built():
+    # Both flows are placed on core 1, but (1, 2, 2) is given on core 2.
+    # Each audit reads the segment's core, so given that timeline both
+    # found nothing: on core 2 it is alone, and on core 1 it is not idle,
+    # as input port 1 is busy. A result reads every core from its
+    # placement, so of_flows refuses the segment; the reference, given a
+    # stand-in holding it, still passes it.
+    instance = Instance(2, 2, (Coflow(1, 0, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 4})))
+    assignment = Assignment.of_flows(instance, "flow", dict.fromkeys(instance.table.keys, 1))
+    completion = {FlowKey(1, 1, 1): 4.0, FlowKey(1, 2, 2): 4.0}
+    timeline = (Segment(0.0, 4.0, FlowKey(1, 1, 1), 1), Segment(0.0, 4.0, FlowKey(1, 2, 2), 2))
+    message = "is on core 2, but flow (1, 2, 2) is placed on core 1"
     with pytest.raises(ValueError, match=re.escape(message)):
-        rebuilt(instance, result, timeline)
+        ScheduleResult.of_flows(assignment, completion, timeline)
+    stand_in = StandIn(timeline, completion, {1: 4.0, 2: 4.0})
+    assert reference_audit(instance, [1, 2], assignment, stand_in) == []
 
 
 def test_placement_of_an_unknown_flow_is_reported():
@@ -425,7 +452,7 @@ def test_segment_at_one_infinity_is_reported_once(bound):
 def audit_both(instance, completion, timeline):
     """The report of each audit on every flow placed on core 1, checked equal."""
     assignment = Assignment.of_flows(instance, "flow", dict.fromkeys(instance.table.keys, 1))
-    result = ScheduleResult.of_flows(instance, completion, timeline)
+    result = ScheduleResult.of_flows(assignment, completion, timeline)
     got = audit_schedule(instance, [], assignment, result)
     assert got == reference_audit(instance, [], assignment, result)
     return got
@@ -467,7 +494,8 @@ def test_a_completion_after_its_last_segment_is_reported():
     instance = Instance(1, 2, (Coflow(1, 0, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 6})))
     timeline = [Segment(0.0, 4.0, FlowKey(1, 1, 1), 1), Segment(4.0, 10.0, FlowKey(1, 2, 2), 1)]
     completion = {FlowKey(1, 1, 1): 10.0, FlowKey(1, 2, 2): 10.0}
-    assert ScheduleResult.of_flows(instance, completion, timeline).objective == 20.0
+    assignment = Assignment("flow", instance, [1, 1])
+    assert ScheduleResult.of_flows(assignment, completion, timeline).objective == 20.0
     assert audit_both(instance, completion, timeline) == [
         "flow (1, 1, 1) completed at 10.0, but its last segment ends at 4.0"
     ]

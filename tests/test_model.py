@@ -136,6 +136,27 @@ def test_validate_reports_a_demand_key_that_is_not_a_pair(key):
         inst.table
 
 
+@pytest.mark.parametrize(
+    "demands, shown", [(None, "NoneType"), ([((1, 1), 4)], "list")], ids=["none", "list"]
+)
+def test_validate_reports_demands_that_are_no_dict(demands, shown):
+    # Such a coflow's flows are not counted, and the other coflows' flows
+    # are still checked.
+    inst = make(
+        ports=2,
+        coflows=[
+            Coflow(id=1, release=0, weight=1, demands=demands),
+            Coflow(id=2, release=0, weight=1, demands={(1, 3): 1}),
+        ],
+    )
+    assert validate(inst) == [
+        f"coflow 1: demands must be a dict, got {shown}",
+        "coflow 2 flow (1,3): port out of range 1..2",
+    ]
+    with pytest.raises(ValueError, match="invalid instance"):
+        inst.table
+
+
 def test_validate_id_gap():
     inst = make(coflows=[Coflow(id=2, release=0, weight=1, demands={(1, 1): 1})])
     assert any("ids must be 1..n" in p for p in validate(inst))

@@ -300,8 +300,9 @@ def test_edited_copies_reach_simulate_and_the_audit():
     # FDLS puts both flows on core 1. The views are read-only, so an edit
     # is a new object built from them: moving (1, 1, 1) to core 2 moves the
     # flow in the next simulate, and the audit of the schedule from before
-    # the move finds the flow idle on core 2. A result is checked when
-    # built, so an edit that makes a completion NaN is refused.
+    # the move is refused: that result holds the placement it ran under,
+    # not the edited one. A result is checked when built, so an edit that
+    # makes a completion NaN is refused.
     inst = one_coflow({(1, 1): 2, (2, 2): 3}, cores=2)
     before = simulate(inst, [1], assign_fdls(inst, [1]), emit_timeline=True)
     old = assign_fdls(inst, [1]).flow_to_core
@@ -313,13 +314,12 @@ def test_edited_copies_reach_simulate_and_the_audit():
         (FlowKey(2, 2, 1), 1),
     ]
     assert audit_schedule(inst, [1], asg, after) == []
-    assert audit_schedule(inst, [1], asg, before) == [
-        "core 2: flow (1, 1, 1) idle at t=0.0 with both ports free"
-    ]
+    with pytest.raises(ValueError, match="result was built for another placement"):
+        audit_schedule(inst, [1], asg, before)
     nan = {**after.flow_completion, FlowKey(2, 2, 1): float("nan")}
     message = "flow (2, 2, 1) completion is not a number"
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult.of_flows(inst, nan, after.timeline)
+        ScheduleResult.of_flows(asg, nan, after.timeline)
 
 
 def test_views_are_read_only():
@@ -359,7 +359,7 @@ def test_an_equal_instance_is_accepted_and_another_refused():
     with pytest.raises(ValueError, match="assignment was built for another instance"):
         audit_schedule(other, perm, asg, res)
     other_asg = assign_fdls(other, perm)
-    with pytest.raises(ValueError, match="result was built for another instance"):
+    with pytest.raises(ValueError, match="result was built for another placement"):
         audit_schedule(other, perm, other_asg, res)
 
 
@@ -464,7 +464,7 @@ def test_the_completions_of_a_hand_built_result_are_checked(finish, message):
     # not in the instance is refused too.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult.of_flows(inst, finish)
+        ScheduleResult.of_flows(assign_fdls(inst, [1]), finish)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +485,7 @@ def test_the_completions_of_a_row_built_result_are_checked(finish, message):
     # objective.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult(inst, finish, None)
+        ScheduleResult(assign_fdls(inst, [1]), finish, None)
 
 
 @pytest.mark.parametrize(
@@ -496,43 +496,86 @@ def test_a_row_built_result_takes_any_int_or_float(finish):
     # Infinite completions are the audit's to report; +inf and -inf sum to
     # NaN, so the walk that follows the failed fast pass accepts them.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
-    assert ScheduleResult(inst, finish, None).finish == tuple(finish)
+    assert ScheduleResult(assign_fdls(inst, [1]), finish, None).finish == tuple(finish)
 
 
 def _columns(*segments):
-    """Timeline columns of (start, end, flow row, core) segments."""
-    start, end, row, core = zip(*segments)
-    return np.array(start), np.array(end), np.array(row), np.array(core)
+    """Timeline columns of (start, end, flow row) segments."""
+    start, end, row = zip(*segments)
+    return np.array(start), np.array(end), np.array(row)
 
 
 @pytest.mark.parametrize(
     "segments, message",
     [
         (
-            [(0.0, 3.0, 0, 1), (-np.inf, 2.0, 1, 2)],
+            [(0.0, 3.0, 0), (-np.inf, 2.0, 1)],
             "segment Segment(start=-inf, end=2.0, flow=FlowKey(i=2, j=2, k=1), core=2)"
             " has a time that is not a finite number",
         ),
         (
-            [(0.0, 3.0, 0, 1), (2.0, 2.0, 1, 2)],
+            [(0.0, 3.0, 0), (2.0, 2.0, 1)],
             "empty or reversed segment "
             "Segment(start=2.0, end=2.0, flow=FlowKey(i=2, j=2, k=1), core=2)",
         ),
-        (
-            [(0.0, 3.0, 0, 3), (0.0, 2.0, 1, 0)],
-            "segment Segment(start=0.0, end=3.0, flow=FlowKey(i=1, j=1, k=1), core=3)"
-            " is on core 3, valid range 1..2",
-        ),
     ],
-    ids=["infinite-time", "empty", "off-core"],
+    ids=["infinite-time", "empty"],
 )
 def test_the_segments_of_a_row_built_result_are_checked(segments, message):
     # The row constructor checks each segment once, with the messages
-    # of_flows gives, and names the first bad one in timeline order; the
-    # audit then judges only the schedule's rules.
+    # of_flows gives, and names the first bad one in timeline order with
+    # its flow's placed core; the audit then judges only the schedule's
+    # rules.
     inst = one_coflow({(1, 1): 3, (2, 2): 2}, cores=2)
+    asg = Assignment("flow", inst, [1, 2])
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult(inst, [3.0, 2.0], _columns(*segments))
+        ScheduleResult(asg, [3.0, 2.0], _columns(*segments))
+
+
+@pytest.mark.parametrize(
+    "core, shown",
+    [(2, "2"), (3, "3"), (0, "0"), (True, "True"), (1.0, "1.0"), ([1], "[1]")],
+    ids=["other-core", "above-m", "zero", "bool", "float", "list"],
+)
+def test_a_segment_off_its_placed_core_is_refused(core, shown):
+    # A flow never leaves its core, so a result holds no core of its own:
+    # of_flows refuses a segment that names another core than its flow's
+    # placed one, or a value that is no int. Both flows are placed on core
+    # 1, and (1, 2, 2) is given on core 2 or on no core at all.
+    inst = Instance(2, 2, (Coflow(1, 0, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 4})))
+    asg = Assignment("flow", inst, [1, 1])
+    seg = Segment(0.0, 4.0, FlowKey(1, 2, 2), core)
+    done = {FlowKey(1, 1, 1): 4.0, FlowKey(1, 2, 2): 4.0}
+    message = f"segment {seg} is on core {shown}, but flow (1, 2, 2) is placed on core 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(asg, done, [Segment(0.0, 4.0, FlowKey(1, 1, 1), 1), seg])
+    # On core 1, where it is placed, the same flow is read, and the audit
+    # finds both flows on input port 1 at once.
+    res = ScheduleResult.of_flows(asg, done, [Segment(0, 4, (1, 1, 1), 1), seg._replace(core=1)])
+    assert audit_schedule(inst, [1, 2], asg, res) == [
+        "core 1 input port 1: overlap at 0.0 before 4.0"
+    ]
+
+
+def test_an_audit_refuses_a_result_of_another_placement():
+    # A result holds the placement it was simulated under. Audited against
+    # an equal placement it is read; against another of the same instance,
+    # as against the placement of the other policy, it is refused.
+    inst = gen_mix(5, 6, 1, cores=2)
+    perm = order_flow_level(inst, 0.5)
+    asg = assign_fdls(inst, perm)
+    res = simulate(inst, perm, asg, emit_timeline=True)
+    assert res.assignment is asg and res.instance is inst
+    assert audit_schedule(inst, perm, Assignment("flow", inst, asg.core_of), res) == []
+    message = "result was built for another placement"
+    for other in (
+        assign_cdls(inst, perm),
+        Assignment("coflow", inst, [1] * len(asg.core_of)),
+        Assignment("flow", inst, [1] * len(asg.core_of)),
+    ):
+        assert other != asg
+        with pytest.raises(ValueError, match=message):
+            audit_schedule(inst, perm, other, res)
 
 
 def test_equality_reads_the_rows_not_the_views():
@@ -657,7 +700,7 @@ def test_audit_flags_tampered_timeline():
     asg = assign_fdls(inst, [1])
     res = simulate(inst, [1], asg, emit_timeline=True)
     cut = res.timeline[0]._replace(end=res.timeline[0].end - 1)
-    res = ScheduleResult.of_flows(inst, res.flow_completion, [cut])
+    res = ScheduleResult.of_flows(asg, res.flow_completion, [cut])
     assert audit_schedule(inst, [1], asg, res) == [
         "flow (1, 1, 1) transmitted 3.0, size 4",
         "flow (1, 1, 1) completed at 4.0, but its last segment ends at 3.0",
@@ -666,14 +709,15 @@ def test_audit_flags_tampered_timeline():
 
 
 def test_audit_names_a_hand_built_segment_as_the_rows_hold_it():
-    # of_flows keeps a segment as a flow row, float times and an int64
-    # core, so the timeline view and the constructor's message name a
-    # plain-tuple flow as a FlowKey, int times as floats and an np.int64
-    # core as an int. A reversed segment is refused when built, so no
-    # audit sees it.
+    # of_flows keeps a segment as float times and a flow row, and reads its
+    # core from the placement, so the timeline view and the constructor's
+    # message name a plain-tuple flow as a FlowKey, int times as floats and
+    # an np.int64 core as the placed int. A reversed segment is refused
+    # when built, so no audit sees it.
     inst = one_coflow({(1, 1): 4})
     done = {FlowKey(1, 1, 1): 4.0}
-    res = ScheduleResult.of_flows(inst, done, [Segment(0, 4, (1, 1, 1), np.int64(1))])
+    asg = Assignment("flow", inst, [np.int64(1)])
+    res = ScheduleResult.of_flows(asg, done, [Segment(0, 4, (1, 1, 1), np.int64(1))])
     assert res.timeline == (Segment(0.0, 4.0, FlowKey(1, 1, 1), 1),)
     assert type(res.timeline[0].start) is float and type(res.timeline[0].core) is int
     assert audit_schedule(inst, [1], assign_fdls(inst, [1]), res) == []
@@ -683,7 +727,7 @@ def test_audit_names_a_hand_built_segment_as_the_rows_hold_it():
         "Segment(start=5.0, end=4.0, flow=FlowKey(i=1, j=1, k=1), core=1)"
     )
     with pytest.raises(ValueError, match=re.escape(message)):
-        ScheduleResult.of_flows(inst, done, [(0, 4, (1, 1, 1), 1), seg])
+        ScheduleResult.of_flows(asg, done, [(0, 4, (1, 1, 1), 1), seg])
 
 
 def test_an_audit_needs_a_timeline():

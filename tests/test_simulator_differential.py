@@ -11,13 +11,15 @@ completions and the objective are the ones the reference folds itself.
 The reference is quadratic, so these instances are small;
 ``test_simulator_scale.py`` checks large ones against the event loop. On a
 tampered placement ``Assignment.of_flows`` must raise the exception the
-reference raises, with the same message, except on a bool core, which the
-reference takes for an int and ``of_flows`` refuses, and where a key that
-is no flow follows a bad core: ``of_flows`` checks the keys before the
-constructor checks the cores.
+reference raises, with the same message, except where a key that is no
+flow follows a bad core: ``of_flows`` checks the keys before the
+constructor checks the cores. The reference takes a bool core for an int,
+and then refuses it as ``of_flows`` does when it builds the placement its
+result holds.
 """
 
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -118,7 +120,7 @@ def test_of_flows_rebuilds_pipeline_objects(granularity):
         placed = assign_fn(instance, perm)
         got = simulate(instance, perm, placed, emit_timeline=True)
         hand = Assignment.of_flows(instance, granularity, placed.flow_to_core)
-        rebuilt = ScheduleResult.of_flows(instance, got.flow_completion, got.timeline)
+        rebuilt = ScheduleResult.of_flows(hand, got.flow_completion, got.timeline)
         assert hand == placed and repr(hand) == repr(placed)
         assert rebuilt == got and repr(rebuilt) == repr(got)
         assert hand.core_of == placed.core_of and rebuilt.finish == got.finish
@@ -305,17 +307,17 @@ def test_placement_check_matches_reference(case):
 
 
 def test_placement_of_a_bool_core():
-    # The reference takes True for core 1, as isinstance(True, int) holds,
-    # when it returns no timeline (of_flows refuses a segment on a bool
-    # core); of_flows refuses a bool placement with the message it gives
-    # any bad core.
+    # The reference's own check takes True for core 1, as
+    # isinstance(True, int) holds, but the placement its result holds is
+    # built by of_flows, which refuses a bool core with the message it
+    # gives any bad core, with or without a timeline.
     placement = with_core(True)
     stand_in = SimpleNamespace(granularity="flow", flow_to_core=placement)
-    assert reference_simulate(PLACED, [1, 2], stand_in)[2] == 6.0
-    assert outcome(simulate, PLACED, [1, 2], placement) == (
-        ValueError,
-        "flow (1, 2, 1) assigned to core True, valid range 1..2",
-    )
+    message = "flow (1, 2, 1) assigned to core True, valid range 1..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        reference_simulate(PLACED, [1, 2], stand_in)
+    assert outcome(reference_simulate, PLACED, [1, 2], placement) == (ValueError, message)
+    assert outcome(simulate, PLACED, [1, 2], placement) == (ValueError, message)
 
 
 @pytest.mark.parametrize("placement", [{}, {STRAY: 1}, {STRAY: 0}])

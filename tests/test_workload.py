@@ -349,6 +349,20 @@ def test_trace_errors_carry_line_numbers():
         )
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("9 1\n\n\n1 0 1 7 1 2:4\n", "trace line 4: mapper rack 7 out of range 1..5"),
+        ("\n\n9 x\n", "trace line 3: malformed header '9 x'"),
+    ],
+    ids=["coflow-line", "header"],
+)
+def test_trace_errors_count_blank_lines(text, message):
+    # A line is named by its place in the text, blank lines counted.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_trace(text, rack_count=5, weight_seed=0)
+
+
 def test_trace_rejects_bad_header_and_count_mismatch():
     with pytest.raises(ValueError, match="header"):
         parse_trace("3000\n1 0 1 1 1 2:4\n", rack_count=2, weight_seed=0)
