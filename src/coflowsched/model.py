@@ -148,7 +148,11 @@ class FlowTable:
     coflow's release. ``cells_in`` and ``cells_out`` hold each coflow's
     nonzero input and output ports with its load and squared flow sizes
     there. ``keys``, each row's ``FlowKey``, is a view built on first read:
-    ordering, placement and simulation read only the columns.
+    ordering, placement and simulation read only the columns. ``horizon``,
+    ``plain_ints`` and ``flow_order`` are computed once, on first read: the
+    latest release plus the total size, which bounds every simulated time,
+    whether every size and release is a plain int, and each coflow's rows
+    in flow-level list order.
     """
 
     fi: list[int]
@@ -182,6 +186,28 @@ class FlowTable:
         rank = np.empty(fi.size, dtype=np.int64)
         rank[np.argsort(pair, kind="stable")] = np.arange(fi.size)
         return rank
+
+    @cached_property
+    def horizon(self) -> int:
+        """The latest release plus the total size: no flow finishes after it."""
+        return max(self.release, default=0) + sum(self.size)
+
+    @cached_property
+    def plain_ints(self) -> bool:
+        """True when every size and release is an int, not an np.integer."""
+        n = len(self.size)
+        return countOf(map(type, self.size), int) == n == countOf(map(type, self.release), int)
+
+    @cached_property
+    def flow_order(self) -> list[tuple[int, ...]]:
+        """Coflow k's rows at index k by size non-increasing, then (i, j).
+
+        Index 0, which no coflow id takes, is empty. A coflow's rows are in
+        (i, j) order, and a stable sort keeps that order among equal sizes.
+        """
+        key, first = self.size.__getitem__, self.first
+        own = map(range, first, first[1:])
+        return [(), *(tuple(sorted(rows, key=key, reverse=True)) for rows in own)]
 
 
 # Largest total size any one port may carry, summed over all coflows:

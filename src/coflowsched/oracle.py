@@ -5,16 +5,19 @@ placement (per flow or per coflow, depending on granularity), so its
 best_cost is the cheapest list schedule and an upper bound on the optimum of
 that granularity. Cores share no port, so a core's schedule depends only on
 the flows placed on it, in priority order; each distinct such sequence is
-simulated once per call. Pairs are scored in blocks of permutations: each
-placement puts a bit mask of flows on each core, a permutation's finish
-times are one row per distinct mask, and one gather per coflow reads every
-pair's finish times from those rows. The completions and the weighted sum
-are then folded in coflow id order with the same IEEE operations as the
-fold ``simulate`` uses, so with int or float weights each pair costs what
-simulating it would return, to the bit. trivial_lower_bound is
-the opposite side: a per-coflow floor no schedule can beat. Both exist to
-sandwich-check the dual bound and the two assignment policies on instances
-small enough to enumerate.
+simulated once per call, by the fill ``simulate`` takes for the table: the
+port bit sets when the horizon is at most ``scheduling.BIT_HORIZON``, as it
+is on instances this small with small flows. A permutation's priority order
+joins the coflows' list orders, which the flow table sorts once. Pairs are
+scored in blocks of permutations: each placement puts a bit mask of flows
+on each core, a permutation's finish times are one row per distinct mask,
+and one gather per coflow reads every pair's finish times from those rows.
+The completions and the weighted sum are then folded in coflow id order
+with the same IEEE operations as the fold ``simulate`` uses, so with int or
+float weights each pair costs what simulating it would return, to the bit.
+trivial_lower_bound is the opposite side: a per-coflow floor no schedule
+can beat. Both exist to sandwich-check the dual bound and the two
+assignment policies on instances small enough to enumerate.
 
 The granularities are not interchangeable here. A coflow-level dual cost
 can legitimately exceed the best flow-level schedule (splitting a coflow
@@ -31,7 +34,7 @@ from itertools import islice, permutations, product
 import numpy as np
 
 from .model import FlowKey, FlowTable, Instance
-from .scheduling import _list_schedule, _priority_rows, require_granularity
+from .scheduling import _fill, _priority_rows, require_granularity
 
 # Cells (permutations x placements x flows) of one scoring block. A
 # permutation has at most as many distinct core masks as placements, so this
@@ -73,8 +76,11 @@ def trivial_lower_bound(instance: Instance) -> float:
 
 
 def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
-    """Finish times of ``rows``, one core's flows best first, alone on a core."""
-    return _list_schedule(rows, table.fi, table.fj, table.size, table.release, None)
+    """Finish times of ``rows``, one core's flows best first, alone on a core.
+
+    The fill is the one ``simulate`` takes for the table.
+    """
+    return _fill(table)(rows, table.fi, table.fj, table.size, table.release, None)
 
 
 def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResult:

@@ -10,7 +10,9 @@ better-ranked flows of its core. The simulator therefore places the flows
 once each, best first: a flow fills the free time of its two ports from
 its release on, and what it takes becomes busy time for the flows after
 it. Rates are unit, so with integer demands and releases every time is an
-integer.
+integer. Two fills do this with the same output: up to ``BIT_HORIZON``
+each port's busy time is the bits of one int, and beyond it a sorted list
+of busy runs.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import math
 from bisect import bisect_right
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, countOf
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -203,7 +205,9 @@ class ScheduleResult(_Fields):
         flow's placed core; the constructor then checks the completions and
         the segment times. A segment is held as float times and its flow's
         row, so the ``timeline`` view and every message name it with float
-        times, a ``FlowKey`` and the placed core, whatever its types.
+        times, a ``FlowKey`` and the placed core, whatever its types. The
+        two refusals here name it the same way, but with the core as given,
+        and a flow not in the instance, which has no ``FlowKey``, as given.
         """
         keys, core_of = assignment.instance.table.keys, assignment.core_of
         row_of = {key: r for r, key in enumerate(keys)}
@@ -219,8 +223,10 @@ class ScheduleResult(_Fields):
                 try:
                     r = row_of[flow]
                 except (KeyError, TypeError):  # a list is no key of any dict
+                    seg = _named(seg, flow)
                     raise ValueError(f"segment {seg} of a flow not in the instance") from None
                 if not (_is_int(h) and h == core_of[r]):
+                    seg = _named(seg, keys[r])
                     placed = f"flow {tuple(keys[r])} is placed on core {core_of[r]}"
                     raise ValueError(f"segment {seg} is on core {h!r}, but {placed}")
                 rows.append(r)
@@ -244,6 +250,22 @@ class ScheduleResult(_Fields):
         core = map(self.assignment.core_of.__getitem__, row)
         # tuple.__new__ is what Segment._make calls, minus a Python frame each.
         return tuple(map(tuple.__new__, repeat(Segment), zip(start, end, flows, core)))
+
+
+def _named(seg, flow) -> Segment:
+    """``seg`` as a result names it, with float times and ``flow``.
+
+    A time that converts to no float is left as given; the constructor
+    refuses it when the segment is built.
+    """
+    times = []
+    for t in seg[:2]:
+        try:
+            t = float(t)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        times.append(t)
+    return Segment(*times, flow, seg[3])
 
 
 def _completion_fault(t) -> str | None:
@@ -274,11 +296,12 @@ def assign_fdls(instance: Instance, order) -> Assignment:
 
     Flows are visited in the flow-level list order of ``_priority_rows``:
     coflows in processing order, flows within a coflow by non-increasing
-    size, then (i, j). The score of core h for flow (i, j) is the load
-    already projected on input i plus output j of h; ties take the lowest
-    core id. Each port that carries a flow keeps a Python list of its m
-    projected loads per side, so the scores are exact ints and
-    ``index(min(...))`` finds the first minimum.
+    size, then (i, j), walked block by block with no list of all rows. The
+    score of core h for flow (i, j) is the load already projected on input
+    i plus output j of h; ties take the lowest core id. Each port that
+    carries a flow keeps a Python list of its m projected loads per side, so
+    the scores are exact ints and ``index(min(...))`` finds the first
+    minimum.
     """
     table = instance.table
     seq = _order_list(order, instance.n)
@@ -287,7 +310,7 @@ def assign_fdls(instance: Instance, order) -> Assignment:
     load_in = {i: [0] * m for i in set(fi)}
     load_out = {j: [0] * m for j in set(fj)}
     core_of = [0] * len(fi)
-    for idx in _priority_rows(table, seq, "flow"):
+    for idx in chain.from_iterable(_blocks(table, seq, "flow")):
         row_in, row_out = load_in[fi[idx]], load_out[fj[idx]]
         score = list(map(add, row_in, row_out))
         best = score.index(min(score))
@@ -331,21 +354,27 @@ def assign_cdls(instance: Instance, order) -> Assignment:
     return Assignment("coflow", instance, core_of)
 
 
+def _blocks(table: FlowTable, seq: Sequence[int], granularity: str) -> Iterator[Sequence[int]]:
+    """Each coflow's rows in list order, the coflows in ``seq`` order.
+
+    Under flow granularity a coflow's block is its ``table.flow_order``
+    tuple, sorted once per table; under coflow granularity it is its range
+    of rows, in (i, j) order.
+    """
+    if granularity == "flow":
+        return map(table.flow_order.__getitem__, seq)
+    first = table.first
+    return (range(first[k - 1], first[k]) for k in seq)
+
+
 def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> list[int]:
     """Flow rows best first: the list-schedule priority of every core.
 
     Rows go by coflow position in ``seq``, then by size non-increasing under
-    flow granularity, then by (i, j). A coflow's rows are already in (i, j)
-    order, and a stable sort keeps that order among equal sizes.
+    flow granularity, then by (i, j): the coflows' blocks of ``_blocks``,
+    concatenated, with no sort per call.
     """
-    first, size = table.first, table.size
-    rows: list[int] = []
-    for k in seq:
-        own = range(first[k - 1], first[k])
-        if granularity == "flow":
-            own = sorted(own, key=size.__getitem__, reverse=True)
-        rows.extend(own)
-    return rows
+    return list(chain.from_iterable(_blocks(table, seq, granularity)))
 
 
 def _fold_completions(
@@ -380,9 +409,11 @@ def simulate(
     greedy set of its priority list: a released, unfinished flow runs exactly
     when no better-ranked running flow on that core shares one of its ports.
     So a flow's transmission depends only on the better-ranked flows of its
-    core, and ``_list_schedule`` places the flows one at a time, best first,
-    into the free time of their two ports. Completion of a coflow is the
-    completion of its last flow; a flowless coflow completes at its release.
+    core, and the fill ``_fill`` picks places the flows one at a time, best
+    first, into the free time of their two ports: ``_fill_bits`` on a short
+    horizon, ``_list_schedule`` otherwise, with the same output. Completion
+    of a coflow is the completion of its last flow; a flowless coflow
+    completes at its release.
     The placement was checked when built, so it need only be built for
     ``instance`` or an equal one (any other raises ValueError); the result
     holds it, and so each segment's core.
@@ -399,7 +430,7 @@ def simulate(
     ranked = _priority_rows(table, seq, assignment.granularity)
     segs: list[float] | None = [] if emit_timeline else None
     finish = [0.0] * n
-    times = _list_schedule(ranked, key_in, key_out, table.size, table.release, segs)
+    times = _fill(table)(ranked, key_in, key_out, table.size, table.release, segs)
     for r, t in zip(ranked, times):
         finish[r] = t
 
@@ -515,6 +546,79 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
         finish.append(end)
     # Unit rates over integer demands keep every completion on the integer grid.
     assert all(map(float.is_integer, finish))
+    return finish
+
+
+# The longest table horizon that ``simulate`` and the oracle fill in port bit
+# sets. The bit fill's ints grow with the horizon: against the run lists, on
+# cores of 4-16 flows, it took 0.59-0.62x the time at horizon 17, 0.87-1.0x
+# at 512, 0.98-1.06x at 1,024 and 2.2-2.3x at 20,000 on a 2-vCPU host
+# (BENCH_30.json), so the limit sits below that crossover.
+BIT_HORIZON = 512
+
+
+def _fill(table: FlowTable):
+    """The fill of ``table``'s cores: ``_fill_bits`` or ``_list_schedule``.
+
+    The bit fill is taken when the table's horizon is at most
+    ``BIT_HORIZON`` and its sizes and releases are plain ints. With an
+    np.integer among them the run lists' times are np.float64 in places,
+    which the bit fill's plain floats would not repeat.
+    """
+    if table.horizon <= BIT_HORIZON and table.plain_ints:
+        return _fill_bits
+    return _list_schedule
+
+
+def _fill_bits(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
+    """``_list_schedule`` with each port's busy time as the bits of one int.
+
+    Bit t of a port's int marks the unit slot [t, t + 1) busy, and ``used``
+    is the union of a flow's two ports. From its release on, the flow skips
+    the busy slots at t, the trailing ones of ``used >> t``, then transmits
+    up to the next busy slot, the trailing zeros after them, or until its
+    size is sent, and so on; its pieces join both ports' ints when it is
+    done. The pieces are maximal free runs of both ports, so the finish
+    times and ``segs`` are those of ``_list_schedule``, to the type: float
+    times and int rows. Sizes and releases must be ints, as the flow table
+    holds them, and every time is then an exact integer. An int is as wide
+    as the latest end on its port, so a step costs O(horizon / 30) digit
+    operations: ``simulate`` and the oracle take this fill only up to
+    ``BIT_HORIZON``.
+    """
+    busy_in: dict = {}
+    busy_out: dict = {}
+    finish: list[float] = []
+    for r in ranked:
+        a = busy_in.get(key_in[r], 0)
+        b = busy_out.get(key_out[r], 0)
+        used = a | b
+        t = rel[r]
+        left = sizes[r]
+        took = 0
+        while True:
+            ahead = used >> t
+            # ahead ^ (ahead + 1) is the trailing ones plus the zero above
+            # them, and ahead ^ (ahead - 1) the trailing zeros plus the one.
+            skip = (ahead ^ (ahead + 1)).bit_length() - 1
+            if skip:
+                t += skip
+                ahead >>= skip
+            piece = left
+            if ahead:
+                run = (ahead ^ (ahead - 1)).bit_length() - 1
+                if run < left:
+                    piece = run
+            took |= ((1 << piece) - 1) << t
+            if segs is not None:
+                segs += (float(t), float(t + piece), r)
+            t += piece
+            left -= piece
+            if not left:
+                break
+        busy_in[key_in[r]] = a | took
+        busy_out[key_out[r]] = b | took
+        finish.append(float(t))
     return finish
 
 

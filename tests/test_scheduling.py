@@ -557,6 +557,26 @@ def test_a_segment_off_its_placed_core_is_refused(core, shown):
     ]
 
 
+def test_of_flows_names_an_off_core_segment_as_a_result_holds_it():
+    # Int times and a plain tuple are named as the constructor names a
+    # segment: float times and the flow's FlowKey, with the core as given.
+    inst = Instance(2, 2, (Coflow(1, 0, 1, {(1, 1): 4}), Coflow(2, 0, 1, {(1, 2): 4})))
+    asg = Assignment("flow", inst, [1, 1])
+    done = {FlowKey(1, 1, 1): 4.0, FlowKey(1, 2, 2): 4.0}
+    timeline = [Segment(0, 4, (1, 1, 1), 1), Segment(0, 4, (1, 2, 2), 2)]
+    message = (
+        "segment Segment(start=0.0, end=4.0, flow=FlowKey(i=1, j=2, k=2), core=2) "
+        "is on core 2, but flow (1, 2, 2) is placed on core 1"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(asg, done, timeline)
+    # A flow not in the instance has no FlowKey: it is named as given.
+    timeline[1] = Segment(np.int64(0), 4, [9, 9, 9], 1)
+    message = "segment Segment(start=0.0, end=4.0, flow=[9, 9, 9], core=1) of a flow not in"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ScheduleResult.of_flows(asg, done, timeline)
+
+
 def test_an_audit_refuses_a_result_of_another_placement():
     # A result holds the placement it was simulated under. Audited against
     # an equal placement it is read; against another of the same instance,

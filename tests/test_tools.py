@@ -2,6 +2,7 @@
 
 from _shared import load_script
 from coflowsched.model import MAX_TABLE_CELLS, validate
+from coflowsched.scheduling import BIT_HORIZON
 
 
 def test_ladder_row_times_every_layer():
@@ -22,8 +23,9 @@ def test_ladder_row_times_every_layer():
         "assign_fdls_ms",
         "assign_cdls_ms",
     }
-    assert set(row) == {"flows", "repeats", "table_peak_kb", *layers}
+    assert set(row) == {"flows", "horizon", "fill", "repeats", "table_peak_kb", *layers}
     assert row["table_peak_kb"] > 0
+    assert row["horizon"] > BIT_HORIZON and row["fill"] == "runs"
     assert ("mix n=200 N=50 releases", "release", 200, 50) in ladder.ROWS
     assert ladder.ladder_row("release", 25, 10, 1).keys() == row.keys()
 
@@ -44,5 +46,6 @@ def test_oracle_row_times_both_granularities():
     assert (instance.n, instance.ports, instance.cores) == (6, 3, 2)
     row = ladder.oracle_row(1)
     assert row["flows"] == 8
+    assert row["horizon"] <= BIT_HORIZON and row["fill"] == "bits"
     assert (row["pairs_flow"], row["pairs_coflow"]) == (720 * 2**8, 720 * 2**6)
     assert row["oracle_flow_ms"] > 0 and row["oracle_coflow_ms"] > 0

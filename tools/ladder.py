@@ -22,7 +22,9 @@ timeline, the cost that its view defers to the first read, and the audit's
 cost against the simulation it checks read off one run. ``table_peak_kb`` is
 the ``tracemalloc`` peak of one more, untimed compile. ``flows`` is read
 from the table's columns, so that no row builds the ``keys`` view before it
-is timed.
+is timed. ``horizon`` is the table's latest release plus total size, and
+``fill`` the fill ``simulate`` takes for it: ``bits`` (port bit sets, up to
+``scheduling.BIT_HORIZON``) or ``runs`` (sorted busy-run lists).
 One more row times ``oracle.enumerate_best`` at both granularities on a
 seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
 flows, so 720 x 256 pairs at flow level.
@@ -114,7 +116,8 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
         return gen_density(n, ports, "dense", SEED, cores=CORES)
 
     generate_ms, instance = timed(generate, repeats)
-    row: dict = {"flows": len(instance.table.fi), "repeats": repeats, "generate_ms": generate_ms}
+    row: dict = {"flows": len(instance.table.fi), **fill_of(instance), "repeats": repeats}
+    row["generate_ms"] = generate_ms
     row["validate_ms"], _ = timed(lambda: model.validate(instance), repeats)
 
     def compile_table():
@@ -154,6 +157,15 @@ def ladder_row(kind: str, n: int, ports: int, repeats: int) -> dict:
     return row
 
 
+def fill_of(instance) -> dict:
+    """The table's horizon and the fill ``simulate`` takes for it."""
+    from coflowsched import scheduling
+
+    table = instance.table
+    bits = scheduling._fill(table) is scheduling._fill_bits
+    return {"horizon": table.horizon, "fill": "bits" if bits else "runs"}
+
+
 def oracle_instance():
     """n=6, N=3, m=2 with 8 flows: one per coflow and two more on random ones."""
     from coflowsched.model import Coflow, Instance
@@ -174,7 +186,7 @@ def oracle_row(repeats: int) -> dict:
     from coflowsched.oracle import enumerate_best
 
     instance = oracle_instance()
-    row: dict = {"flows": len(instance.table.fi), "repeats": repeats}
+    row: dict = {"flows": len(instance.table.fi), **fill_of(instance), "repeats": repeats}
     for tag in ("flow", "coflow"):
         row[f"oracle_{tag}_ms"], best = timed(lambda: enumerate_best(instance, tag), repeats)
         row[f"pairs_{tag}"] = best.schedules_examined
