@@ -75,27 +75,31 @@ class Instance:
         """The validated, compiled flow table, built on first use.
 
         Raises ValueError if the instance is invalid. The table is computed
-        once, so the instance must not be mutated afterwards. The table
-        keeps the flows as columns; their ``FlowKey`` rows are built only
-        when ``FlowTable.keys`` is first read.
+        once, so the instance must not be mutated afterwards. It is the one
+        place that reads the coflows' numbers: sizes and releases become
+        ints and weights floats there, whatever numeric types the instance
+        holds, and ports stay as given. The table keeps the flows as
+        columns; their ``FlowKey`` rows are built only when
+        ``FlowTable.keys`` is first read.
         """
         require_valid(self)
         pairs: list[tuple[int, int]] = []
         size: list[int] = []
-        release: list[int] = []
-        first = [0]
+        rows: list[int] = []
+        first, release = [0], [0]
         for c in self.coflows:
             own = sorted(c.demands)
             pairs += own
             size += map(c.demands.__getitem__, own)
-            release += [c.release] * len(own)
+            release.append(int(c.release))
+            rows += release[-1:] * len(own)
             first.append(len(pairs))
+        weight = [0.0, *(float(c.weight) for c in self.coflows)]
         fi = list(map(itemgetter(0), pairs))
         fj = list(map(itemgetter(1), pairs))
         sizes = np.fromiter(size, np.int64, len(size))
-        cells_in = _port_cells(fi, sizes, first, self.ports)
-        cells_out = _port_cells(fj, sizes, first, self.ports)
-        return FlowTable(fi, fj, size, release, first, cells_in, cells_out)
+        cells = [_port_cells(port, sizes, first, self.ports) for port in (fi, fj)]
+        return FlowTable(fi, fj, sizes.tolist(), rows, first, *cells, weight, release)
 
 
 class PortCells(NamedTuple):
@@ -144,15 +148,17 @@ class FlowTable:
 
     Flows are listed in (coflow, i, j) order, one row each, and coflow k's
     flows are rows ``first[k - 1]:first[k]``. ``fi`` and ``fj`` hold each
-    flow's input and output port, ``size`` and ``release`` its size and its
-    coflow's release. ``cells_in`` and ``cells_out`` hold each coflow's
-    nonzero input and output ports with its load and squared flow sizes
-    there. ``keys``, each row's ``FlowKey``, is a view built on first read:
-    ordering, placement and simulation read only the columns. ``horizon``,
-    ``plain_ints`` and ``flow_order`` are computed once, on first read: the
-    latest release plus the total size, which bounds every simulated time,
-    whether every size and release is a plain int, and each coflow's rows
-    in flow-level list order.
+    flow's input and output port as the instance gives them, ``size`` and
+    ``release`` its size and its coflow's release as ints. ``weight`` and
+    ``coflow_release`` hold coflow k's weight as a float and its release as
+    an int at index k; index 0, which no coflow id takes, holds 0.0 and 0.
+    ``cells_in`` and ``cells_out`` hold each coflow's nonzero input and
+    output ports with its load and squared flow sizes there. ``keys``, each
+    row's ``FlowKey``, is a view built on first read: ordering, placement
+    and simulation read only the columns. ``horizon`` and ``flow_order``
+    are computed once, on first read: the latest release plus the total
+    size, which bounds every simulated time, and each coflow's rows in
+    flow-level list order.
     """
 
     fi: list[int]
@@ -162,6 +168,8 @@ class FlowTable:
     first: list[int]
     cells_in: PortCells
     cells_out: PortCells
+    weight: list[float]
+    coflow_release: list[int]
 
     @cached_property
     def keys(self) -> list[FlowKey]:
@@ -191,12 +199,6 @@ class FlowTable:
     def horizon(self) -> int:
         """The latest release plus the total size: no flow finishes after it."""
         return max(self.release, default=0) + sum(self.size)
-
-    @cached_property
-    def plain_ints(self) -> bool:
-        """True when every size and release is an int, not an np.integer."""
-        n = len(self.size)
-        return countOf(map(type, self.size), int) == n == countOf(map(type, self.release), int)
 
     @cached_property
     def flow_order(self) -> list[tuple[int, ...]]:

@@ -66,12 +66,12 @@ def trivial_lower_bound(instance: Instance) -> float:
     size, first = table.size, table.first
     m = instance.cores
     total = 0.0
-    for c in instance.coflows:
-        floor = c.release + max(size[first[c.id - 1] : first[c.id]], default=0)
+    for k in range(1, len(first)):
+        floor = table.coflow_release[k] + max(size[first[k - 1] : first[k]], default=0)
         for cells in (table.cells_in, table.cells_out):
-            peak = max(cells.load[cells.first[c.id - 1] : cells.first[c.id]], default=0)
+            peak = max(cells.load[cells.first[k - 1] : cells.first[k]], default=0)
             floor = max(floor, float(peak) / m)
-        total += float(c.weight) * floor
+        total += table.weight[k] * floor
     return total
 
 
@@ -158,9 +158,9 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
         # The fold of scheduling._fold_completions, one coflow at a time in id
         # order, on every pair of the block at once.
         cost = np.zeros((len(batch), len(placements)))
-        for c, cols in zip(instance.coflows, columns):
-            done = float(c.release) if cols is None else runs[:, cols].max(axis=2)
-            cost += float(c.weight) * done
+        for w, r, cols in zip(table.weight[1:], table.coflow_release[1:], columns):
+            done = float(r) if cols is None else runs[:, cols].max(axis=2)
+            cost += w * done
         cost = cost.ravel()
         pos = 0
         while (hits := np.flatnonzero(cost[pos:] < best_cost - 1e-12)).size:

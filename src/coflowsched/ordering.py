@@ -141,8 +141,7 @@ def _permute(instance: Instance, kappa: float, coflow_level: bool) -> Permutatio
                 tot_s[p] += v
                 sq_s[p] += q
 
-    weight = [0.0] + [float(c.weight) for c in instance.coflows]
-    release = [-1] + [int(c.release) for c in instance.coflows]
+    weight, release = table.weight, table.coflow_release
     # Latest release first, lowest id first among equals (reverse keeps ties stable).
     by_release = sorted(range(1, n + 1), key=release.__getitem__, reverse=True)
     delta = [0.0] * (n + 1)

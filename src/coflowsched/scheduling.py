@@ -28,7 +28,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .model import Coflow, FlowKey, FlowTable, Instance, _is_int, _is_int_type
+from .model import FlowKey, FlowTable, Instance, _is_int, _is_int_type
 from .ordering import Permutation
 
 
@@ -191,8 +191,8 @@ class ScheduleResult(_Fields):
         self.assignment, self.instance = assignment, assignment.instance
         self.finish = finish
         self.columns = columns
-        done, self.objective = _fold_completions(self.instance.coflows, table.first, finish)
-        self.coflow_completion = {c.id: t for c, t in zip(self.instance.coflows, done)}
+        done, self.objective = _fold_completions(table, finish)
+        self.coflow_completion = dict(enumerate(done, 1))
 
     @classmethod
     def of_flows(
@@ -377,21 +377,20 @@ def _priority_rows(table: FlowTable, seq: Sequence[int], granularity: str) -> li
     return list(chain.from_iterable(_blocks(table, seq, granularity)))
 
 
-def _fold_completions(
-    coflows: Sequence[Coflow], first: Sequence[int], finish: Sequence[float]
-) -> tuple[list[float], float]:
+def _fold_completions(table: FlowTable, finish: Sequence[float]) -> tuple[list[float], float]:
     """Coflow completions and the weighted objective, in coflow id order.
 
-    A coflow completes with its last flow, a flowless one at its release.
-    The objective adds weight x completion one coflow at a time, in Python
-    floats whatever the weight's type, so every caller gets the same float.
+    A coflow completes with its last flow, a flowless one at its release,
+    as a float. The objective adds the table's float weight x completion
+    one coflow at a time, so every caller gets the same float.
     """
     done_of: list[float] = []
     objective = 0.0
-    for c, lo, hi in zip(coflows, first, first[1:]):
-        done = max(finish[lo:hi]) if hi > lo else float(c.release)
+    first = table.first
+    for w, r, lo, hi in zip(table.weight[1:], table.coflow_release[1:], first, first[1:]):
+        done = max(finish[lo:hi]) if hi > lo else float(r)
         done_of.append(done)
-        objective += float(c.weight) * done
+        objective += w * done
     return done_of, objective
 
 
@@ -561,11 +560,10 @@ def _fill(table: FlowTable):
     """The fill of ``table``'s cores: ``_fill_bits`` or ``_list_schedule``.
 
     The bit fill is taken when the table's horizon is at most
-    ``BIT_HORIZON`` and its sizes and releases are plain ints. With an
-    np.integer among them the run lists' times are np.float64 in places,
-    which the bit fill's plain floats would not repeat.
+    ``BIT_HORIZON``. The table holds every size and release as an int, so
+    both fills give plain float times.
     """
-    if table.horizon <= BIT_HORIZON and table.plain_ints:
+    if table.horizon <= BIT_HORIZON:
         return _fill_bits
     return _list_schedule
 

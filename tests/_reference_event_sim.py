@@ -74,8 +74,8 @@ def simulate(
     _list_schedule([(core_of[r], fi[r], fj[r], r) for r in ranked], sizes, rel, finish, segs)
 
     flow_completion = dict(zip(keys, finish))
-    done, objective = _fold_completions(instance.coflows, table.first, finish)
-    coflow_completion = {c.id: t for c, t in zip(instance.coflows, done)}
+    done, objective = _fold_completions(table, finish)
+    coflow_completion = dict(enumerate(done, 1))
 
     timeline = None
     if segs is not None:

@@ -72,7 +72,7 @@ def enumerate_best(
                     times = core_runs[rows] = _run_core(table, rows)
                 for r, t in zip(rows, times):
                     finish[r] = t
-            cost = _fold_completions(instance.coflows, table.first, finish)[1]
+            cost = _fold_completions(table, finish)[1]
             examined += 1
             if cost < best_cost - 1e-12:
                 best_cost = cost

@@ -5,7 +5,7 @@
 must return equal finish lists and extend ``segs`` with equal pieces,
 compared with ``==`` and with ``repr`` (float times, int rows). ``simulate``
 and ``oracle._run_core`` take the bit fill when the table's horizon is at
-most ``BIT_HORIZON`` and its sizes and releases are plain ints.
+most ``BIT_HORIZON``, whatever numeric types the instance holds.
 
 The flow-level list order is sorted once per table, in
 ``FlowTable.flow_order``; ``_priority_rows`` concatenates its blocks and
@@ -127,7 +127,7 @@ def selection_instances():
     yield one_core_instance(BIT_HORIZON + 1)
     yield gen_density(6, 3, "sparse", 0, cores=2)
     yield gen_mix(25, 10, 0, cores=5)
-    # An np.int64 size keeps the run lists, whose times it turns to np.float64.
+    # The table holds an np.int64 size as an int, so the horizon alone picks the fill.
     yield Instance(1, 1, (Coflow(1, 0, 1, {(1, 1): np.int64(3)}),))
 
 
@@ -135,7 +135,7 @@ def test_simulate_takes_the_bit_fill_iff_the_horizon_is_short(counted):
     seen = set()
     for instance in selection_instances():
         table = instance.table
-        bits = table.horizon <= BIT_HORIZON and table.plain_ints
+        bits = table.horizon <= BIT_HORIZON
         seen.add(bits)
         for order_fn, assign_fn in STAGES:
             perm = order_fn(instance, 0.5)

@@ -2,10 +2,13 @@
 
 ``_reference_table.compile_table`` builds each ``FlowKey`` with a call per
 flow and feeds ``np.add.at`` from ``np.array(keys)``. The flat-column
-compile must give the same flow columns, equal under ``==`` and under
-``repr`` (so a ``FlowKey`` and a plain tuple, or an ``np.int64`` and an
-``int``, count as different). Its port cells must be the nonzero cells of
-the reference's dense loads, in (coflow, port) order, with the squared sizes
+compile must give the same ports, row bounds and keys, equal under ``==``
+and under ``repr`` (so a ``FlowKey`` and a plain tuple, or an ``np.int64``
+and an ``int``, count as different): ports stay as the instance gives them.
+Sizes and releases must equal the reference's values as plain ints, and
+each coflow's weight and release columns must be ``float(c.weight)`` and
+``int(c.release)``. Its port cells must be the nonzero cells of the
+reference's dense loads, in (coflow, port) order, with the squared sizes
 that ``np.add.at`` sums into the same cells.
 """
 
@@ -31,15 +34,26 @@ def reference_cells(want, loads, ports):
     return PortCells(first, ps.tolist(), loads[ks, ps].tolist(), sq[ks, ps].tolist())
 
 
+def assert_same_repr(a, b, name):
+    assert a == b and repr(a) == repr(b), name
+
+
 def assert_same_table(instance):
     got, want = instance.table, compile_table(instance)
-    for field in dataclasses.fields(got):
-        if field.name.startswith("cells_"):
-            continue
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert type(a) is type(b), field.name
-        assert a == b and repr(a) == repr(b), field.name
+    names = {field.name for field in dataclasses.fields(got)}
+    columns = {"fi", "fj", "first", "size", "release", "weight", "coflow_release"}
+    assert names == columns | {"cells_in", "cells_out"}
+    for name in ("fi", "fj", "first"):
+        assert_same_repr(getattr(got, name), getattr(want, name), name)
+    assert_same_repr(got.keys, want.keys, "keys")
     assert all(type(key) is FlowKey for key in got.keys)
+    for name in ("size", "release"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is list and set(map(type, a)) <= {int}, name
+        assert a == b, name
+    coflows = instance.coflows
+    assert_same_repr(got.weight, [0.0, *(float(c.weight) for c in coflows)], "weight")
+    assert_same_repr(got.coflow_release, [0, *(int(c.release) for c in coflows)], "release")
     for cells, loads, ports in (
         (got.cells_in, want.load_in, want.fi),
         (got.cells_out, want.load_out, want.fj),
@@ -49,15 +63,15 @@ def assert_same_table(instance):
 
 
 def hand_built():
-    """Demands inserted out of (i, j) order, with np.int64 ports and sizes."""
+    """Demands inserted out of (i, j) order, with numpy ports, sizes, releases and weights."""
     i64 = np.int64
     return Instance(
         cores=2,
         ports=4,
         coflows=(
             Coflow(1, 3, 2, {(3, 1): i64(5), (1, 4): 2, (i64(1), i64(2)): i64(7), (2, 2): 1}),
-            Coflow(2, 0, 1, {}),
-            Coflow(3, 9, 4, {(4, 4): 3, (1, 1): i64(1)}),
+            Coflow(2, np.int32(6), i64(1), {}),
+            Coflow(3, i64(9), np.float32(4.5), {(4, 4): 3, (1, 1): i64(1)}),
         ),
     )
 
@@ -65,7 +79,11 @@ def hand_built():
 def test_hand_built_instance_matches_reference():
     instance = hand_built()
     assert_same_table(instance)
-    assert instance.table.first == [0, 4, 4, 6]
+    table = instance.table
+    assert table.first == [0, 4, 4, 6]
+    assert repr(table.size) == "[7, 2, 1, 5, 1, 3]"
+    assert repr(table.release) == "[3, 3, 3, 3, 9, 9]"
+    assert repr((table.weight, table.coflow_release)) == "([0.0, 2.0, 1.0, 4.5], [0, 3, 6, 9])"
 
 
 def test_empty_instances_match_reference():
