@@ -479,8 +479,16 @@ def instance_from_dict(data: dict[str, Any]) -> Instance:
     return instance
 
 
+def _number(x: Any) -> Any:
+    """A numpy scalar as the Python number it holds, for ``json.dumps``."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def dumps_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    """The canonical JSON text, each numpy scalar written as the number it holds."""
+    return json.dumps(instance_to_dict(instance), indent=2, default=_number) + "\n"
 
 
 def loads_instance(text: str) -> Instance:

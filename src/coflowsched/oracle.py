@@ -13,11 +13,13 @@ scored in blocks of permutations: each placement puts a bit mask of flows
 on each core, a permutation's finish times are one row per distinct mask,
 and one gather per coflow reads every pair's finish times from those rows.
 The completions and the weighted sum are then folded in coflow id order
-with the same IEEE operations as the fold ``simulate`` uses, so with int or
-float weights each pair costs what simulating it would return, to the bit.
-trivial_lower_bound is the opposite side: a per-coflow floor no schedule
-can beat. Both exist to sandwich-check the dual bound and the two
-assignment policies on instances small enough to enumerate.
+from the flow table's weight and release columns, with the same IEEE
+operations as the fold ``simulate`` uses, so each pair costs what
+simulating it would return, to the bit, whatever numeric types the
+instance holds. trivial_lower_bound is the opposite side: a per-coflow
+floor no schedule can beat, read from the same columns. Both exist to
+sandwich-check the dual bound and the two assignment policies on instances
+small enough to enumerate.
 
 The granularities are not interchangeable here. A coflow-level dual cost
 can legitimately exceed the best flow-level schedule (splitting a coflow
