@@ -4,14 +4,18 @@ enumerate_best scores every coflow permutation crossed with every core
 placement (per flow or per coflow, depending on granularity), so its
 best_cost is the cheapest list schedule and an upper bound on the optimum of
 that granularity. Cores share no port, so a core's schedule depends only on
-the flows placed on it, in priority order; each distinct such sequence is
-simulated once per call, by the fill ``simulate`` takes for the table: the
-port bit sets when the horizon is at most ``scheduling.BIT_HORIZON``, as it
-is on instances this small with small flows. A permutation's priority order
-joins the coflows' list orders, which the flow table sorts once. Pairs are
-scored in blocks of permutations: each placement puts a bit mask of flows
-on each core, a permutation's finish times are one row per distinct mask,
-and one gather per coflow reads every pair's finish times from those rows.
+the flows placed on it, in priority order, and that order depends only on
+the order the permutation gives the coflows with flows on the core: their
+list orders, which the flow table sorts once, joined. Each placement puts a
+bit mask of flows on each core, and each distinct mask is simulated once per
+call for each order of its own coflows, by the fill ``simulate`` takes for
+the table: the port bit sets when the horizon is at most
+``scheduling.BIT_HORIZON``, as it is on instances this small with small
+flows. ``_projections`` lists those orders and which one each permutation
+gives; it depends on n and the coflow ids alone, so it is cached across
+calls. Pairs are scored in blocks of permutations: one gather picks each
+permutation's finish-time row of every mask, and one gather per coflow
+reads every pair's finish times from those rows.
 The completions and the weighted sum are then folded in coflow id order
 from the flow table's weight and release columns, with the same IEEE
 operations as the fold ``simulate`` uses, so each pair costs what
@@ -31,12 +35,14 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice, permutations, product
+from math import factorial
 
 import numpy as np
 
 from .model import FlowKey, FlowTable, Instance
-from .scheduling import _fill, _priority_rows, require_granularity
+from .scheduling import _blocks, _fill, require_granularity
 
 # Cells (permutations x placements x flows) of one scoring block. A
 # permutation has at most as many distinct core masks as placements, so this
@@ -44,10 +50,14 @@ from .scheduling import _fill, _priority_rows, require_granularity
 BLOCK_CELLS = 1 << 14
 
 # The largest instance enumerate_best accepts: the search is factorial in n
-# and exponential in the flow (or coflow) count.
+# and exponential in the flow (or coflow) count, so it also caps the cells
+# (permutations x placements x max(flows, 1)) of the whole search, which the
+# caps on n, N and m leave unbounded on dense instances. n=6 with 8 flows on
+# m=2 is 720 x 256 x 8 = 1,474,560 cells.
 ORACLE_MAX_COFLOWS = 6
 ORACLE_MAX_PORTS = 3
 ORACLE_MAX_CORES = 2
+ORACLE_MAX_CELLS = 1 << 21
 
 
 @dataclass
@@ -77,7 +87,7 @@ def trivial_lower_bound(instance: Instance) -> float:
     return total
 
 
-def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
+def _run_core(table: FlowTable, rows: list[int]) -> list[float]:
     """Finish times of ``rows``, one core's flows best first, alone on a core.
 
     The fill is the one ``simulate`` takes for the table.
@@ -85,15 +95,39 @@ def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
     return _fill(table)(rows, table.fi, table.fj, table.size, table.release, None)
 
 
+@cache
+def _projections(
+    n: int, coflows: tuple[int, ...]
+) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The orders permutations of 1..n give ``coflows``, and each one's pick.
+
+    ``coflows`` is a sorted, non-empty tuple of coflow ids. The orders are
+    listed as first met in lexicographic permutation order, and entry i of
+    the read-only intp array is the index of permutation i's order.
+    """
+    seen: dict[tuple[int, ...], int] = {}
+    picks = np.array(
+        [
+            seen.setdefault(tuple([k for k in perm if k in coflows]), len(seen))
+            for perm in permutations(range(1, n + 1))
+        ],
+        dtype=np.intp,
+    )
+    picks.flags.writeable = False
+    return tuple(seen), picks
+
+
 def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResult:
     """Brute-force the best list schedule at the given granularity.
 
     Every (permutation, placement) pair is scored, and counted in
     ``schedules_examined``, with the objective ``simulate`` would return for
-    it; a core's flow sequence that repeats is simulated only once per call.
-    Refuses instances beyond the ``ORACLE_MAX_*`` caps. The witness is the
-    first minimizer in lexicographic (permutation, assignment) order, so
-    results are deterministic.
+    it. Each distinct core mask is simulated once per order of its own
+    coflows, so no core flow sequence is simulated twice in a call, and each
+    block of permutations picks its rows of those runs by one gather.
+    Refuses instances beyond the ``ORACLE_MAX_*`` caps, before any placement
+    is built. The witness is the first minimizer in lexicographic
+    (permutation, assignment) order, so results are deterministic.
     """
     table = instance.table
     keys = table.keys
@@ -106,6 +140,12 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
         )
 
     flows, first = len(keys), table.first
+    slots = flows if granularity == "flow" else n
+    if factorial(n) * m**slots * max(flows, 1) > ORACLE_MAX_CELLS:
+        raise ValueError(
+            f"instance exceeds enumeration caps: {n}! x {m}^{slots} x {max(flows, 1)} "
+            f"cells > {ORACLE_MAX_CELLS}"
+        )
     # Placements in product order as each flow's core, and the flows each one
     # puts on each core as a bit mask over rows.
     if granularity == "flow":
@@ -120,7 +160,7 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
     placements = []
     index: dict[int, int] = {}
     gather = []
-    for cores in product(range(1, m + 1), repeat=len(slot_bits)):
+    for cores in product(range(1, m + 1), repeat=slots):
         masks = [0] * (m + 1)
         for bit, h in zip(slot_bits, cores):
             masks[h] |= bit
@@ -129,34 +169,49 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
         gather.append(
             [index.setdefault(masks[h], len(index)) * flows + r for r, h in enumerate(core_of)]
         )
-    member = [[mask >> r & 1 for r in range(flows)] for mask in index]
     gather = np.array(gather, dtype=np.intp).reshape(len(placements), flows)
     columns = [gather[:, lo:hi] if hi > lo else None for lo, hi in zip(first, first[1:])]
 
-    # Finish times per core flow tuple (rows in priority order), as the bytes
-    # of a float64 row over all flows.
-    core_runs: dict[tuple[int, ...], bytes] = {}
-    idle = [0.0] * flows
+    # A mask's flow sequence depends only on the order a permutation gives
+    # the coflows with flows in it, so each mask is filled once per such
+    # order: its finish rows, over all flows, go into one float64 array,
+    # from row base[j] on, and pick[j] gives each permutation's row offset.
+    blocks = list(_blocks(table, range(1, n + 1), granularity))
+    finish = array("d")
+    base, pick, filled = [], [], 0
+    for mask in index:
+        own = [[r for r in rows if mask >> r & 1] for rows in blocks]
+        coflows = tuple(k for k, rows in enumerate(own, 1) if rows)
+        if coflows:
+            orders, picks = _projections(n, coflows)
+        else:
+            orders, picks = ((),), np.zeros(factorial(n), dtype=np.intp)
+        base.append(filled)
+        pick.append(picks)
+        filled += len(orders)
+        for order in orders:
+            rows = [r for k in order for r in own[k - 1]]
+            row = [0.0] * flows
+            for r, t in zip(rows, _run_core(table, rows)):
+                row[r] = t
+            finish.extend(row)
+    distinct = np.frombuffer(finish).reshape(filled, flows)
+    base = np.array(base, dtype=np.intp)
+
     best_cost = float("inf")
     best_order: list[int] = []
     best_assignment: dict[FlowKey, int] = {}
     examined = 0
-    orders = permutations(range(1, n + 1))
+    perms = permutations(range(1, n + 1))
     block = max(1, BLOCK_CELLS // (len(placements) * max(flows, 1)))
-    while batch := list(islice(orders, block)):
-        parts = []
-        for perm in batch:
-            ranked = _priority_rows(table, perm, granularity)
-            for bits in member:
-                rows = tuple([r for r in ranked if bits[r]])
-                part = core_runs.get(rows)
-                if part is None:
-                    row = idle[:]
-                    for r, t in zip(rows, _run_core(table, rows)):
-                        row[r] = t
-                    part = core_runs[rows] = array("d", row).tobytes()
-                parts.append(part)
-        runs = np.frombuffer(b"".join(parts)).reshape(len(batch), len(index) * flows)
+    lo = 0
+    while batch := list(islice(perms, block)):
+        # Row base[j] + pick[j][lo + i] holds mask j's finish times under the
+        # block's permutation i, gathered for every mask at once.
+        rows = np.array([p[lo : lo + len(batch)] for p in pick], dtype=np.intp)
+        runs = distinct[rows.reshape(-1, len(batch)).T + base]
+        runs = runs.reshape(len(batch), len(index) * flows)
+        lo += len(batch)
         # The fold of scheduling._fold_completions, one coflow at a time in id
         # order, on every pair of the block at once.
         cost = np.zeros((len(batch), len(placements)))

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -351,6 +352,22 @@ def test_oracle_check_refuses_large_instance(tmp_path, capsys):
     code, out, err = run(capsys, "oracle-check", str(path))
     assert code == 1
     assert "caps" in json.loads(err)["error"]
+
+
+def test_oracle_check_refuses_dense_instance_inside_the_size_caps(tmp_path, capsys):
+    # 4 coflows, 27 flows on 3 ports and 2 cores: 4! x 2^27 pairs at flow
+    # level, refused by the cell cap before any placement is built.
+    code, out, err = run(
+        capsys, "generate", "--coflows", "4", "--ports", "3", "--cores", "2",
+        "--seed", "2", "--density", "dense", "--out", str(tmp_path),
+    )
+    assert code == 0 and err == ""
+    path = tmp_path / "instance.json"
+    assert len(model.loads_instance(path.read_text()).table.keys) == 27
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle-check", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert_one_json_error(code, out, err, "caps")
 
 
 def test_missing_file_error_is_json(capsys):

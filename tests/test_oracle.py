@@ -8,7 +8,7 @@ edge cases near the caps.
 """
 
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -77,6 +77,22 @@ def test_caps_refusal(monkeypatch):
         enumerate_best(many_cores)
     monkeypatch.setattr(oracle, "ORACLE_MAX_PORTS", 4)
     assert enumerate_best(wide).best_cost == pytest.approx(1.0)
+    # 18 flows inside the n, N and m caps: 2! x 2^18 x 18 cells at flow
+    # level, refused before any placement is built, and 2! x 2^2 x 18 at
+    # coflow level.
+    full = {(i, j): 1 for i in (1, 2, 3) for j in (1, 2, 3)}
+    dense = inst([(0, 1, full), (0, 2, full)], cores=2)
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "product", None)
+        with pytest.raises(ValueError, match="caps"):
+            enumerate_best(dense, "flow")
+    assert enumerate_best(dense, "coflow").schedules_examined == 2 * 2**2
+    # UNIT_PAIR is 2! x 1^2 x 2 cells at flow level.
+    monkeypatch.setattr(oracle, "ORACLE_MAX_CELLS", 4)
+    assert enumerate_best(UNIT_PAIR).schedules_examined == 2
+    monkeypatch.setattr(oracle, "ORACLE_MAX_CELLS", 3)
+    with pytest.raises(ValueError, match="caps"):
+        enumerate_best(UNIT_PAIR)
 
 
 def test_enumerate_rejects_unknown_granularity():
@@ -243,6 +259,22 @@ def test_each_core_subproblem_runs_once(tiny_results):
     examined = sum(r.schedules_examined for by_g in results for r in by_g.values())
     assert examined == 110_362
     assert core_runs == TINY_CORE_RUNS
+
+
+def test_projections_match_the_direct_filter(tiny_results):
+    # Every non-empty coflow subset of every n up to the cap; enumerate_best
+    # never asks for the empty one, so the cache holds at most
+    # sum(2^n - 1 for n <= 6) = 120 entries, the corpus's included.
+    for n in range(1, oracle.ORACLE_MAX_COFLOWS + 1):
+        perms = list(permutations(range(1, n + 1)))
+        for size in range(1, n + 1):
+            for coflows in combinations(range(1, n + 1), size):
+                orders, picks = oracle._projections(n, coflows)
+                direct = [tuple(k for k in p if k in coflows) for p in perms]
+                assert list(orders) == list(dict.fromkeys(direct))
+                assert picks.dtype == np.intp and not picks.flags.writeable
+                assert [orders[i] for i in picks] == direct
+    assert oracle._projections.cache_info().currsize <= 120
 
 
 def test_matches_reference_on_random_tiny():
@@ -423,30 +455,53 @@ NEAR_CAP = inst(
 )
 
 
+# Distinct per-core runs on NEAR_CAP: each distinct core mask once per order
+# of its own coflows.
+NEAR_CAP_CORE_RUNS = {"flow": 13_960, "coflow": 1_956}
+
+
 @pytest.fixture(scope="module")
-def near_cap_flow():
-    """Flow-level enumerate_best on NEAR_CAP and its tracemalloc peak."""
-    enumerate_best(NEAR_CAP, "coflow")
+def near_cap():
+    """enumerate_best on NEAR_CAP at both granularities with its per-core run
+    counts, and the tracemalloc peak of one more flow-level call."""
+    results, runs = {}, {}
+    run_core = oracle._run_core
+    with pytest.MonkeyPatch.context() as mp:
+        for granularity in ("flow", "coflow"):
+            runs[granularity] = 0
+
+            def counted(table, rows, granularity=granularity):
+                runs[granularity] += 1
+                return run_core(table, rows)
+
+            mp.setattr(oracle, "_run_core", counted)
+            results[granularity] = enumerate_best(NEAR_CAP, granularity)
+    # The calls above filled the _projections cache, so the peak is the call's.
     tracemalloc.start()
     try:
-        result = enumerate_best(NEAR_CAP, "flow")
+        assert enumerate_best(NEAR_CAP, "flow") == results["flow"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, peak
+    return results, runs, peak
 
 
-def test_near_cap_memory_is_blocked(near_cap_flow):
+def test_near_cap_memory_is_blocked(near_cap):
     # Scoring all 720 permutations in one block would hold 720 x 256 x 8
-    # float64 finish times, 11.8 MB; the per-core memo takes about 3 MB.
-    assert near_cap_flow[1] < 6e6
+    # float64 finish times, 11.8 MB. The call peaks at about 1.3 MB: the
+    # per-mask runs take 13,960 x 8 float64 (0.9 MB), and a block's picks and
+    # gathers are bounded by BLOCK_CELLS. The per-(permutation, mask) memo
+    # it replaced peaked at about 3.0-3.5 MB.
+    assert near_cap[2] < 6e6
 
 
-def test_near_cap_matches_memo_reference_past_the_first_block(near_cap_flow):
-    for granularity, slots, got in (
-        ("flow", 8, near_cap_flow[0]),
-        ("coflow", 6, enumerate_best(NEAR_CAP, "coflow")),
-    ):
+def test_near_cap_fills_each_core_sequence_once(near_cap):
+    assert near_cap[1] == NEAR_CAP_CORE_RUNS
+
+
+def test_near_cap_matches_memo_reference_past_the_first_block(near_cap):
+    for granularity, slots in (("flow", 8), ("coflow", 6)):
+        got = near_cap[0][granularity]
         assert_same(got, memo_reference_best(NEAR_CAP, granularity))
         assert got.schedules_examined == 720 * 2**slots
         block = oracle.BLOCK_CELLS // (2**slots * 8)

@@ -48,4 +48,6 @@ def test_oracle_row_times_both_granularities():
     assert row["flows"] == 8
     assert row["horizon"] <= BIT_HORIZON and row["fill"] == "bits"
     assert (row["pairs_flow"], row["pairs_coflow"]) == (720 * 2**8, 720 * 2**6)
+    # Each distinct core mask is filled once per order of its own coflows.
+    assert (row["core_runs_flow"], row["core_runs_coflow"]) == (11_742, 1_956)
     assert row["oracle_flow_ms"] > 0 and row["oracle_coflow_ms"] > 0

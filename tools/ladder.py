@@ -27,7 +27,8 @@ is timed. ``horizon`` is the table's latest release plus total size, and
 ``scheduling.BIT_HORIZON``) or ``runs`` (sorted busy-run lists).
 One more row times ``oracle.enumerate_best`` at both granularities on a
 seeded instance at the oracle's caps: n=6 on N=3 ports and m=2 cores, with 8
-flows, so 720 x 256 pairs at flow level.
+flows, so 720 x 256 pairs at flow level. Beside each granularity's pairs,
+``core_runs`` counts the per-core runs (fills) of one more, untimed call.
 ``--src`` imports ``coflowsched`` from another checkout's ``src``, so two
 trees can be compared by running the script on each in turn. Times are
 wall clock on whatever host runs it; the benchmark in ``perfbench/`` is the
@@ -182,6 +183,27 @@ def oracle_instance():
     return Instance(cores=2, ports=3, coflows=coflows)
 
 
+def core_runs(instance, granularity: str) -> int:
+    """Per-core runs of one more, untimed ``enumerate_best`` call, counted by
+    wrapping ``oracle._run_core``."""
+    from coflowsched import oracle
+
+    calls = 0
+    run_core = oracle._run_core
+
+    def counted(table, rows):
+        nonlocal calls
+        calls += 1
+        return run_core(table, rows)
+
+    oracle._run_core = counted
+    try:
+        oracle.enumerate_best(instance, granularity)
+    finally:
+        oracle._run_core = run_core
+    return calls
+
+
 def oracle_row(repeats: int) -> dict:
     from coflowsched.oracle import enumerate_best
 
@@ -190,6 +212,7 @@ def oracle_row(repeats: int) -> dict:
     for tag in ("flow", "coflow"):
         row[f"oracle_{tag}_ms"], best = timed(lambda: enumerate_best(instance, tag), repeats)
         row[f"pairs_{tag}"] = best.schedules_examined
+        row[f"core_runs_{tag}"] = core_runs(instance, tag)
     return row
 
 
