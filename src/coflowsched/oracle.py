@@ -11,11 +11,14 @@ bit mask of flows on each core, and each distinct mask is simulated once per
 call for each order of its own coflows, by the fill ``simulate`` takes for
 the table: the port bit sets when the horizon is at most
 ``scheduling.BIT_HORIZON``, as it is on instances this small with small
-flows. ``_projections`` lists those orders and which one each permutation
-gives; it depends on n and the coflow ids alone, so it is cached across
-calls. Pairs are scored in blocks of permutations: one gather picks each
-permutation's finish-time row of every mask, and one gather per coflow
-reads every pair's finish times from those rows.
+flows. The orders are those ``itertools.permutations`` gives the mask's
+coflow blocks; each run writes its finish times into a copy of one zero row,
+from port state held in lists indexed by port. ``_projections`` gives which
+order each permutation gives and how many there are; it depends on n and the
+coflow ids alone, so it is cached across calls. Pairs are scored in blocks
+of permutations: one gather picks each permutation's finish-time row of
+every mask, and one gather per coflow reads every pair's finish times from
+those rows.
 The completions and the weighted sum are then folded in coflow id order
 from the flow table's weight and release columns, with the same IEEE
 operations as the fold ``simulate`` uses, so each pair costs what
@@ -36,13 +39,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice, permutations, product
+from itertools import chain, islice, permutations, product
 from math import factorial
 
 import numpy as np
 
 from .model import FlowKey, FlowTable, Instance
-from .scheduling import _blocks, _fill, require_granularity
+from .scheduling import _blocks, _fill, _idle_ports, require_granularity
 
 # Cells (permutations x placements x flows) of one scoring block. A
 # permutation has at most as many distinct core masks as placements, so this
@@ -87,23 +90,24 @@ def trivial_lower_bound(instance: Instance) -> float:
     return total
 
 
-def _run_core(table: FlowTable, rows: list[int]) -> list[float]:
-    """Finish times of ``rows``, one core's flows best first, alone on a core.
+def _run_core(table: FlowTable, fill, rows: list[int], out: list[float], ports: int) -> None:
+    """Write ``out[r]`` for each of ``rows``, one core's flows best first, run alone.
 
-    The fill is the one ``simulate`` takes for the table.
+    ``fill`` is ``scheduling._fill(table)``; the core's ports start idle in
+    lists indexed by port, ``ports`` = N + 1 long.
     """
-    return _fill(table)(rows, table.fi, table.fj, table.size, table.release, None)
+    busy_in, busy_out = _idle_ports(table, ports), _idle_ports(table, ports)
+    fill(rows, table.fi, table.fj, table.size, table.release, busy_in, busy_out, out, None)
 
 
 @cache
-def _projections(
-    n: int, coflows: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The orders permutations of 1..n give ``coflows``, and each one's pick.
+def _projections(n: int, coflows: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Which order of ``coflows`` each permutation of 1..n gives, and how many there are.
 
     ``coflows`` is a sorted, non-empty tuple of coflow ids. The orders are
-    listed as first met in lexicographic permutation order, and entry i of
-    the read-only intp array is the index of permutation i's order.
+    numbered as first met in lexicographic permutation order, which is the
+    order ``permutations(coflows)`` lists them in; entry i of the read-only
+    intp array is the number of permutation i's order.
     """
     seen: dict[tuple[int, ...], int] = {}
     picks = np.array(
@@ -114,7 +118,7 @@ def _projections(
         dtype=np.intp,
     )
     picks.flags.writeable = False
-    return tuple(seen), picks
+    return picks, len(seen)
 
 
 def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResult:
@@ -123,8 +127,10 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
     Every (permutation, placement) pair is scored, and counted in
     ``schedules_examined``, with the objective ``simulate`` would return for
     it. Each distinct core mask is simulated once per order of its own
-    coflows, so no core flow sequence is simulated twice in a call, and each
-    block of permutations picks its rows of those runs by one gather.
+    coflows, in ``permutations`` order of their blocks and by one
+    ``_run_core`` call each, so no core flow sequence is simulated twice in
+    a call, and each block of permutations picks its rows of those runs by
+    one gather.
     Refuses instances beyond the ``ORACLE_MAX_*`` caps, before any placement
     is built. The witness is the first minimizer in lexicographic
     (permutation, assignment) order, so results are deterministic.
@@ -174,26 +180,26 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
 
     # A mask's flow sequence depends only on the order a permutation gives
     # the coflows with flows in it, so each mask is filled once per such
-    # order: its finish rows, over all flows, go into one float64 array,
-    # from row base[j] on, and pick[j] gives each permutation's row offset.
+    # order, in the order permutations of those coflows' blocks list them:
+    # its finish rows, over all flows, go into one float64 array, from row
+    # base[j] on, and pick[j] gives each permutation's row offset.
     blocks = list(_blocks(table, range(1, n + 1), granularity))
+    fill, ports, zero = _fill(table), instance.ports + 1, [0.0] * flows
     finish = array("d")
     base, pick, filled = [], [], 0
     for mask in index:
         own = [[r for r in rows if mask >> r & 1] for rows in blocks]
         coflows = tuple(k for k, rows in enumerate(own, 1) if rows)
         if coflows:
-            orders, picks = _projections(n, coflows)
+            picks, orders = _projections(n, coflows)
         else:
-            orders, picks = ((),), np.zeros(factorial(n), dtype=np.intp)
+            picks, orders = np.zeros(factorial(n), dtype=np.intp), 1
         base.append(filled)
         pick.append(picks)
-        filled += len(orders)
-        for order in orders:
-            rows = [r for k in order for r in own[k - 1]]
-            row = [0.0] * flows
-            for r, t in zip(rows, _run_core(table, rows)):
-                row[r] = t
+        filled += orders
+        for order in permutations([rows for rows in own if rows]):
+            row = zero.copy()
+            _run_core(table, fill, list(chain.from_iterable(order)), row, ports)
             finish.extend(row)
     distinct = np.frombuffer(finish).reshape(filled, flows)
     base = np.array(base, dtype=np.intp)

@@ -24,7 +24,7 @@ from heapq import heappop, heappush
 from itertools import chain, repeat
 from operator import add, countOf
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -410,7 +410,8 @@ def simulate(
     So a flow's transmission depends only on the better-ranked flows of its
     core, and the fill ``_fill`` picks places the flows one at a time, best
     first, into the free time of their two ports: ``_fill_bits`` on a short
-    horizon, ``_list_schedule`` otherwise, with the same output. Completion
+    horizon, ``_list_schedule`` otherwise, with the same output, into one
+    finish row; each (core, port) is keyed core x (N + 1) + port. Completion
     of a coflow is the completion of its last flow; a flowless coflow
     completes at its release.
     The placement was checked when built, so it need only be built for
@@ -429,9 +430,9 @@ def simulate(
     ranked = _priority_rows(table, seq, assignment.granularity)
     segs: list[float] | None = [] if emit_timeline else None
     finish = [0.0] * n
-    times = _fill(table)(ranked, key_in, key_out, table.size, table.release, segs)
-    for r, t in zip(ranked, times):
-        finish[r] = t
+    busy_in, busy_out = _idle(table, key_in), _idle(table, key_out)
+    fill = _fill(table)
+    fill(ranked, key_in, key_out, table.size, table.release, busy_in, busy_out, finish, segs)
 
     columns = None
     if segs is not None:
@@ -464,38 +465,32 @@ def _segment_order(start, end, rank, flows: int) -> np.ndarray:
     return np.argsort(code * flows + rank)
 
 
-def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
+def _list_schedule(ranked, key_in, key_out, sizes, rel, busy_in, busy_out, out, segs) -> None:
     """Place the flow rows ``ranked``, best first, into their ports' free time.
 
     Flow r uses the input port keyed ``key_in[r]`` and the output port keyed
-    ``key_out[r]``. Each port keeps its busy time as one flat sorted list
-    ``s0, e0, s1, e1, ..., inf`` of disjoint runs [s, e) that do not touch,
-    so an odd ``bisect_right`` position means the time lies inside a run. A
-    flow starts at its release, skips every run of either port that covers
-    the current time, and transmits until the next run start on either port
-    or until its size is sent, and so on. Each piece is one timeline
-    segment; the loop merges it inline into both ports' runs, so the flows
-    after it see it as busy. Inserting or removing a run shifts the later
-    runs of that port's list, so a piece costs O(log runs) compares plus
-    O(runs) moves on each port. Returns the finish times in ``ranked`` order
-    and extends the flat list ``segs`` by start, end and flow row per piece.
+    ``key_out[r]``, and ``busy_in`` and ``busy_out`` hold each key's busy
+    time as one flat sorted list ``s0, e0, s1, e1, ..., inf`` of disjoint
+    runs [s, e) that do not touch, so an odd ``bisect_right`` position means
+    the time lies inside a run. A flow starts at its release, skips every
+    run of either port that covers the current time, and transmits until the
+    next run start on either port or until its size is sent, and so on. Each
+    piece is one timeline segment; the loop merges it inline into both
+    ports' runs, so the flows after it see it as busy. Inserting or removing
+    a run shifts the later runs of that port's list, so a piece costs O(log
+    runs) compares plus O(runs) moves on each port. Writes flow r's finish
+    time to ``out[r]`` and extends the flat list ``segs`` by start, end and
+    flow row per piece.
 
     A flow that never finishes raises at once: its infinite end would
     overwrite the ``inf`` sentinel of its ports. Unit rates over integer
     sizes and releases below ``MAX_HORIZON`` keep every time an exact
-    integer, which one check over all finish times asserts after the loop.
+    integer, which one check over the rows placed asserts after the loop.
     """
-    never = float("inf")
-    busy_in: dict = {}
-    busy_out: dict = {}
-    finish: list[float] = []
+    never = math.inf
     for r in ranked:
-        runs_a = busy_in.get(key_in[r])
-        if runs_a is None:
-            runs_a = busy_in[key_in[r]] = [never]
-        runs_b = busy_out.get(key_out[r])
-        if runs_b is None:
-            runs_b = busy_out[key_out[r]] = [never]
+        runs_a = busy_in[key_in[r]]
+        runs_b = busy_out[key_out[r]]
         t = float(rel[r])
         left = sizes[r]
         while True:
@@ -542,10 +537,9 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
             t = stop
         if not end < never:
             raise RuntimeError("no runnable flow and no pending release")
-        finish.append(end)
+        out[r] = end
     # Unit rates over integer demands keep every completion on the integer grid.
-    assert all(map(float.is_integer, finish))
-    return finish
+    assert all(map(float.is_integer, map(out.__getitem__, ranked)))
 
 
 # The longest table horizon that ``simulate`` and the oracle fill in port bit
@@ -561,14 +555,30 @@ def _fill(table: FlowTable):
 
     The bit fill is taken when the table's horizon is at most
     ``BIT_HORIZON``. The table holds every size and release as an int, so
-    both fills give plain float times.
+    both fills give plain float times. Either fill writes ``out[r]`` for each
+    row it places, from busy state that the caller seeds with ``_idle`` or
+    ``_idle_ports`` for every port its rows use.
     """
     if table.horizon <= BIT_HORIZON:
         return _fill_bits
     return _list_schedule
 
 
-def _fill_bits(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
+def _idle(table: FlowTable, keys: Iterable[int]) -> dict:
+    """The ports ``keys`` idle for ``_fill(table)``: 0 each, or a fresh ``[inf]`` run list."""
+    if table.horizon <= BIT_HORIZON:
+        return dict.fromkeys(keys, 0)
+    return {key: [math.inf] for key in keys}
+
+
+def _idle_ports(table: FlowTable, ports: int) -> list:
+    """``_idle`` of the keys 0..ports - 1, as a list indexed by key."""
+    if table.horizon <= BIT_HORIZON:
+        return [0] * ports
+    return [[math.inf] for _ in range(ports)]
+
+
+def _fill_bits(ranked, key_in, key_out, sizes, rel, busy_in, busy_out, out, segs) -> None:
     """``_list_schedule`` with each port's busy time as the bits of one int.
 
     Bit t of a port's int marks the unit slot [t, t + 1) busy, and ``used``
@@ -577,19 +587,16 @@ def _fill_bits(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
     up to the next busy slot, the trailing zeros after them, or until its
     size is sent, and so on; its pieces join both ports' ints when it is
     done. The pieces are maximal free runs of both ports, so the finish
-    times and ``segs`` are those of ``_list_schedule``, to the type: float
-    times and int rows. Sizes and releases must be ints, as the flow table
-    holds them, and every time is then an exact integer. An int is as wide
-    as the latest end on its port, so a step costs O(horizon / 30) digit
-    operations: ``simulate`` and the oracle take this fill only up to
-    ``BIT_HORIZON``.
+    times written to ``out`` and ``segs`` are those of ``_list_schedule``,
+    to the type: float times and int rows. Sizes and releases must be ints,
+    as the flow table holds them, and every time is then an exact integer.
+    An int is as wide as the latest end on its port, so a step costs
+    O(horizon / 30) digit operations: ``simulate`` and the oracle take this
+    fill only up to ``BIT_HORIZON``.
     """
-    busy_in: dict = {}
-    busy_out: dict = {}
-    finish: list[float] = []
     for r in ranked:
-        a = busy_in.get(key_in[r], 0)
-        b = busy_out.get(key_out[r], 0)
+        a = busy_in[key_in[r]]
+        b = busy_out[key_out[r]]
         used = a | b
         t = rel[r]
         left = sizes[r]
@@ -616,8 +623,7 @@ def _fill_bits(ranked, key_in, key_out, sizes, rel, segs) -> list[float]:
                 break
         busy_in[key_in[r]] = a | took
         busy_out[key_out[r]] = b | took
-        finish.append(float(t))
-    return finish
+        out[r] = float(t)
 
 
 def audit_schedule(

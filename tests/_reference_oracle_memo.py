@@ -11,6 +11,7 @@ reference of ``_reference_oracle.py`` is not.
 
 from __future__ import annotations
 
+import math
 from itertools import permutations, product
 
 from coflowsched.model import FlowKey, FlowTable, Instance
@@ -20,7 +21,11 @@ from coflowsched.scheduling import _fold_completions, _list_schedule, _priority_
 
 def _run_core(table: FlowTable, rows: tuple[int, ...]) -> list[float]:
     """Finish times of ``rows``, one core's flows best first, alone on a core."""
-    return _list_schedule(rows, table.fi, table.fj, table.size, table.release, None)
+    out = [0.0] * len(table.fi)
+    fi, fj = table.fi, table.fj
+    busy_in, busy_out = ({port: [math.inf] for port in side} for side in (fi, fj))
+    _list_schedule(rows, fi, fj, table.size, table.release, busy_in, busy_out, out, None)
+    return [out[r] for r in rows]
 
 
 def enumerate_best(

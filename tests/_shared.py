@@ -123,6 +123,12 @@ def tiny_instance(idx: int) -> Instance:
     return Instance(cores=m, ports=3, coflows=tuple(coflows))
 
 
+def one_core_instance(horizon: int) -> Instance:
+    """Two coflows on one core whose latest release plus total size is ``horizon``."""
+    size = horizon - 3
+    return Instance(1, 2, (Coflow(1, 3, 1, {(1, 1): 1, (2, 1): size - 1}), Coflow(2, 0, 2, {})))
+
+
 def fb2010_text(seed, coflows=60, racks=150):
     """A seeded trace in the FB2010 text format; mapper racks may repeat."""
     rng = random.Random(seed)

@@ -1,9 +1,10 @@
 """The port bit-set fill against the run-list fill, and which one runs.
 
 ``_fill_bits`` keeps each port's busy time as the bits of one int and
-``_list_schedule`` as a sorted list of busy runs. Given the same core they
-must return equal finish lists and extend ``segs`` with equal pieces,
-compared with ``==`` and with ``repr`` (float times, int rows). ``simulate``
+``_list_schedule`` as a sorted list of busy runs. Given the same core, each
+from its own idle ports, they must write equal finish rows and extend
+``segs`` with equal pieces, compared with ``==`` and with ``repr`` (float
+times, int rows). ``simulate``
 and ``oracle._run_core`` take the bit fill when the table's horizon is at
 most ``BIT_HORIZON``, whatever numeric types the instance holds.
 
@@ -12,11 +13,13 @@ The flow-level list order is sorted once per table, in
 must equal the per-call sort it replaced.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
 
+from _shared import one_core_instance
 from coflowsched import oracle, scheduling
 from coflowsched.model import Coflow, Instance
 from coflowsched.ordering import order_coflow_level, order_flow_level
@@ -46,10 +49,20 @@ def random_core(rng):
     return rng.sample(range(flows), flows), key_in, key_out, sizes, rel
 
 
+def fill_row(fill, ranked, key_in, key_out, sizes, rel, segs):
+    """The finish row ``fill`` writes for the core, every port idle at first."""
+    idle = (lambda: 0) if fill is _fill_bits else (lambda: [math.inf])
+    busy_in = {key: idle() for key in key_in}
+    busy_out = {key: idle() for key in key_out}
+    out = [0.0] * len(key_in)
+    fill(ranked, key_in, key_out, sizes, rel, busy_in, busy_out, out, segs)
+    return out
+
+
 def assert_same_fill(ranked, key_in, key_out, sizes, rel):
     for segs_bits, segs_runs in ((None, None), ([], [])):
-        got = _fill_bits(ranked, key_in, key_out, sizes, rel, segs_bits)
-        want = _list_schedule(ranked, key_in, key_out, sizes, rel, segs_runs)
+        got = fill_row(_fill_bits, ranked, key_in, key_out, sizes, rel, segs_bits)
+        want = fill_row(_list_schedule, ranked, key_in, key_out, sizes, rel, segs_runs)
         assert got == want
         assert repr(got) == repr(want)
         assert segs_bits == segs_runs
@@ -79,15 +92,9 @@ def test_fills_agree_at_the_horizon_limit(horizon):
     # ends when the total size is sent, and the flows ranked first preempt
     # the ones released at 0.
     segs: list = []
-    _fill_bits(*core, segs)
+    fill_row(_fill_bits, *core, segs)
     assert max(segs[1::3]) == float(horizon - 7)
     assert len(segs) > 3 * 6
-
-
-def one_core_instance(horizon):
-    """Two coflows on one core whose latest release plus total size is ``horizon``."""
-    size = horizon - 3
-    return Instance(1, 2, (Coflow(1, 3, 1, {(1, 1): 1, (2, 1): size - 1}), Coflow(2, 0, 2, {})))
 
 
 @pytest.fixture

@@ -16,12 +16,12 @@ import pytest
 from _reference_oracle import enumerate_best as reference_best
 from _reference_oracle_memo import enumerate_best as memo_reference_best
 from _reference_table import compile_table
-from _shared import tiny_instance
+from _shared import one_core_instance, tiny_instance
 from coflowsched import oracle, scheduling
 from coflowsched.model import Coflow, Instance
 from coflowsched.oracle import enumerate_best, trivial_lower_bound
 from coflowsched.ordering import order_coflow_level, order_flow_level
-from coflowsched.scheduling import Assignment, simulate
+from coflowsched.scheduling import BIT_HORIZON, Assignment, simulate
 
 
 def inst(coflow_specs, cores=1, ports=None):
@@ -228,9 +228,9 @@ def tiny_results():
     runs = []
     run_core = oracle._run_core
 
-    def counted(table, rows):
+    def counted(table, fill, rows, out, ports):
         runs.append(rows)
-        return run_core(table, rows)
+        run_core(table, fill, rows, out, ports)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("enumerate_best called simulate")
@@ -264,14 +264,18 @@ def test_each_core_subproblem_runs_once(tiny_results):
 def test_projections_match_the_direct_filter(tiny_results):
     # Every non-empty coflow subset of every n up to the cap; enumerate_best
     # never asks for the empty one, so the cache holds at most
-    # sum(2^n - 1 for n <= 6) = 120 entries, the corpus's included.
+    # sum(2^n - 1 for n <= 6) = 120 entries, the corpus's included. The
+    # orders, as first met in lexicographic permutation order, are
+    # permutations(S) in its order, which enumerate_best fills them in.
     for n in range(1, oracle.ORACLE_MAX_COFLOWS + 1):
         perms = list(permutations(range(1, n + 1)))
         for size in range(1, n + 1):
             for coflows in combinations(range(1, n + 1), size):
-                orders, picks = oracle._projections(n, coflows)
+                picks, count = oracle._projections(n, coflows)
+                orders = list(permutations(coflows))
                 direct = [tuple(k for k in p if k in coflows) for p in perms]
-                assert list(orders) == list(dict.fromkeys(direct))
+                assert list(dict.fromkeys(direct)) == orders
+                assert count == len(orders)
                 assert picks.dtype == np.intp and not picks.flags.writeable
                 assert [orders[i] for i in picks] == direct
     assert oracle._projections.cache_info().currsize <= 120
@@ -281,6 +285,24 @@ def test_matches_reference_on_random_tiny():
     rng = np.random.default_rng(7)
     for _ in range(40):
         assert_matches_reference(random_tiny(rng))
+
+
+def long_tiny(rng):
+    """``random_tiny`` with each release and size scaled past ``BIT_HORIZON``,
+    sizes plus an offset of 0-99, so the oracle takes the run-list fill."""
+    tiny, scale = random_tiny(rng), BIT_HORIZON + 1
+    coflows = []
+    for c in tiny.coflows:
+        demands = {p: d * scale + int(rng.integers(0, 100)) for p, d in c.demands.items()}
+        coflows.append((c.release * scale, c.weight, demands))
+    return inst(coflows, cores=tiny.cores, ports=3)
+
+
+def test_run_list_path_matches_reference():
+    rng = np.random.default_rng(12)
+    for instance in [one_core_instance(BIT_HORIZON + 1), *(long_tiny(rng) for _ in range(12))]:
+        assert instance.table.horizon > BIT_HORIZON
+        assert_matches_reference(instance)
 
 
 NINE_FLOWS = [
@@ -470,9 +492,9 @@ def near_cap():
         for granularity in ("flow", "coflow"):
             runs[granularity] = 0
 
-            def counted(table, rows, granularity=granularity):
+            def counted(table, fill, rows, out, ports, granularity=granularity):
                 runs[granularity] += 1
-                return run_core(table, rows)
+                run_core(table, fill, rows, out, ports)
 
             mp.setattr(oracle, "_run_core", counted)
             results[granularity] = enumerate_best(NEAR_CAP, granularity)

@@ -635,15 +635,23 @@ def test_pipeline_and_clean_audit_leave_the_keys_unbuilt():
 def test_list_schedule_checks_fire():
     # A fractional size leaves the integer grid; an infinite one never
     # finishes, and is refused before a later flow on its port runs.
+    def fill(key_in, key_out, sizes):
+        rows = range(len(sizes))
+        busy_in = {key: [float("inf")] for key in key_in}
+        busy_out = {key: [float("inf")] for key in key_out}
+        out = [0.0] * len(sizes)
+        rel = [0] * len(sizes)
+        _list_schedule(rows, key_in, key_out, sizes, rel, busy_in, busy_out, out, None)
+
     with pytest.raises(AssertionError):
-        _list_schedule([0], [1], [1], [1.5], [0], None)
+        fill([1], [1], [1.5])
     with pytest.raises(AssertionError):
-        _list_schedule([0, 1], [1, 1], [1, 2], [1.5, 2], [0, 0], None)
+        fill([1, 1], [1, 2], [1.5, 2])
     message = "no runnable flow and no pending release"
     with pytest.raises(RuntimeError, match=message):
-        _list_schedule([0], [1], [1], [float("inf")], [0], None)
+        fill([1], [1], [float("inf")])
     with pytest.raises(RuntimeError, match=message):
-        _list_schedule([0, 1], [1, 1], [1, 1], [float("inf"), 2], [0, 0], None)
+        fill([1, 1], [1, 1], [float("inf"), 2])
 
 
 def test_simulate_rejects_bad_order():

@@ -191,10 +191,10 @@ def core_runs(instance, granularity: str) -> int:
     calls = 0
     run_core = oracle._run_core
 
-    def counted(table, rows):
+    def counted(table, fill, rows, out, ports):
         nonlocal calls
         calls += 1
-        return run_core(table, rows)
+        run_core(table, fill, rows, out, ports)
 
     oracle._run_core = counted
     try:
