@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice, permutations, product
 from math import factorial
+from typing import Iterable
 
 import numpy as np
 
@@ -90,7 +91,7 @@ def trivial_lower_bound(instance: Instance) -> float:
     return total
 
 
-def _run_core(table: FlowTable, fill, rows: list[int], out: list[float], ports: int) -> None:
+def _run_core(table: FlowTable, fill, rows: Iterable[int], out: list[float], ports: int) -> None:
     """Write ``out[r]`` for each of ``rows``, one core's flows best first, run alone.
 
     ``fill`` is ``scheduling._fill(table)``; the core's ports start idle in
@@ -199,8 +200,8 @@ def enumerate_best(instance: Instance, granularity: str = "flow") -> OracleResul
         filled += orders
         for order in permutations([rows for rows in own if rows]):
             row = zero.copy()
-            _run_core(table, fill, list(chain.from_iterable(order)), row, ports)
-            finish.extend(row)
+            _run_core(table, fill, chain.from_iterable(order), row, ports)
+            finish.fromlist(row)
     distinct = np.frombuffer(finish).reshape(filled, flows)
     base = np.array(base, dtype=np.intp)
 

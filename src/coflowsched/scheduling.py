@@ -485,7 +485,7 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, busy_in, busy_out, out, 
     A flow that never finishes raises at once: its infinite end would
     overwrite the ``inf`` sentinel of its ports. Unit rates over integer
     sizes and releases below ``MAX_HORIZON`` keep every time an exact
-    integer, which one check over the rows placed asserts after the loop.
+    integer, which one check over the finish row asserts after the loop.
     """
     never = math.inf
     for r in ranked:
@@ -539,7 +539,7 @@ def _list_schedule(ranked, key_in, key_out, sizes, rel, busy_in, busy_out, out, 
             raise RuntimeError("no runnable flow and no pending release")
         out[r] = end
     # Unit rates over integer demands keep every completion on the integer grid.
-    assert all(map(float.is_integer, map(out.__getitem__, ranked)))
+    assert all(map(float.is_integer, out))
 
 
 # The longest table horizon that ``simulate`` and the oracle fill in port bit
