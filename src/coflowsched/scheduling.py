@@ -568,7 +568,7 @@ def _idle(table: FlowTable, keys: Iterable[int]) -> dict:
     """The ports ``keys`` idle for ``_fill(table)``: 0 each, or a fresh ``[inf]`` run list."""
     if table.horizon <= BIT_HORIZON:
         return dict.fromkeys(keys, 0)
-    return {key: [math.inf] for key in keys}
+    return {key: [math.inf] for key in set(keys)}
 
 
 def _idle_ports(table: FlowTable, ports: int) -> list:

@@ -4,9 +4,9 @@
 ``_list_schedule`` as a sorted list of busy runs. Given the same core, each
 from its own idle ports, they must write equal finish rows and extend
 ``segs`` with equal pieces, compared with ``==`` and with ``repr`` (float
-times, int rows). ``simulate``
-and ``oracle._run_core`` take the bit fill when the table's horizon is at
-most ``BIT_HORIZON``, whatever numeric types the instance holds.
+times, int rows). ``simulate`` and ``oracle._run_core`` take the bit fill
+when the table's horizon is at most ``BIT_HORIZON``, whatever numeric types
+the instance holds.
 
 The flow-level list order is sorted once per table, in
 ``FlowTable.flow_order``; ``_priority_rows`` concatenates its blocks and
